@@ -80,17 +80,15 @@ def coupling_strength(
 class CavityGeometry:
     """Geometric inputs of the coupling computation.
 
-    ``angular_frequency`` selects how the mode frequency is derived from the
-    wavelength: 2*pi*c/lambda when true (the default), c/lambda when false.
-    The written form of the coupling formula does not disambiguate the two;
-    the flag keeps both readings available.
+    The mode frequency is the angular frequency 2*pi*c/lambda of the
+    wavelength. scripts/reference_coupling.py prints, independently of the
+    package, the value the ordinary frequency c/lambda would give instead.
     """
 
     wavelength: float
     background_index: float
     mode_volume: float
     dipole_length: float
-    angular_frequency: bool = True
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -112,7 +110,6 @@ class CavityGeometry:
         wavelength: float,
         background_index: float,
         dipole_length: float,
-        angular_frequency: bool = True,
     ) -> "CavityGeometry":
         """Geometry of a (wavelength/index)^3 cavity."""
         return cls(
@@ -120,7 +117,6 @@ class CavityGeometry:
             background_index=background_index,
             mode_volume=mode_volume_cubic(wavelength, background_index),
             dipole_length=dipole_length,
-            angular_frequency=angular_frequency,
         )
 
     @property
@@ -130,9 +126,8 @@ class CavityGeometry:
 
     @property
     def photon_frequency(self) -> float:
-        """Mode frequency in rad/s (or 1/s when angular_frequency is off)."""
-        nu = CONSTANTS.speed_of_light / self.wavelength
-        return 2.0 * math.pi * nu if self.angular_frequency else nu
+        """Angular mode frequency 2*pi*c/wavelength, in rad/s."""
+        return 2.0 * math.pi * (CONSTANTS.speed_of_light / self.wavelength)
 
     def coupling(self) -> float:
         """Vacuum Rabi coupling of this geometry, in rad/ps."""

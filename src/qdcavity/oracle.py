@@ -24,7 +24,9 @@ therefore holds only at g = 0 with gamma_nl = 0; elsewhere agreement bands
 are empirical.
 
 Superoperators use row-major (C-order) vectorization: vec(A rho B) =
-(A kron B^T) vec(rho).
+(A kron B^T) vec(rho). The steady state comes from a sparse LU
+factorization of the generator with the trace row substituted for its
+first row, at every cutoff.
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
@@ -42,11 +44,6 @@ from scipy.sparse.linalg import expm_multiply, splu
 from .errors import OracleError, SingularSteadyState, TruncationTooSmall
 from .model import ModelParams, validate
 from .observables import PHOTON_FLOOR, Observables
-
-# Above this Hilbert-space dimension the steady-state solve switches from a
-# dense LU of the full superoperator to a sparse factorization; dim = 80
-# already means an 6400 x 6400 superoperator.
-DENSE_DIM_LIMIT = 80
 
 # Population allowed in the top Fock level before the truncation is rejected.
 TOP_LEVEL_LIMIT = 1e-8
@@ -195,31 +192,23 @@ def basis_density(
 def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMatrix:
     """Unique stationary state of the generator.
 
-    Solves generator . vec(rho) = 0 with the trace row substituted for the
-    first diagonal-element row (that row is linearly dependent on the other
-    diagonal rows by trace preservation, so nothing is lost). A null space
-    of dimension above one leaves the substituted matrix singular and raises
-    SingularSteadyState.
+    Solves generator . vec(rho) = 0 by a sparse LU factorization, at every
+    cutoff, with the trace row substituted for the first diagonal-element
+    row (that row is linearly dependent on the other diagonal rows by trace
+    preservation, so nothing is lost). A null space of dimension above one
+    leaves the substituted matrix singular and raises SingularSteadyState.
     """
     gen = build_liouvillian(params, space)
     dim = space.dim
-    n2 = dim * dim
-    system = gen.tolil(copy=True)
-    system[0, :] = 0.0
-    for k in range(dim):
-        system[0, k * dim + k] = 1.0
-    rhs = np.zeros(n2, dtype=complex)
+    # vec(identity) . vec(rho) = trace(rho).
+    trace_row = sparse.identity(dim, dtype=complex).reshape((1, dim * dim))
+    system = sparse.vstack([trace_row, gen[1:]], format="csc")
+    rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    if dim <= DENSE_DIM_LIMIT:
-        try:
-            x = np.linalg.solve(system.toarray(), rhs)
-        except np.linalg.LinAlgError as err:
-            raise SingularSteadyState(str(err)) from err
-    else:
-        try:
-            x = splu(system.tocsc()).solve(rhs)
-        except RuntimeError as err:
-            raise SingularSteadyState(str(err)) from err
+    try:
+        x = splu(system).solve(rhs)
+    except RuntimeError as err:
+        raise SingularSteadyState(str(err)) from err
     if not np.all(np.isfinite(x)):
         raise SingularSteadyState("factorization returned non-finite entries")
     residual = float(np.max(np.abs(gen @ x)))

@@ -96,59 +96,6 @@ def scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(f) / max(np.linalg.norm(y), 1.0))
 
 
-def _saturation_root(params: ModelParams) -> float:
-    # Positive root of gamma_nl n^2 + (P + gamma_nr) n - P = 0, the carrier
-    # balance with photon emission neglected.
-    P, gnr, gnl = params.pump, params.gamma_nr, params.gamma_nl
-    if gnl == 0.0:
-        return P / (P + gnr) if P + gnr > 0 else 0.0
-    b = P + gnr
-    return (-b + math.sqrt(b * b + 4.0 * gnl * P)) / (2.0 * gnl)
-
-
-def _pump_dominates(params: ModelParams) -> bool:
-    others = (
-        params.g, 2.0 * params.gamma_c, params.gamma_deph,
-        params.gamma_nr, params.gamma_nl, abs(params.detuning),
-    )
-    return params.pump > 1e3 * max(others)
-
-
-def _make_system(params, toggles, saturated_pump):
-    """rhs/jacobian pair, optionally with carriers pinned at saturation.
-
-    The saturated-pump shortcut replaces the stiff carrier equations by
-    their algebraic balance n_e = n_h = root of the pump/loss quadratic; it
-    only engages when the pump exceeds every other rate by 1e3.
-    """
-    rhs, jac = make_rhs(params, toggles)
-    if not (saturated_pump and _pump_dominates(params)):
-        return rhs, jac, None
-    n_sat = _saturation_root(params)
-
-    def pinned_rhs(t, y):
-        z = y.copy()
-        z[0] = n_sat
-        z[1] = n_sat
-        f = rhs(t, z)
-        f[0] = 0.0
-        f[1] = 0.0
-        return f
-
-    def pinned_jac(t, y):
-        z = y.copy()
-        z[0] = n_sat
-        z[1] = n_sat
-        J = jac(t, z)
-        J[0, :] = 0.0
-        J[1, :] = 0.0
-        J[:, 0] = 0.0
-        J[:, 1] = 0.0
-        return J
-
-    return pinned_rhs, pinned_jac, n_sat
-
-
 def _check_ranges(times, ys, rel_tol):
     eps = 10.0 * rel_tol
     worst = None
@@ -205,7 +152,6 @@ def integrate(
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
     t_end: Optional[float] = None,
-    saturated_pump: bool = False,
 ) -> Trajectory:
     """Integrate from t = 0 to t_end (default cfg.max_time).
 
@@ -214,12 +160,8 @@ def integrate(
     accepted states leave the physical simplex beyond 10*rel_tol.
     """
     validate(params)
-    rhs, jac, pinned = _make_system(params, toggles, saturated_pump)
+    rhs, jac = make_rhs(params, toggles)
     y0 = initial.to_array()
-    if pinned is not None:
-        y0 = y0.copy()
-        y0[0] = pinned
-        y0[1] = pinned
     horizon = cfg.max_time if t_end is None else t_end
     if not (horizon > 0.0):
         raise ValueError(f"t_end must be > 0, got {horizon}")
@@ -256,7 +198,6 @@ def steady_state(
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
     initial: Optional[DynamicState] = None,
-    saturated_pump: bool = False,
     record: bool = False,
 ):
     """Integrate from vacuum (or ``initial``) until the flow stalls.
@@ -271,12 +212,8 @@ def steady_state(
     cfg.max_time is exhausted first.
     """
     validate(params)
-    rhs, jac, pinned = _make_system(params, toggles, saturated_pump)
+    rhs, jac = make_rhs(params, toggles)
     y = (initial or DynamicState.vacuum()).to_array()
-    if pinned is not None:
-        y = y.copy()
-        y[0] = pinned
-        y[1] = pinned
 
     # Chunk long enough to damp the slowest linearized mode noticeably.
     slowest = min(

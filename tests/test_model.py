@@ -28,7 +28,6 @@ from qdcavity.model import (
 # cubic mode volume, 0.5 nm dipole length). Computed once, asserted bitwise.
 FROZEN_MODE_VOLUME = 1.8161819241982504e-20
 FROZEN_COUPLING = 0.17783269413294994
-FROZEN_COUPLING_ORDINARY = 0.07094498052732953
 
 
 def test_constants_are_codata_2018():
@@ -126,18 +125,6 @@ def test_reference_coupling_near_quoted_scale():
     quoted = 0.025
     ratio = REFERENCE_COUPLING_RAD_PER_PS / (2.0 * math.pi) / quoted
     assert abs(ratio - 1.0) < 0.15
-
-
-def test_ordinary_frequency_reading():
-    geometry = CavityGeometry.cubic(
-        wavelength=920e-9,
-        background_index=3.5,
-        dipole_length=0.5e-9,
-        angular_frequency=False,
-    )
-    assert geometry.coupling() == FROZEN_COUPLING_ORDINARY
-    ratio = FROZEN_COUPLING / FROZEN_COUPLING_ORDINARY
-    assert ratio == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
 def test_geometry_validation():

@@ -236,7 +236,7 @@ def test_pump_only_observables_mark_g2_undefined():
     assert obs.output_rate == pytest.approx(0.0, abs=1e-12)
 
 
-def test_degenerate_null_space_is_rejected():
+def _assert_degenerate_null_space_rejected(n_max):
     # Photon loss alone leaves every carrier sector stationary; the steady
     # state is not unique and the solver must say so.
     params = ModelParams(
@@ -244,7 +244,15 @@ def test_degenerate_null_space_is_rejected():
         gamma_nl=0.0, pump=0.0,
     )
     with pytest.raises(SingularSteadyState):
-        steady_state_density(params, HilbertSpace(1))
+        steady_state_density(params, HilbertSpace(n_max))
+
+
+def test_degenerate_null_space_is_rejected():
+    _assert_degenerate_null_space_rejected(1)
+
+
+def test_degenerate_null_space_is_rejected_at_n_max_20():
+    _assert_degenerate_null_space_rejected(20)
 
 
 def test_truncation_guard_and_auto_doubling():

@@ -22,7 +22,6 @@ from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
 from qdcavity.solver import (
     PhysicalRangeWarning,
-    _saturation_root,
     scaled_residual,
 )
 
@@ -157,22 +156,6 @@ def test_scaled_residual_definition():
     assert scaled_residual(f, np.array([0.0, 2.0])) == 5.0 / 2.0
 
 
-def test_saturation_root_quadratic():
-    # gamma_nl n^2 + (P + gamma_nr) n - P = 0 with P=1, gamma_nr=0,
-    # gamma_nl=2 has the positive root n = 1/2.
-    params = ModelParams(
-        g=0.0, gamma_c=1.0, gamma_deph=0.0, gamma_nr=0.0,
-        gamma_nl=2.0, pump=1.0,
-    )
-    root = _saturation_root(params)
-    assert root == pytest.approx(0.5, rel=1e-14)
-    linear = ModelParams(
-        g=0.0, gamma_c=1.0, gamma_deph=0.0, gamma_nr=1.0,
-        gamma_nl=0.0, pump=3.0,
-    )
-    assert _saturation_root(linear) == pytest.approx(0.75, rel=1e-14)
-
-
 def test_steady_state_carrier_balance():
     # g = 0: the carrier steady state is the quadratic root and the cavity
     # empties.
@@ -251,23 +234,6 @@ def test_no_range_warning_inside_simplex():
     with warnings.catch_warnings():
         warnings.simplefilter("error", PhysicalRangeWarning)
         integrate(DynamicState.vacuum(), params, FULL, CFG, t_end=2.0)
-
-
-def test_saturated_pump_shortcut_matches_direct_solve():
-    # P = 1e5/ps dwarfs every other rate; the pinned-carrier shortcut must
-    # land on the same photon number as the brute-force stiff solve.
-    params = default_params(g=0.1, gamma_c=1.0, pump=1e5)
-    direct = steady_state(params, FULL, CFG)
-    pinned = steady_state(params, FULL, CFG, saturated_pump=True)
-    assert pinned.n_p == pytest.approx(direct.n_p, rel=1e-4)
-    assert pinned.n_e == pytest.approx(direct.n_e, rel=1e-4)
-
-
-def test_saturated_pump_flag_is_inert_at_moderate_pump():
-    params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
-    plain = steady_state(params, FULL, CFG)
-    flagged = steady_state(params, FULL, CFG, saturated_pump=True)
-    assert plain == flagged
 
 
 def test_factorized_variant_keeps_correlations_at_zero():
