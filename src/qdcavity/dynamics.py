@@ -37,6 +37,9 @@ import numpy as np
 from .model import ModelParams
 
 STATE_DIM = 10
+# The factorized variant evolves only the leading singlet components
+# n_e, n_h, n_p, Re p, Im p; the rest of the layout is inert.
+SINGLET_DIM = 5
 
 ARRAY_FIELDS = (
     "n_e", "n_h", "n_p", "re_p", "im_p",

@@ -1,11 +1,22 @@
-"""Time integration and steady-state detection.
+"""Time integration and direct steady-state solution.
 
 The pump rate can exceed every other rate by five orders of magnitude,
 making the equations stiff. Integration therefore uses an implicit
 error-controlled Runge-Kutta method (Radau IIA of order 5, embedded error
-estimate) driven by the exact analytic Jacobian. One solve is
-single-threaded and deterministic: identical inputs give bitwise-identical
-trajectories on the same platform.
+estimate) driven by the exact analytic Jacobian.
+
+Steady states are solved for directly rather than marched to. Pseudo-
+transient continuation takes linearly implicit Euler steps on the analytic
+Jacobian, (I/h - J) dy = f(y), doubling the pseudo-time step h after every
+accepted iterate, so the iteration starts as a damped march and ends as
+Newton's method. A root is returned only once it is certified: residual
+below threshold, every Jacobian eigenvalue in the left half-plane (Newton
+can land on unstable roots, a time-march cannot), the linearised flow from
+the initial state settled within the time budget, and a Radau window from
+the root that stays below threshold. Anything else falls back to one Radau
+march over the whole budget. Every solve is single-threaded and
+deterministic: identical inputs give bitwise-identical results on the same
+platform.
 """
 
 from __future__ import annotations
@@ -18,9 +29,20 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import CorrelationToggles, DynamicState, make_rhs
+from .dynamics import (
+    SINGLET_DIM,
+    STATE_DIM,
+    CorrelationToggles,
+    DynamicState,
+    make_rhs,
+)
 from .errors import NonFiniteState, NotConverged, StiffnessFailure
 from .model import ModelParams, validate
+
+# Bound on continuation iterates, accepted or rejected. Roots reached from
+# vacuum take about 20; a step quartered this often (4**-100) stays far above
+# underflow.
+MAX_CONTINUATION_STEPS = 100
 
 
 class PhysicalRangeWarning(UserWarning):
@@ -33,6 +55,21 @@ class IntegrationConfig:
 
     Defaults give at least six reliable digits in the observables, which the
     shallow correlation dip in g2(0) requires.
+
+    rel_tol, abs_tol: Radau error tolerances, for ``integrate``, for the
+        steady-state verification window and fallback march, and for the
+        trajectory ``steady_state(record=True)`` returns. 10*rel_tol is also
+        the allowance of the physical-range check.
+    max_time: default horizon of ``integrate``, in ps. For ``steady_state``
+        the time budget: a root is accepted only if the flow linearised at
+        it, started from the initial state, settles below
+        steady_state_residual by max_time; the fallback march runs to it.
+    initial_step: first Radau step, and the first pseudo-time step of the
+        steady-state continuation, in ps.
+    steady_state_residual: threshold on the scaled residual
+        ||rhs|| / max(||state||, 1) that a steady state must meet.
+    steady_window: length in ps of the Radau run from a candidate root
+        over which the scaled residual must stay below threshold.
     """
 
     rel_tol: float = 1e-9
@@ -181,40 +218,90 @@ def integrate(
     )
 
 
-def _window_holds(rhs, jac, t, y, cfg):
-    """Check the residual stays below threshold for a full steady_window."""
+def _continue_to_root(rhs, jac, y0, n, cfg):
+    """Pseudo-transient continuation from y0 towards a root of rhs.
+
+    Moves the first n components only. An iterate that at most doubles the
+    scaled residual is accepted and the pseudo-time step doubles; otherwise
+    it is rejected and the step quartered. Returns the first iterate below
+    cfg.steady_state_residual, or None after MAX_CONTINUATION_STEPS.
+    """
+    y = y0
+    f = rhs(0.0, y)
+    residual = scaled_residual(f, y)
+    J = None
+    h = cfg.initial_step
+    eye = np.eye(n)
+    for _ in range(MAX_CONTINUATION_STEPS):
+        if residual < cfg.steady_state_residual:
+            return y
+        if J is None:
+            J = jac(0.0, y)[:n, :n]
+        trial = y.copy()
+        try:
+            trial[:n] += np.linalg.solve(eye / h - J, f[:n])
+        except np.linalg.LinAlgError:
+            h *= 0.25
+            continue
+        f_trial = rhs(0.0, trial)
+        r_trial = scaled_residual(f_trial, trial)
+        if r_trial <= 2.0 * residual:
+            y, f, residual, J = trial, f_trial, r_trial, None
+            h *= 2.0
+        else:
+            h *= 0.25
+    return None
+
+
+def _window_holds(rhs, jac, y, cfg):
+    """Check the residual stays below threshold for a full steady_window.
+
+    Emits PhysicalRangeWarning if the window's samples, the first of them
+    y itself, leave the physical range; their times count from y.
+    """
     samples = 8
-    t_eval = np.linspace(t, t + cfg.steady_window, samples + 1)
-    sol = _solve_chunk(rhs, jac, t, t + cfg.steady_window, y, cfg, t_eval=t_eval)
+    t_eval = np.linspace(0.0, cfg.steady_window, samples + 1)
+    sol = _solve_chunk(rhs, jac, 0.0, cfg.steady_window, y, cfg, t_eval=t_eval)
     for k in range(sol.t.size):
         if scaled_residual(rhs(sol.t[k], sol.y[:, k]), sol.y[:, k]) \
                 >= cfg.steady_state_residual:
-            return False, sol.y[:, -1], sol.t[-1]
-    return True, sol.y[:, -1], sol.t[-1]
+            return False
+    _check_ranges(sol.t, sol.y, cfg.rel_tol)
+    return True
 
 
-def steady_state(
-    params: ModelParams,
-    toggles: CorrelationToggles,
-    cfg: IntegrationConfig,
-    initial: Optional[DynamicState] = None,
-    record: bool = False,
-):
-    """Integrate from vacuum (or ``initial``) until the flow stalls.
+def _certified_root(rhs, jac, y0, n, cfg):
+    """Continue from y0 to a root and certify it, or return None.
 
-    Returns the first chunk-boundary state whose scaled residual
-    ||rhs|| / max(||state||, 1) stays below cfg.steady_state_residual
-    throughout a further steady_window of evolution. With record=True,
-    returns (state, Trajectory) where the trajectory collects every accepted
-    step up to the point where the verification window begins.
-
-    Raises NotConverged (carrying the last state and residual) when
-    cfg.max_time is exhausted first.
+    The root must be linearly stable, the flow linearised at it must carry
+    y0 below the residual threshold by cfg.max_time, and the residual must
+    hold over a steady window.
     """
-    validate(params)
-    rhs, jac = make_rhs(params, toggles)
-    y = (initial or DynamicState.vacuum()).to_array()
+    root = _continue_to_root(rhs, jac, y0, n, cfg)
+    if root is None:
+        return None
+    rates, modes = np.linalg.eig(jac(0.0, root)[:n, :n])
+    if not np.all(rates.real < 0.0):
+        return None
+    # Linearised about the root, y(t) - root = exp(J t) (y0 - root), so the
+    # residual there is J exp(J t) (y0 - root), summed here over the modes.
+    try:
+        amplitudes = np.linalg.solve(modes, (y0 - root)[:n])
+    except np.linalg.LinAlgError:
+        return None
+    flow = modes @ (rates * np.exp(rates * cfg.max_time) * amplitudes)
+    if not scaled_residual(flow, root) < cfg.steady_state_residual:
+        return None
+    if not _window_holds(rhs, jac, root, cfg):
+        return None
+    return root
 
+
+def _record_march(rhs, jac, y0, params, cfg):
+    """Radau from y0 in growing chunks to the first chunk end below threshold.
+
+    Returns the accepted-step times and states, at most up to cfg.max_time.
+    """
     # Chunk long enough to damp the slowest linearized mode noticeably.
     slowest = min(
         2.0 * params.gamma_c,
@@ -227,33 +314,75 @@ def steady_state(
     times: List[float] = []
     ys: List[np.ndarray] = []
     t = 0.0
+    y = y0
     first_step = min(cfg.initial_step, chunk)
-    residual = scaled_residual(rhs(0.0, y), y)
     while t < cfg.max_time:
         t_next = min(t + chunk, cfg.max_time)
         sol = _solve_chunk(rhs, jac, t, t_next, y, cfg, first_step=first_step)
         first_step = None
         _check_ranges(sol.t, sol.y, cfg.rel_tol)
-        if record:
-            start = 1 if times else 0
-            times.extend(float(v) for v in sol.t[start:])
-            ys.extend(sol.y[:, k].copy() for k in range(start, sol.t.size))
+        start = 1 if times else 0
+        times.extend(float(v) for v in sol.t[start:])
+        ys.extend(sol.y[:, k].copy() for k in range(start, sol.t.size))
         y = sol.y[:, -1]
         t = float(sol.t[-1])
-        residual = scaled_residual(rhs(t, y), y)
-        if residual < cfg.steady_state_residual:
-            held, y_end, t_end = _window_holds(rhs, jac, t, y, cfg)
-            if held:
-                state = DynamicState.from_array(y)
-                if record:
-                    trajectory = Trajectory(
-                        times=tuple(times),
-                        states=tuple(DynamicState.from_array(v) for v in ys),
-                        converged=True,
-                        final_residual=residual,
-                    )
-                    return state, trajectory
-                return state
-            y, t = y_end, float(t_end)
+        if scaled_residual(rhs(t, y), y) < cfg.steady_state_residual:
+            break
         chunk *= 1.5
-    raise NotConverged(cfg.max_time, DynamicState.from_array(y), residual)
+    return times, ys
+
+
+def steady_state(
+    params: ModelParams,
+    toggles: CorrelationToggles,
+    cfg: IntegrationConfig,
+    initial: Optional[DynamicState] = None,
+    record: bool = False,
+):
+    """Solve for the steady state reached from vacuum (or ``initial``).
+
+    Pseudo-transient continuation on the analytic Jacobian, over all ten
+    components or the five singlet ones for the factorized variant, finds a
+    root of the equations of motion. It is returned once certified: scaled
+    residual ||rhs|| / max(||state||, 1) below cfg.steady_state_residual,
+    every eigenvalue of the Jacobian with negative real part, the flow
+    linearised at the root carrying the initial state below that threshold
+    within cfg.max_time, and the residual staying below it over a further
+    steady_window of Radau evolution. PhysicalRangeWarning is emitted if
+    the root or that window leaves the physical range.
+
+    If any check fails, one Radau march runs from the initial state to
+    cfg.max_time; if it ends below the threshold, the continuation restarts
+    from there and certifies again. Raises NotConverged (carrying the
+    march's last state and residual) otherwise.
+
+    With record=True, returns (state, Trajectory): the trajectory collects
+    every accepted Radau step from the initial state up to the first chunk
+    end below threshold, its last row replaced by the returned state, so
+    the state is bitwise the one the bare call returns.
+    """
+    validate(params)
+    rhs, jac = make_rhs(params, toggles)
+    start = initial or DynamicState.vacuum()
+    y0 = start.to_array()
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+
+    root = _certified_root(rhs, jac, y0, n, cfg)
+    if root is None:
+        march = integrate(start, params, toggles, cfg)
+        if march.final_residual < cfg.steady_state_residual:
+            root = _certified_root(rhs, jac, march.final.to_array(), n, cfg)
+        if root is None:
+            raise NotConverged(cfg.max_time, march.final, march.final_residual)
+    state = DynamicState.from_array(root)
+    if not record:
+        return state
+
+    times, ys = _record_march(rhs, jac, y0, params, cfg)
+    trajectory = Trajectory(
+        times=tuple(times),
+        states=tuple(DynamicState.from_array(v) for v in ys[:-1]) + (state,),
+        converged=True,
+        final_residual=scaled_residual(rhs(0.0, root), root),
+    )
+    return state, trajectory

@@ -18,10 +18,13 @@ from qdcavity import (
     rhs,
     steady_state,
 )
-from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
+from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
+from qdcavity.model import ReferenceRabi
+from qdcavity.observables import observables_of
 from qdcavity.solver import (
     PhysicalRangeWarning,
+    _continue_to_root,
     scaled_residual,
 )
 
@@ -31,6 +34,14 @@ FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
 
 CFG = IntegrationConfig()
+
+# Coupling 0.20 reference units, the dip-sweep coupling.
+G_DIP = ReferenceRabi().coupling_for(0.20)
+
+
+def saturated_params(lifetime_ps, pump=1e5):
+    """Default rates at coupling 0.20, photon lifetime as the sweeps set it."""
+    return default_params(g=G_DIP, gamma_c=0.5 * (1.0 / lifetime_ps), pump=pump)
 
 
 def decay_only_params(gamma_c):
@@ -251,3 +262,84 @@ def test_steady_state_accepts_initial_guess():
     reference = steady_state(params, FULL, CFG)
     warm = steady_state(params, FULL, CFG, initial=reference)
     assert warm.n_p == pytest.approx(reference.n_p, rel=1e-9)
+
+
+def test_unstable_root_falls_back_to_march():
+    # Past the lasing threshold the carrier-saturated singlet root
+    # n_p = g^2 / (gamma_c (gamma_c + gamma_deph) - g^2) is negative and
+    # unstable. Continuation from vacuum lands on it, so steady_state must
+    # reject it and reach the lasing state a time-march reaches.
+    params = saturated_params(30.0)
+    gc = params.gamma_c
+    singlet_root = G_DIP**2 / (gc * (gc + params.gamma_deph) - G_DIP**2)
+    f, jac = make_rhs(params, FACTORIZED)
+    landed = _continue_to_root(
+        f, jac, DynamicState.vacuum().to_array(), SINGLET_DIM, CFG
+    )
+    assert landed[2] == pytest.approx(singlet_root, rel=1e-3)
+    assert landed[2] == pytest.approx(-1.54, abs=0.01)
+    rates = np.linalg.eigvals(jac(0.0, landed)[:SINGLET_DIM, :SINGLET_DIM])
+    assert max(rates.real) == pytest.approx(0.020, abs=0.001)
+
+    state = steady_state(params, FACTORIZED, CFG)
+    assert state.n_p == pytest.approx(972981.853828596, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "lifetime_ps, n_p",
+    [(15.5, 3.794446262702267), (15.7, 5.038069231819658), (15.8, None)],
+)
+def test_max_time_rule_at_lasing_threshold(lifetime_ps, n_p):
+    # Approaching the threshold the slowest mode decays ever more slowly;
+    # from 15.8 ps a march from vacuum cannot settle within the default
+    # max_time of 1e4 ps, and a directly solved root must not be returned
+    # either. The expected values are march end states, which miss the
+    # exact root by up to 1.2e-8 relative at 15.7 ps, hence rel=1e-7.
+    params = saturated_params(lifetime_ps)
+    if n_p is None:
+        with pytest.raises(NotConverged) as info:
+            steady_state(params, FULL, CFG)
+        assert info.value.max_time == CFG.max_time
+        assert info.value.residual > CFG.steady_state_residual
+    else:
+        assert steady_state(params, FULL, CFG).n_p == pytest.approx(n_p, rel=1e-7)
+
+
+def gate_scaled_difference(a, b):
+    """Largest observable difference, each on its natural scale.
+
+    n_p and the output rate relative to themselves, the two-photon
+    expectation relative to n_p^2 and g2(0) absolutely, because the last
+    two pass through zero inside the dip.
+    """
+    n_p = abs(b.photon_number)
+    diffs = [
+        abs(a.photon_number - b.photon_number) / n_p,
+        abs(a.output_rate - b.output_rate) / abs(b.output_rate),
+        abs(a.two_photon - b.two_photon) / max(abs(b.two_photon), n_p * n_p),
+    ]
+    if a.g2_zero is None or b.g2_zero is None:
+        assert a.g2_zero is b.g2_zero
+    else:
+        diffs.append(abs(a.g2_zero - b.g2_zero) / max(abs(b.g2_zero), 1.0))
+    return max(diffs)
+
+
+@pytest.mark.parametrize("variant", sorted(TOGGLE_VARIANTS))
+@pytest.mark.parametrize("pump", [1e-2, 1.0, 1e5])
+@pytest.mark.parametrize("lifetime_ps", [0.2, 3.0, 10.0])
+def test_steady_state_matches_plain_integration(variant, pump, lifetime_ps):
+    # The direct solve against a march from vacuum long enough to damp the
+    # slowest linearised mode by e^-30.
+    toggles = TOGGLE_VARIANTS[variant]
+    params = saturated_params(lifetime_ps, pump=pump)
+    state = steady_state(params, toggles, CFG)
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+    _, jac = make_rhs(params, toggles)
+    rates = np.linalg.eigvals(jac(0.0, state.to_array())[:n, :n])
+    horizon = 30.0 / min(-rates.real)
+    marched = integrate(DynamicState.vacuum(), params, toggles, CFG, t_end=horizon)
+    difference = gate_scaled_difference(
+        observables_of(state, params), observables_of(marched.final, params)
+    )
+    assert difference < 1e-7
