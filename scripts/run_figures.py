@@ -3,7 +3,7 @@
 
 Each config in configs/ is passed through the sweep subcommand; results and
 the generated gnuplot templates land in the chosen output directory. The
-618 grid points of the shipped configs take about 5 s with one worker on a
+618 grid points of the shipped configs take about 2.5 s with one worker on a
 2-vCPU x86-64 VM.
 """
 

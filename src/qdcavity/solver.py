@@ -12,8 +12,10 @@ accepted iterate, so the iteration starts as a damped march and ends as
 Newton's method. A root is returned only once it is certified: residual
 below threshold, every Jacobian eigenvalue in the left half-plane (Newton
 can land on unstable roots, a time-march cannot), the linearised flow from
-the initial state settled within the time budget, and a Radau window from
-the root that stays below threshold. Anything else falls back to one Radau
+the initial state settled within the time budget, and the residual staying
+below threshold over a window of the flow linearised at the root. Both flow
+checks are evaluated in closed form on the eigen-decomposition of J, so a
+certified root costs no Radau step. Anything else falls back to one Radau
 march over the whole budget. Every solve is single-threaded and
 deterministic: identical inputs give bitwise-identical results on the same
 platform.
@@ -57,9 +59,10 @@ class IntegrationConfig:
     shallow correlation dip in g2(0) requires.
 
     rel_tol, abs_tol: Radau error tolerances, for ``integrate``, for the
-        steady-state verification window and fallback march, and for the
-        trajectory ``steady_state(record=True)`` returns. 10*rel_tol is also
-        the allowance of the physical-range check.
+        steady-state fallback march and for the trajectory
+        ``steady_state(record=True)`` returns; the certification of a root,
+        its steady window included, runs no Radau and does not read them.
+        10*rel_tol is also the allowance of the physical-range check.
     max_time: default horizon of ``integrate``, in ps. For ``steady_state``
         the time budget: a root is accepted only if the flow linearised at
         it, started from the initial state, settles below
@@ -68,8 +71,9 @@ class IntegrationConfig:
         steady-state continuation, in ps.
     steady_state_residual: threshold on the scaled residual
         ||rhs|| / max(||state||, 1) that a steady state must meet.
-    steady_window: length in ps of the Radau run from a candidate root
-        over which the scaled residual must stay below threshold.
+    steady_window: length in ps of the window, sampled at nine evenly
+        spaced times of the flow linearised at a candidate root, over which
+        the scaled residual must stay below threshold.
     """
 
     rel_tol: float = 1e-9
@@ -130,7 +134,9 @@ class Trajectory:
 
 def scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
     """||f|| / max(||y||, 1), the steady-state detection metric."""
-    return float(np.linalg.norm(f) / max(np.linalg.norm(y), 1.0))
+    # sqrt(v @ v) is what np.linalg.norm computes for a real vector, bit for
+    # bit, without its dispatch overhead.
+    return math.sqrt(float(f @ f)) / max(math.sqrt(float(y @ y)), 1.0)
 
 
 def _check_ranges(times, ys, rel_tol):
@@ -156,7 +162,7 @@ def _check_ranges(times, ys, rel_tol):
         )
 
 
-def _solve_chunk(rhs, jac, t0, t1, y0, cfg, first_step=None, t_eval=None):
+def _solve_chunk(rhs, jac, t0, t1, y0, cfg, first_step=None):
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState(f"non-finite state at t = {t0:g} ps")
     sol = solve_ivp(
@@ -168,7 +174,6 @@ def _solve_chunk(rhs, jac, t0, t1, y0, cfg, first_step=None, t_eval=None):
         atol=cfg.abs_tol,
         jac=jac,
         first_step=first_step,
-        t_eval=t_eval,
         dense_output=False,
     )
     if not sol.success:
@@ -253,20 +258,30 @@ def _continue_to_root(rhs, jac, y0, n, cfg):
     return None
 
 
-def _window_holds(rhs, jac, y, cfg):
+def _window_holds(rhs, root, rates, modes, cfg):
     """Check the residual stays below threshold for a full steady_window.
 
-    Emits PhysicalRangeWarning if the window's samples, the first of them
-    y itself, leave the physical range; their times count from y.
+    Samples the flow linearised at root, with Jacobian eigenvalues rates and
+    eigenvectors modes over its first rates.size components, in closed form,
+    y(t) = root + J^-1 (e^{J t} - I) rhs(root), at nine evenly spaced times,
+    and evaluates the full nonlinear residual at each. Emits
+    PhysicalRangeWarning if the samples, the first of them root itself,
+    leave the physical range; their times count from root.
     """
-    samples = 8
-    t_eval = np.linspace(0.0, cfg.steady_window, samples + 1)
-    sol = _solve_chunk(rhs, jac, 0.0, cfg.steady_window, y, cfg, t_eval=t_eval)
-    for k in range(sol.t.size):
-        if scaled_residual(rhs(sol.t[k], sol.y[:, k]), sol.y[:, k]) \
-                >= cfg.steady_state_residual:
+    n = rates.size
+    times = np.linspace(0.0, cfg.steady_window, 9)
+    try:
+        amplitudes = np.linalg.solve(modes, rhs(0.0, root)[:n])
+    except np.linalg.LinAlgError:
+        return False
+    growth = np.expm1(np.outer(rates, times)) / rates[:, None]
+    ys = np.repeat(root[:, None], times.size, axis=1)
+    ys[:n] += (modes @ (growth * amplitudes[:, None])).real
+    for k in range(times.size):
+        if not scaled_residual(rhs(times[k], ys[:, k]), ys[:, k]) \
+                < cfg.steady_state_residual:
             return False
-    _check_ranges(sol.t, sol.y, cfg.rel_tol)
+    _check_ranges(times, ys, cfg.rel_tol)
     return True
 
 
@@ -290,9 +305,9 @@ def _certified_root(rhs, jac, y0, n, cfg):
     except np.linalg.LinAlgError:
         return None
     flow = modes @ (rates * np.exp(rates * cfg.max_time) * amplitudes)
-    if not scaled_residual(flow, root) < cfg.steady_state_residual:
+    if not scaled_residual(flow.real, root) < cfg.steady_state_residual:
         return None
-    if not _window_holds(rhs, jac, root, cfg):
+    if not _window_holds(rhs, root, rates, modes, cfg):
         return None
     return root
 
@@ -348,8 +363,9 @@ def steady_state(
     every eigenvalue of the Jacobian with negative real part, the flow
     linearised at the root carrying the initial state below that threshold
     within cfg.max_time, and the residual staying below it over a further
-    steady_window of Radau evolution. PhysicalRangeWarning is emitted if
-    the root or that window leaves the physical range.
+    steady_window of the flow linearised at the root, solved in closed form.
+    PhysicalRangeWarning is emitted if the root or that window leaves the
+    physical range.
 
     If any check fails, one Radau march runs from the initial state to
     cfg.max_time; if it ends below the threshold, the continuation restarts

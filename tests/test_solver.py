@@ -1,11 +1,17 @@
 """Integration, steady-state detection, and failure reporting."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdcavity
 from qdcavity import (
     DynamicState,
     IntegrationConfig,
@@ -24,7 +30,9 @@ from qdcavity.model import ReferenceRabi
 from qdcavity.observables import observables_of
 from qdcavity.solver import (
     PhysicalRangeWarning,
+    _certified_root,
     _continue_to_root,
+    _window_holds,
     scaled_residual,
 )
 
@@ -190,6 +198,61 @@ def test_steady_state_residual_holds_over_window():
     for point in traj.states:
         y = point.to_array()
         assert scaled_residual(f(0.0, y), y) < CFG.steady_state_residual
+
+
+def test_window_catches_transient_growth():
+    # A stable but non-normal linear flow f(y) = J y: its residual evolves
+    # as f(t) = e^{J t} f(0), and started along the second axis it first
+    # grows about 350-fold (peak near t = 1 ps) before it decays. A state
+    # whose residual starts below threshold must still be rejected.
+    J = np.array([[-1.0, 1e3, 0.0], [0.0, -1.1, 0.0], [0.0, 0.0, -2.0]])
+
+    def f(t, y):
+        return J @ y
+
+    def jac(t, y):
+        return J
+
+    rates, modes = np.linalg.eig(J)
+    growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
+    assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
+    assert not _window_holds(f, growing, rates, modes, CFG)
+    assert _certified_root(f, jac, growing, 3, CFG) is None
+    # Started along the first axis the residual only decays, so a state
+    # just under the threshold holds; stepping the flow backwards would
+    # double its residual instead.
+    decaying = np.linalg.solve(J, [0.8 * CFG.steady_state_residual, 0.0, 0.0])
+    assert _window_holds(f, decaying, rates, modes, CFG)
+    assert _certified_root(f, jac, decaying, 3, CFG) is decaying
+
+
+def test_lasing_roots_past_threshold():
+    # Past the lasing threshold the full hierarchy settles at a lasing state
+    # with a slow relaxation mode. Integrating a window from that root
+    # stalls rather than fails, so the solves run in a child process under
+    # a time limit.
+    script = textwrap.dedent("""
+        from qdcavity import IntegrationConfig, default_params, steady_state
+        from qdcavity.dynamics import TOGGLE_VARIANTS
+        from qdcavity.model import ReferenceRabi
+        g = ReferenceRabi().coupling_for(0.20)
+        for lifetime_ps in (20.0, 30.0):
+            params = default_params(g=g, gamma_c=0.5 / lifetime_ps, pump=1e5)
+            state = steady_state(
+                params, TOGGLE_VARIANTS["full"], IntegrationConfig()
+            )
+            print(repr(state.n_p))
+    """)
+    src = str(Path(qdcavity.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    n_20, n_30 = (float(line) for line in result.stdout.split())
+    assert n_20 == pytest.approx(308288.732382456, rel=1e-8)
+    assert n_30 == pytest.approx(972981.4683834307, rel=1e-8)
 
 
 def test_steady_state_is_fixed_point_of_integration():
