@@ -1,8 +1,10 @@
 """Command-line surface: simulate | sweep | oracle-compare.
 
-Exit codes: 0 success, 1 configuration error, 2 steady state not reached,
-3 reference-model disagreement beyond the configured band, 4 photon-space
-truncation still too small at its cap.
+Exit codes: 0 success, 1 configuration error, 2 steady state not reached
+(the hierarchy did not converge or its integration failed, or the reference
+model has no unique, well-formed steady state), 3 reference-model
+disagreement beyond the configured band, 4 photon-space truncation still
+too small at its cap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .dynamics import ARRAY_FIELDS
-from .errors import ConfigError, NotConverged, SolverError, TruncationTooSmall
+from .errors import (
+    ConfigError,
+    NotConverged,
+    OracleError,
+    SolverError,
+    TruncationTooSmall,
+)
 from .observables import PHOTON_FLOOR, Observables, observables_of
 from .oracle import steady_observables_auto
 from .solver import steady_state
@@ -154,6 +162,9 @@ def cmd_oracle_compare(args) -> int:
     except NotConverged as err:
         print(f"not converged: last residual {err.residual:.3e}", file=sys.stderr)
         return 2
+    except SolverError as err:
+        print(f"integration failed: {err}", file=sys.stderr)
+        return 2
     cluster = observables_of(state, config.params)
     try:
         reference, n_max_used = steady_observables_auto(
@@ -162,6 +173,9 @@ def cmd_oracle_compare(args) -> int:
     except TruncationTooSmall as err:
         print(f"truncation failure: {err}", file=sys.stderr)
         return 4
+    except OracleError as err:
+        print(f"reference model failed: {err}", file=sys.stderr)
+        return 2
     print(f"{'quantity':<20}{'hierarchy':>16}{'reference':>16}{'rel_diff':>12}")
     rows = (
         ("n_photon", cluster.photon_number, reference.photon_number),

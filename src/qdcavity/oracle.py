@@ -23,10 +23,24 @@ where the hierarchy keeps the factorized product n_e n_h. Exact agreement
 therefore holds only at g = 0 with gamma_nl = 0; elsewhere agreement bands
 are empirical.
 
-Superoperators use row-major (C-order) vectorization: vec(A rho B) =
-(A kron B^T) vec(rho). The steady state comes from a sparse LU
-factorization of the generator with the trace row substituted for its
-first row, at every cutoff.
+The Hamiltonian conserves the excitation charge Q = 2 n_p + n_e + n_h:
+the pair term b+ c+ a trades one photon for one electron-hole pair. Every
+collapse operator shifts Q by a fixed amount (a by -2, c+ and b+ by +1, c
+and b by -1, c b by -2, the dephasing operator by 0), so L rho L+ shifts
+Q and Q' of an entry |Q><Q'| alike, while H and every L+ L commute with Q.
+The generator therefore conserves Q - Q', a weak symmetry (Buca & Prosen,
+New J. Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118
+(2014)), and the Q-diagonal entries, Q = Q', form an invariant sector of
+8 n_max + 6 entries. Vacuum and every population lie in it, so the state
+evolved from vacuum never leaves it, and neither does its stationary
+limit: steady_state_density solves for that state on the sector alone.
+
+Each operator of the model sends one basis state to one basis state with a
+single weight, so build_liouvillian assembles the generator on any closed
+set of density-matrix entries directly from those index maps. Entries are
+numbered in row-major (C-order) vectorization, i * dim + j for rho[i, j];
+the full generator, every entry in that order, acts on vec(rho) as
+vec(A rho B) = (A kron B^T) vec(rho).
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
@@ -112,37 +126,102 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
     return h_carriers + interaction
 
 
-def _collapses(params: ModelParams, ops: Operators):
-    c_dag = ops.c.conj().T
-    b_dag = ops.b.conj().T
-    yield ops.a, 2.0 * params.gamma_c
-    yield c_dag, params.pump
-    yield b_dag, params.pump
-    yield ops.c, params.gamma_nr
-    yield ops.b, params.gamma_nr
-    yield ops.c @ ops.b, params.gamma_nl
-    yield ops.n_e + ops.n_h, 0.5 * params.gamma_deph
+def _occupations(space: HilbertSpace):
+    """(n_e, n_h, n_photon) of every basis state, as index arrays."""
+    carriers, n = np.divmod(np.arange(space.dim), space.n_max + 1)
+    return carriers >> 1, carriers & 1, n
 
 
-def build_liouvillian(params: ModelParams, space: HilbertSpace):
-    """Sparse (dim^2 x dim^2) generator of d vec(rho) / dt, in 1/ps."""
+def _ladder_maps(params: ModelParams, space: HilbertSpace):
+    """Hamiltonian terms and rated collapse operators as basis-index maps.
+
+    Every operator of the model sends a basis state to at most one basis
+    state: op |k> = weight[k] |target[k]>, with target[k] = -1 where
+    op |k> = 0. Returns (hamiltonian, collapses): the terms of H as
+    (target, weight) pairs, and the collapse operators as
+    ((target, weight), rate) pairs.
+    """
+    k = np.arange(space.dim)
+    n_ph = space.n_max + 1
+    e, h, n = _occupations(space)
+    sqrt_n = np.sqrt(n)
+
+    def shift(mask, offset, weight=1.0):
+        return np.where(mask, k + offset, -1), np.where(mask, weight, 0.0)
+
+    # b+ c+ a: |0, 0, n> -> sqrt(n) |1, 1, n - 1>, and its adjoint a+ c b.
+    pair, pair_weight = shift((e + h == 0) & (n >= 1), 3 * n_ph - 1, sqrt_n)
+    adj, adj_weight = shift((e + h == 2) & (n < space.n_max), 1 - 3 * n_ph,
+                            np.sqrt(n + 1))
+    hamiltonian = (
+        (k, 0.5 * params.detuning * (e + h)),
+        (pair, -1j * params.g * pair_weight),
+        (adj, 1j * params.g * adj_weight),
+    )
+    collapses = (
+        (shift(n >= 1, -1, sqrt_n), 2.0 * params.gamma_c),
+        (shift(e == 0, 2 * n_ph), params.pump),
+        (shift(h == 0, n_ph), params.pump),
+        (shift(e == 1, -2 * n_ph), params.gamma_nr),
+        (shift(h == 1, -n_ph), params.gamma_nr),
+        (shift(e + h == 2, -3 * n_ph), params.gamma_nl),
+        ((k, (e + h).astype(float)), 0.5 * params.gamma_deph),
+    )
+    return hamiltonian, collapses
+
+
+def charge_sector(space: HilbertSpace) -> np.ndarray:
+    """Row-major vec indices of the entries rho[i, j] with Q_i = Q_j.
+
+    Q = 2 n_p + n_e + n_h is the excitation charge. The sector holds
+    8 n_max + 6 entries and starts with rho[0, 0].
+    """
+    e, h, n = _occupations(space)
+    charge = 2 * n + e + h
+    return np.flatnonzero(charge[:, None] == charge[None, :])
+
+
+def build_liouvillian(params: ModelParams, space: HilbertSpace, entries=None):
+    """Sparse generator of d rho / dt on the given density-matrix entries.
+
+    entries are row-major vec indices i * dim + j of rho[i, j] and must be
+    closed under the generator; the matrix is indexed by their order. The
+    default, every entry in vec order, gives the full (dim^2 x dim^2)
+    generator of d vec(rho) / dt. Rates are in 1/ps.
+    """
     validate(params)
-    ops = build_operators(space)
-    H = sparse.csr_matrix(build_hamiltonian(params, space))
-    ident = sparse.identity(space.dim, dtype=complex, format="csr")
-    gen = -1j * (sparse.kron(H, ident, format="csr")
-                 - sparse.kron(ident, H.T, format="csr"))
-    for op, rate in _collapses(params, ops):
+    dim = space.dim
+    entries = np.arange(dim * dim) if entries is None else np.asarray(entries)
+    rows, cols = np.divmod(entries, dim)
+    hamiltonian, collapses = _ladder_maps(params, space)
+    # Each term sends entry (rows, cols) to (to_row, to_col) with weight coef.
+    terms = []
+    for target, weight in hamiltonian:
+        # -i H rho + i rho H; H is Hermitian, so rho H acts on the column
+        # index through the conjugate of H's own map.
+        terms.append((target[rows], cols, -1j * weight[rows]))
+        terms.append((rows, target[cols], 1j * np.conj(weight[cols])))
+    for (target, weight), rate in collapses:
         if rate == 0.0:
             continue
-        L = sparse.csr_matrix(op)
-        LdL = sparse.csr_matrix(op.conj().T @ op)
-        gen = gen + rate * (
-            sparse.kron(L, L.conj(), format="csr")
-            - 0.5 * sparse.kron(LdL, ident, format="csr")
-            - 0.5 * sparse.kron(ident, LdL.T, format="csr")
-        )
-    return gen.tocsr()
+        # rate (L rho L+ - {L+ L, rho} / 2); the weights are real and
+        # L+ L is diagonal, weight^2.
+        terms.append((target[rows], target[cols],
+                      rate * weight[rows] * weight[cols]))
+        terms.append((rows, cols,
+                      -0.5 * rate * (weight[rows] ** 2 + weight[cols] ** 2)))
+    to_row, to_col, coef = (np.concatenate(part) for part in zip(*terms))
+    source = np.tile(np.arange(entries.size), len(terms))
+    keep = (to_row >= 0) & (to_col >= 0) & (coef != 0.0)
+    position = np.full(dim * dim, -1)
+    position[entries] = np.arange(entries.size)
+    to = position[to_row[keep] * dim + to_col[keep]]
+    if np.any(to < 0):
+        raise ValueError("entries are not closed under the generator")
+    return sparse.csr_matrix(
+        (coef[keep], (to, source[keep])),
+        shape=(entries.size, entries.size), dtype=complex,
+    )
 
 
 def apply_liouvillian(generator, rho: np.ndarray) -> np.ndarray:
@@ -190,20 +269,28 @@ def basis_density(
 
 
 def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMatrix:
-    """Unique stationary state of the generator.
+    """Unique stationary state of the generator within the charge sector.
 
-    Solves generator . vec(rho) = 0 by a sparse LU factorization, at every
-    cutoff, with the trace row substituted for the first diagonal-element
-    row (that row is linearly dependent on the other diagonal rows by trace
-    preservation, so nothing is lost). A null space of dimension above one
-    leaves the substituted matrix singular and raises SingularSteadyState.
+    The generator conserves Q - Q' (see the module docstring), so it maps
+    the Q-diagonal entries of rho (charge_sector) into themselves, and the
+    stationary state reached from any Q-diagonal state, vacuum included,
+    lies among them. Solves generator . rho = 0 on those 8 n_max + 6
+    entries by a sparse LU factorization, with the trace row substituted
+    for the row of rho[0, 0] (that row is linearly dependent on the other
+    diagonal rows by trace preservation, and every diagonal entry is in the
+    sector, so nothing is lost), then scatters the solution into the full
+    density matrix. Uniqueness is checked within the sector: a null space of
+    dimension above one there leaves the substituted matrix singular and
+    raises SingularSteadyState.
     """
-    gen = build_liouvillian(params, space)
+    entries = charge_sector(space)
+    gen = build_liouvillian(params, space, entries)
     dim = space.dim
-    # vec(identity) . vec(rho) = trace(rho).
-    trace_row = sparse.identity(dim, dtype=complex).reshape((1, dim * dim))
+    rows, cols = np.divmod(entries, dim)
+    # The trace row sums the diagonal entries; row 0 is rho[0, 0]'s.
+    trace_row = sparse.csr_matrix((rows == cols).astype(complex))
     system = sparse.vstack([trace_row, gen[1:]], format="csc")
-    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs = np.zeros(entries.size, dtype=complex)
     rhs[0] = 1.0
     try:
         x = splu(system).solve(rhs)
@@ -216,7 +303,8 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
         raise SingularSteadyState(
             f"stationarity residual {residual:.3e} exceeds 1e-8"
         )
-    rho = x.reshape(dim, dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[rows, cols] = x
     asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
     if asymmetry > 1e-10:
         raise OracleError(f"steady state asymmetric by {asymmetry:.3e}")
@@ -248,9 +336,10 @@ def oracle_steady_observables(
     top = top_level_population(rho.elements, space)
     if top >= TOP_LEVEL_LIMIT:
         raise TruncationTooSmall(space.n_max, top)
-    ops = build_operators(space)
-    n_p = rho.expectation(ops.n_photon)
-    two = rho.expectation(ops.n_photon @ ops.n_photon - ops.n_photon)
+    populations = np.diag(rho.elements).real
+    n = _occupations(space)[2]
+    n_p = float(populations @ n)
+    two = float(populations @ (n * (n - 1)))
     g2 = two / (n_p * n_p) if n_p > PHOTON_FLOOR else None
     return Observables(
         photon_number=n_p,

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS
+from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli
 from qdcavity.cli import main
 from qdcavity.config import (
     DEFAULT_AGREEMENT_BAND,
@@ -13,6 +13,12 @@ from qdcavity.config import (
     render_config,
 )
 from qdcavity.dynamics import ARRAY_FIELDS
+from qdcavity.errors import (
+    NonFiniteState,
+    OracleError,
+    SingularSteadyState,
+    StiffnessFailure,
+)
 
 MINIMAL = textwrap.dedent("""\
     [model]
@@ -398,6 +404,27 @@ def test_cli_oracle_compare_band_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "within_band=" in out
     assert "false" in out
+
+
+@pytest.mark.parametrize("target, error", [
+    ("steady_state", StiffnessFailure("step size fell below the floor")),
+    ("steady_state", NonFiniteState("n_p became NaN")),
+    ("steady_observables_auto", SingularSteadyState("singular factor")),
+    ("steady_observables_auto", OracleError("steady state asymmetric")),
+])
+def test_cli_oracle_compare_solver_failures_exit_2(
+    tmp_path, capsys, monkeypatch, target, error
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    path = config_file(tmp_path, ORACLE_TEXT)
+    assert main(["oracle-compare", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert str(error) in err
 
 
 def test_cli_usage_errors_return_1(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from qdcavity import (
     DensityMatrix,
@@ -23,6 +25,7 @@ from qdcavity.oracle import (
     apply_liouvillian,
     basis_density,
     build_operators,
+    charge_sector,
     propagate,
     state_index,
     steady_state_density,
@@ -69,6 +72,27 @@ def dense_lindblad_action(params, space, rho):
             L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
         )
     return out
+
+
+def full_space_steady_state(params, space):
+    """Reference stationary state from the full dim^2 generator: the trace
+    row replaces the row of rho[0, 0] and sparse LU solves the rest."""
+    gen = build_liouvillian(params, space)
+    dim = space.dim
+    trace_row = sparse.identity(dim, dtype=complex).reshape((1, dim * dim))
+    system = sparse.vstack([trace_row, gen[1:]], format="csc")
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    return splu(system).solve(rhs).reshape(dim, dim)
+
+
+def random_params(rng):
+    return ModelParams(
+        g=rng.uniform(0.01, 0.5), gamma_c=rng.uniform(0.05, 2.0),
+        gamma_deph=rng.uniform(0.0, 1.0), gamma_nr=rng.uniform(0.0, 0.5),
+        gamma_nl=rng.uniform(0.0, 0.2), pump=10.0 ** rng.uniform(-3.0, 1.0),
+        detuning=rng.uniform(-1.0, 1.0),
+    )
 
 
 def test_hilbert_space_layout():
@@ -150,6 +174,41 @@ def test_generator_preserves_trace():
     for seed in range(5):
         drho = apply_liouvillian(gen, random_density(space, seed))
         assert abs(np.trace(drho)) < 1e-12
+
+
+def test_charge_sector_size():
+    for n_max, size in ((1, 14), (2, 22), (8, 70), (64, 518)):
+        entries = charge_sector(HilbertSpace(n_max))
+        assert len(entries) == 8 * n_max + 6 == size
+        assert entries[0] == 0
+        assert np.all(np.diff(entries) > 0)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_sector_generator_is_the_restricted_full_generator(n_max):
+    space = HilbertSpace(n_max)
+    entries = charge_sector(space)
+    full = build_liouvillian(GENERIC, space)
+    sector = build_liouvillian(GENERIC, space, entries)
+    restricted = full[entries][:, entries]
+    assert np.max(np.abs((sector - restricted).toarray())) <= 1.1e-16
+    # The full generator maps sector columns only into sector rows.
+    outside = np.setdiff1d(np.arange(space.dim ** 2), entries)
+    assert np.max(np.abs(full[outside][:, entries].toarray())) == 0.0
+    # A set the generator leaves is refused: the pump lifts rho[0, 0].
+    with pytest.raises(ValueError, match="closed"):
+        build_liouvillian(GENERIC, space, entries[:1])
+
+
+def test_sector_steady_state_matches_full_space_solve():
+    rng = np.random.default_rng(20261018)
+    cases = [GENERIC] + [random_params(rng) for _ in range(20)]
+    for params in cases:
+        for n_max in range(1, 9):
+            space = HilbertSpace(n_max)
+            reference = full_space_steady_state(params, space)
+            rho = steady_state_density(params, space).elements
+            assert np.max(np.abs(rho - reference)) < 1e-12
 
 
 def test_photon_decay_through_propagate():
