@@ -219,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=os.cpu_count() or 1,
             help="worker processes for sweeps",
         )
-        sub.add_argument(
-            "--format", choices=("csv", "jsonl"),
-            help="override the configured output format",
-        )
+        if name == "sweep":
+            sub.add_argument(
+                "--format", choices=("csv", "jsonl"),
+                help="override the configured output format",
+            )
         if name == "simulate":
             sub.add_argument(
                 "--trajectory", action="store_true",

@@ -16,7 +16,10 @@ the initial state settled within the time budget, and the residual staying
 below threshold over a window of the flow linearised at the root. Both flow
 checks are evaluated in closed form on the eigen-decomposition of J, so a
 certified root costs no Radau step. Anything else falls back to one Radau
-march over the whole budget. Every solve is single-threaded and
+march over the whole budget. A recorded trajectory is one Radau march from
+the initial state to the settling time of the flow linearised at the
+certified root, also read off that eigen-decomposition; ``integrate`` is
+the only caller of Radau. Every solve is single-threaded and
 deterministic: identical inputs give bitwise-identical results on the same
 platform.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,9 +61,10 @@ class IntegrationConfig:
     Defaults give at least six reliable digits in the observables, which the
     shallow correlation dip in g2(0) requires.
 
-    rel_tol, abs_tol: Radau error tolerances, for ``integrate``, for the
-        steady-state fallback march and for the trajectory
-        ``steady_state(record=True)`` returns; the certification of a root,
+    rel_tol, abs_tol: error tolerances of every Radau march, all of them
+        ``integrate`` calls: a direct call, the steady-state fallback march
+        over max_time and the march to the settling time that
+        ``steady_state(record=True)`` records. The certification of a root,
         its steady window included, runs no Radau and does not read them.
         10*rel_tol is also the allowance of the physical-range check.
     max_time: default horizon of ``integrate``, in ps. For ``steady_state``
@@ -108,13 +112,11 @@ class Trajectory:
     """States at the integrator's accepted steps.
 
     times is strictly increasing and starts at 0; states has the same
-    length. converged records whether the run finished its time span (for
-    steady-state runs: whether the residual criterion was met).
+    length.
     """
 
     times: Tuple[float, ...]
     states: Tuple[DynamicState, ...]
-    converged: bool
     final_residual: float
 
     def __post_init__(self):
@@ -162,32 +164,6 @@ def _check_ranges(times, ys, rel_tol):
         )
 
 
-def _solve_chunk(rhs, jac, t0, t1, y0, cfg, first_step=None):
-    if not np.all(np.isfinite(y0)):
-        raise NonFiniteState(f"non-finite state at t = {t0:g} ps")
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method="Radau",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        jac=jac,
-        first_step=first_step,
-        dense_output=False,
-    )
-    if not sol.success:
-        y_last = sol.y[:, -1] if sol.y.size else y0
-        if not np.all(np.isfinite(y_last)) or not np.all(
-            np.isfinite(rhs(sol.t[-1] if sol.t.size else t0, y_last))
-        ):
-            raise NonFiniteState(sol.message)
-        # Radau gives up exactly when the controller wants a step below the
-        # representable floor, under 1e-12 ps for the spans used here.
-        raise StiffnessFailure(sol.message)
-    return sol
-
-
 def integrate(
     initial: DynamicState,
     params: ModelParams,
@@ -207,10 +183,28 @@ def integrate(
     horizon = cfg.max_time if t_end is None else t_end
     if not (horizon > 0.0):
         raise ValueError(f"t_end must be > 0, got {horizon}")
-    sol = _solve_chunk(
-        rhs, jac, 0.0, horizon, y0, cfg,
+    if not np.all(np.isfinite(y0)):
+        raise NonFiniteState("non-finite state at t = 0 ps")
+    sol = solve_ivp(
+        rhs,
+        (0.0, horizon),
+        y0,
+        method="Radau",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        jac=jac,
         first_step=min(cfg.initial_step, horizon),
+        dense_output=False,
     )
+    if not sol.success:
+        y_last = sol.y[:, -1] if sol.y.size else y0
+        if not np.all(np.isfinite(y_last)) or not np.all(
+            np.isfinite(rhs(sol.t[-1] if sol.t.size else 0.0, y_last))
+        ):
+            raise NonFiniteState(sol.message)
+        # Radau gives up exactly when the controller wants a step below the
+        # representable floor, under 1e-12 ps for the spans used here.
+        raise StiffnessFailure(sol.message)
     _check_ranges(sol.t, sol.y, cfg.rel_tol)
     y_final = sol.y[:, -1]
     residual = scaled_residual(rhs(sol.t[-1], y_final), y_final)
@@ -218,7 +212,6 @@ def integrate(
     return Trajectory(
         times=tuple(float(t) for t in sol.t),
         states=states,
-        converged=True,
         final_residual=residual,
     )
 
@@ -312,41 +305,6 @@ def _certified_root(rhs, jac, y0, n, cfg):
     return root
 
 
-def _record_march(rhs, jac, y0, params, cfg):
-    """Radau from y0 in growing chunks to the first chunk end below threshold.
-
-    Returns the accepted-step times and states, at most up to cfg.max_time.
-    """
-    # Chunk long enough to damp the slowest linearized mode noticeably.
-    slowest = min(
-        2.0 * params.gamma_c,
-        params.gamma_deph + params.gamma_c,
-        params.gamma_deph + 3.0 * params.gamma_c,
-        params.gamma_nr + 2.0 * params.gamma_c,
-    )
-    chunk = max(20.0, 10.0 / slowest)
-
-    times: List[float] = []
-    ys: List[np.ndarray] = []
-    t = 0.0
-    y = y0
-    first_step = min(cfg.initial_step, chunk)
-    while t < cfg.max_time:
-        t_next = min(t + chunk, cfg.max_time)
-        sol = _solve_chunk(rhs, jac, t, t_next, y, cfg, first_step=first_step)
-        first_step = None
-        _check_ranges(sol.t, sol.y, cfg.rel_tol)
-        start = 1 if times else 0
-        times.extend(float(v) for v in sol.t[start:])
-        ys.extend(sol.y[:, k].copy() for k in range(start, sol.t.size))
-        y = sol.y[:, -1]
-        t = float(sol.t[-1])
-        if scaled_residual(rhs(t, y), y) < cfg.steady_state_residual:
-            break
-        chunk *= 1.5
-    return times, ys
-
-
 def steady_state(
     params: ModelParams,
     toggles: CorrelationToggles,
@@ -373,9 +331,13 @@ def steady_state(
     march's last state and residual) otherwise.
 
     With record=True, returns (state, Trajectory): the trajectory collects
-    every accepted Radau step from the initial state up to the first chunk
-    end below threshold, its last row replaced by the returned state, so
-    the state is bitwise the one the bare call returns.
+    every accepted step of one Radau march from the initial state to the
+    settling time of the flow linearised at the certified root, its last
+    row replaced by the returned state, so the state is bitwise the one the
+    bare call returns. The settling time, from the eigen-decomposition
+    J = V diag(rates) V^-1 at the root, is the time by which each of the n
+    modes carries its share of the residual below threshold / n, clipped to
+    [initial_step, max_time]; a warm start on the root gives two rows.
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
@@ -394,11 +356,23 @@ def steady_state(
     if not record:
         return state
 
-    times, ys = _record_march(rhs, jac, y0, params, cfg)
+    # Linearised at the root, the residual is a sum of n modes of size
+    # |rates_i a_i| e^{Re rates_i t} with a = V^-1 (y0 - root); a mode with
+    # no amplitude, as at a warm start on the root, gives log(0) = -inf.
+    rates, modes = np.linalg.eig(jac(0.0, root)[:n, :n])
+    amplitudes = np.linalg.solve(modes, (y0 - root)[:n])
+    share = np.abs(rates * amplitudes) * n / (
+        cfg.steady_state_residual * max(math.sqrt(float(root @ root)), 1.0)
+    )
+    with np.errstate(divide="ignore"):
+        settle = float(np.max(np.log(share) / -rates.real))
+    march = integrate(
+        start, params, toggles, cfg,
+        t_end=min(max(settle, cfg.initial_step), cfg.max_time),
+    )
     trajectory = Trajectory(
-        times=tuple(times),
-        states=tuple(DynamicState.from_array(v) for v in ys[:-1]) + (state,),
-        converged=True,
+        times=march.times,
+        states=march.states[:-1] + (state,),
         final_residual=scaled_residual(rhs(0.0, root), root),
     )
     return state, trajectory

@@ -9,6 +9,7 @@ regardless, byte-identical to a serial run.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -197,12 +198,38 @@ def regime_classify(
     return labels
 
 
-def _format_float(x: float) -> str:
+def _values(r: SweepRecord) -> tuple:
+    """One record's values in CSV_COLUMNS order; undefined g2 is None."""
+    obs = r.observables
+    return (
+        r.gamma_cav,
+        r.cavity_lifetime,
+        r.g_over_omega_r0,
+        r.pump,
+        r.toggles.include_doublets,
+        r.toggles.include_inversion_term,
+        obs.photon_number,
+        obs.two_photon,
+        obs.g2_zero,
+        obs.output_rate,
+        r.converged,
+    )
+
+
+def _csv_field(x) -> str:
+    if x is None:
+        return "undefined"
+    if isinstance(x, bool):
+        return "true" if x else "false"
     return repr(float(x))
 
 
-def _format_bool(x: bool) -> str:
-    return "true" if x else "false"
+def _json_field(x):
+    # Undefined g2 and non-finite floats render as null to keep every line
+    # strict JSON.
+    if x is None or isinstance(x, bool):
+        return x
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -218,48 +245,15 @@ class SweepTable:
         return ",".join(CSV_COLUMNS)
 
     def csv_rows(self) -> List[str]:
-        rows = []
-        for r in self.records:
-            obs = r.observables
-            g2 = "undefined" if obs.g2_zero is None else _format_float(obs.g2_zero)
-            rows.append(",".join((
-                _format_float(r.gamma_cav),
-                _format_float(r.cavity_lifetime),
-                _format_float(r.g_over_omega_r0),
-                _format_float(r.pump),
-                _format_bool(r.toggles.include_doublets),
-                _format_bool(r.toggles.include_inversion_term),
-                _format_float(obs.photon_number),
-                _format_float(obs.two_photon),
-                g2,
-                _format_float(obs.output_rate),
-                _format_bool(r.converged),
-            )))
-        return rows
+        return [
+            ",".join(_csv_field(x) for x in _values(r)) for r in self.records
+        ]
 
     def jsonl_rows(self) -> List[str]:
-        # Same field names as the CSV header; undefined g2 and non-finite
-        # floats render as null to keep every line strict JSON.
-        import json
-
-        def number(x):
-            return x if math.isfinite(x) else None
-
-        rows = []
-        for r in self.records:
-            obs = r.observables
-            g2 = obs.g2_zero
-            rows.append(json.dumps({
-                "gamma_cav_per_ps": number(r.gamma_cav),
-                "cavity_lifetime_ps": number(r.cavity_lifetime),
-                "g_over_omega_r0": number(r.g_over_omega_r0),
-                "pump_per_ps": number(r.pump),
-                "include_doublets": r.toggles.include_doublets,
-                "include_inversion_term": r.toggles.include_inversion_term,
-                "n_photon": number(obs.photon_number),
-                "two_photon": number(obs.two_photon),
-                "g2_zero": None if g2 is None else number(g2),
-                "output_rate_per_ps": number(obs.output_rate),
-                "converged": r.converged,
-            }, separators=(",", ":")))
-        return rows
+        return [
+            json.dumps(
+                dict(zip(CSV_COLUMNS, map(_json_field, _values(r)))),
+                separators=(",", ":"),
+            )
+            for r in self.records
+        ]

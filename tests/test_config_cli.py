@@ -427,10 +427,15 @@ def test_cli_oracle_compare_solver_failures_exit_2(
     assert str(error) in err
 
 
-def test_cli_usage_errors_return_1(capsys):
+def test_cli_usage_errors_return_1(tmp_path, capsys):
     assert main([]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["simulate"]) == 1  # --config is required
+    # Only sweep writes a table, so only sweep takes --format.
+    path = config_file(tmp_path, MINIMAL)
+    capsys.readouterr()
+    assert main(["simulate", "--config", path, "--format", "csv"]) == 1
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_help_returns_0(capsys):

@@ -193,3 +193,9 @@ def test_jsonl_rows_are_strict_json():
     assert parsed[1]["converged"] is False
     for row in parsed:
         assert set(row) == set(CSV_COLUMNS)
+
+
+def test_jsonl_keys_follow_csv_columns():
+    table = SweepTable((fabricated(g2=0.25, rate=0.125),))
+    row = json.loads(table.jsonl_rows()[0])
+    assert tuple(row) == CSV_COLUMNS
