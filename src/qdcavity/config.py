@@ -6,6 +6,10 @@ including validation failures discovered after parsing. Unit-bearing key
 names (gamma_c_per_ps, detuning_rad_per_ps) are deliberate; unit mistakes
 are the dominant failure mode of rate-equation tools.
 
+The [model] and [integration] keys are named once, in the field-to-key maps
+below; their defaults belong to ``default_params`` and ``IntegrationConfig``,
+which receive only the keys a file sets.
+
 Comments start at '#'; values therefore cannot contain that character.
 List-valued keys accept comma-separated numbers or the expressions
 geom(start, stop, count) and lin(start, stop, count).
@@ -20,17 +24,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import TOGGLE_VARIANTS, CorrelationToggles
+from .dynamics import CorrelationToggles
 from .errors import ConfigError, ValidationError
-from .model import (
-    DEFAULT_GAMMA_DEPH,
-    DEFAULT_GAMMA_NL,
-    DEFAULT_GAMMA_NR,
-    ModelParams,
-    ReferenceRabi,
-    validate,
-)
-from .oracle import DEFAULT_N_MAX
+from .model import ModelParams, ReferenceRabi, default_params
+from .oracle import DEFAULT_N_MAX, N_MAX_CAP
 from .solver import IntegrationConfig
 from .sweep import SweepGrid
 
@@ -40,26 +37,6 @@ from .sweep import SweepGrid
 # difference with default background rates is 0.198, dominated by the
 # nonlinear-loss covariance the factorization drops; band frozen at 0.25.
 DEFAULT_AGREEMENT_BAND = 0.25
-
-_SECTIONS = {
-    "model": {
-        "g_rad_per_ps", "g_multiple_of_omega_r0", "gamma_c_per_ps",
-        "gamma_deph_per_ps", "gamma_nr_per_ps", "gamma_nl_per_ps",
-        "pump_per_ps", "detuning_rad_per_ps", "omega_r0_per_ps",
-        "coupling_scale_rad_per_ps",
-    },
-    "toggles": {"variant"},
-    "integration": {
-        "rel_tol", "abs_tol", "max_time_ps", "initial_step_ps",
-        "steady_state_residual", "steady_window_ps",
-    },
-    "grid": {
-        "gamma_cav_per_ps", "cavity_lifetime_ps", "g_multiples",
-        "pump_per_ps", "variants",
-    },
-    "output": {"path", "format"},
-    "oracle": {"n_max", "agreement_band_rel"},
-}
 
 _MODEL_FIELD_KEYS = {
     "g": "g_rad_per_ps",
@@ -71,17 +48,39 @@ _MODEL_FIELD_KEYS = {
     "detuning": "detuning_rad_per_ps",
 }
 
+_INTEGRATION_KEYS = {
+    "rel_tol": "rel_tol",
+    "abs_tol": "abs_tol",
+    "max_time": "max_time_ps",
+    "initial_step": "initial_step_ps",
+    "steady_state_residual": "steady_state_residual",
+    "steady_window": "steady_window_ps",
+}
+
+_SECTIONS = {
+    "model": {
+        *_MODEL_FIELD_KEYS.values(),
+        "g_multiple_of_omega_r0", "coupling_scale_rad_per_ps",
+    },
+    "toggles": {"variant"},
+    "integration": set(_INTEGRATION_KEYS.values()),
+    "grid": {
+        "gamma_cav_per_ps", "cavity_lifetime_ps", "g_multiples",
+        "pump_per_ps", "variants",
+    },
+    "output": {"path", "format"},
+    "oracle": {"n_max", "agreement_band_rel"},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one CLI invocation needs.
 
-    g_multiple is None when the coupling was given absolutely; otherwise
-    params.g already holds g_multiple * rabi.coupling_scale.
+    params.g holds the absolute coupling, whichever form the file gave it in.
     """
 
     params: ModelParams
-    g_multiple: Optional[float]
     rabi: ReferenceRabi
     toggles: CorrelationToggles
     integration: IntegrationConfig
@@ -149,6 +148,15 @@ class _Entries:
             return None
         value, line = entry
         return _parse_float_list(value, key, line)
+
+    def take_floats(self, section, field_keys):
+        """{field: value} for the keys of field_keys that are set."""
+        values = {}
+        for field, key in field_keys.items():
+            value = self.take_float(section, key)
+            if value is not None:
+                values[field] = value
+        return values
 
     def finish(self):
         if self.values:
@@ -237,48 +245,32 @@ def parse_config(text: str) -> RunConfig:
     """
     entries = _scan(text)
 
-    omega_r0 = entries.take_float("model", "omega_r0_per_ps", 0.025)
-    scale = entries.take_float("model", "coupling_scale_rad_per_ps", None)
+    scale = entries.take_float("model", "coupling_scale_rad_per_ps")
     try:
-        rabi = ReferenceRabi(omega_r0) if scale is None \
-            else ReferenceRabi(omega_r0, scale)
+        rabi = ReferenceRabi() if scale is None \
+            else ReferenceRabi(coupling_scale=scale)
     except ValueError as err:
-        raise ConfigError(str(err), entries.section_lines.get("model"))
+        raise ConfigError(
+            str(err), entries.line_of("model", "coupling_scale_rad_per_ps")
+        )
 
-    g_abs = entries.take_float("model", "g_rad_per_ps", None)
-    g_multiple = entries.take_float("model", "g_multiple_of_omega_r0", None)
-    if (g_abs is None) == (g_multiple is None):
+    model = entries.take_floats("model", _MODEL_FIELD_KEYS)
+    g_multiple = entries.take_float("model", "g_multiple_of_omega_r0")
+    if ("g" in model) == (g_multiple is not None):
         raise ConfigError(
             "exactly one of g_rad_per_ps or g_multiple_of_omega_r0 must be set",
             entries.section_lines.get("model"),
         )
-    g = g_abs if g_abs is not None else rabi.coupling_for(g_multiple)
-
-    gamma_c = entries.take_float("model", "gamma_c_per_ps", None)
-    if gamma_c is None:
-        raise ConfigError(
-            "missing required key gamma_c_per_ps in [model]",
-            entries.section_lines.get("model"),
-        )
-    pump = entries.take_float("model", "pump_per_ps", None)
-    if pump is None:
-        raise ConfigError(
-            "missing required key pump_per_ps in [model]",
-            entries.section_lines.get("model"),
-        )
-    params = ModelParams(
-        g=g,
-        gamma_c=gamma_c,
-        gamma_deph=entries.take_float(
-            "model", "gamma_deph_per_ps", DEFAULT_GAMMA_DEPH
-        ),
-        gamma_nr=entries.take_float("model", "gamma_nr_per_ps", DEFAULT_GAMMA_NR),
-        gamma_nl=entries.take_float("model", "gamma_nl_per_ps", DEFAULT_GAMMA_NL),
-        pump=pump,
-        detuning=entries.take_float("model", "detuning_rad_per_ps", 0.0),
-    )
+    if g_multiple is not None:
+        model["g"] = rabi.coupling_for(g_multiple)
+    for field in ("gamma_c", "pump"):
+        if field not in model:
+            raise ConfigError(
+                f"missing required key {_MODEL_FIELD_KEYS[field]} in [model]",
+                entries.section_lines.get("model"),
+            )
     try:
-        validate(params)
+        params = default_params(**model)
     except ValidationError as err:
         lines = []
         for problem in err.problems:
@@ -294,20 +286,16 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as err:
         raise ConfigError(str(err), entries.line_of("toggles", "variant"))
 
-    integration_values = dict(
-        rel_tol=entries.take_float("integration", "rel_tol", 1e-9),
-        abs_tol=entries.take_float("integration", "abs_tol", 1e-12),
-        max_time=entries.take_float("integration", "max_time_ps", 1e4),
-        initial_step=entries.take_float("integration", "initial_step_ps", 1e-3),
-        steady_state_residual=entries.take_float(
-            "integration", "steady_state_residual", 1e-10
-        ),
-        steady_window=entries.take_float("integration", "steady_window_ps", 10.0),
-    )
     try:
-        integration = IntegrationConfig(**integration_values)
+        integration = IntegrationConfig(
+            **entries.take_floats("integration", _INTEGRATION_KEYS)
+        )
     except ValueError as err:
-        raise ConfigError(str(err), entries.section_lines.get("integration"))
+        field = str(err).split(" ", 1)[0]
+        raise ConfigError(
+            str(err),
+            entries.line_of("integration", _INTEGRATION_KEYS.get(field, field)),
+        )
 
     grid = None
     grid_line = entries.section_lines.get("grid")
@@ -361,9 +349,10 @@ def parse_config(text: str) -> RunConfig:
         )
 
     n_max = entries.take_int("oracle", "n_max", DEFAULT_N_MAX)
-    if n_max < 1:
+    if not 1 <= n_max <= N_MAX_CAP:
         raise ConfigError(
-            f"n_max must be >= 1, got {n_max}", entries.line_of("oracle", "n_max")
+            f"n_max must be in [1, {N_MAX_CAP}], got {n_max}",
+            entries.line_of("oracle", "n_max"),
         )
     band = entries.take_float(
         "oracle", "agreement_band_rel", DEFAULT_AGREEMENT_BAND
@@ -377,7 +366,6 @@ def parse_config(text: str) -> RunConfig:
     entries.finish()
     return RunConfig(
         params=params,
-        g_multiple=g_multiple,
         rabi=rabi,
         toggles=toggles,
         integration=integration,
@@ -392,61 +380,3 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def render_config(config: RunConfig) -> str:
-    """Serialize a RunConfig so that parse_config returns an equal config."""
-    lines = ["[model]"]
-    if config.g_multiple is not None:
-        lines.append(f"g_multiple_of_omega_r0 = {_fmt(config.g_multiple)}")
-    else:
-        lines.append(f"g_rad_per_ps = {_fmt(config.params.g)}")
-    lines.extend([
-        f"gamma_c_per_ps = {_fmt(config.params.gamma_c)}",
-        f"gamma_deph_per_ps = {_fmt(config.params.gamma_deph)}",
-        f"gamma_nr_per_ps = {_fmt(config.params.gamma_nr)}",
-        f"gamma_nl_per_ps = {_fmt(config.params.gamma_nl)}",
-        f"pump_per_ps = {_fmt(config.params.pump)}",
-        f"detuning_rad_per_ps = {_fmt(config.params.detuning)}",
-        f"omega_r0_per_ps = {_fmt(config.rabi.omega_r0)}",
-        f"coupling_scale_rad_per_ps = {_fmt(config.rabi.coupling_scale)}",
-        "",
-        "[toggles]",
-        f"variant = {config.toggles.variant_name}",
-        "",
-        "[integration]",
-        f"rel_tol = {_fmt(config.integration.rel_tol)}",
-        f"abs_tol = {_fmt(config.integration.abs_tol)}",
-        f"max_time_ps = {_fmt(config.integration.max_time)}",
-        f"initial_step_ps = {_fmt(config.integration.initial_step)}",
-        f"steady_state_residual = {_fmt(config.integration.steady_state_residual)}",
-        f"steady_window_ps = {_fmt(config.integration.steady_window)}",
-    ])
-    if config.grid is not None:
-        lines.extend([
-            "",
-            "[grid]",
-            "gamma_cav_per_ps = "
-            + ", ".join(_fmt(v) for v in config.grid.gamma_cav_values),
-            "g_multiples = " + ", ".join(_fmt(v) for v in config.grid.g_values),
-            "pump_per_ps = " + ", ".join(_fmt(v) for v in config.grid.pump_values),
-            "variants = " + ", ".join(
-                t.variant_name for t in config.grid.toggle_variants
-            ),
-        ])
-    lines.extend([
-        "",
-        "[output]",
-        f"path = {config.output_path}",
-        f"format = {config.output_format}",
-        "",
-        "[oracle]",
-        f"n_max = {config.oracle_n_max}",
-        f"agreement_band_rel = {_fmt(config.oracle_band)}",
-        "",
-    ])
-    return "\n".join(lines)

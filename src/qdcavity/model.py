@@ -203,25 +203,24 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReferenceRabi:
     """Reference scale for quoting couplings as dimensionless multiples.
 
-    omega_r0 is the conventional quoted constant in 1/ps; it is stored, not
-    derived. coupling_scale is the rad/ps unit actually applied when a
-    multiple is converted into ModelParams.g; it defaults to the computed
-    reference-geometry coupling, which sits within 15% of 2*pi*omega_r0.
+    coupling_scale is the rad/ps unit applied when a multiple is converted
+    into ModelParams.g; it defaults to the computed reference-geometry
+    coupling, which divided by 2*pi sits within 15% of the conventional
+    quoted constant of 0.025 1/ps. Keyword-only, so that a bare number is
+    never read as the scale.
     """
 
-    omega_r0: float = 0.025
     coupling_scale: float = REFERENCE_COUPLING_RAD_PER_PS
 
     def __post_init__(self):
-        if not (self.omega_r0 > 0):
-            raise ValueError(f"omega_r0 must be positive, got {self.omega_r0}")
-        if not (self.coupling_scale > 0):
+        if not (math.isfinite(self.coupling_scale) and self.coupling_scale > 0):
             raise ValueError(
-                f"coupling_scale must be positive, got {self.coupling_scale}"
+                "coupling_scale must be finite and positive, got "
+                f"{self.coupling_scale}"
             )
 
     def coupling_for(self, multiple: float) -> float:

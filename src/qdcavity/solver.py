@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -59,7 +59,8 @@ class IntegrationConfig:
     """Numerical controls for one solve.
 
     Defaults give at least six reliable digits in the observables, which the
-    shallow correlation dip in g2(0) requires.
+    shallow correlation dip in g2(0) requires. Every field must be finite
+    and positive, rel_tol also below 1.
 
     rel_tol, abs_tol: error tolerances of every Radau march, all of them
         ``integrate`` calls: a direct call, the steady-state fallback march
@@ -88,23 +89,14 @@ class IntegrationConfig:
     steady_window: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{field.name} must be finite and > 0, got {value}"
+                )
+        if not self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not (self.max_time > 0.0):
-            raise ValueError(f"max_time must be > 0, got {self.max_time}")
-        if not (self.initial_step > 0.0):
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
-        if not (self.steady_state_residual > 0.0):
-            raise ValueError(
-                "steady_state_residual must be > 0, got "
-                f"{self.steady_state_residual}"
-            )
-        if not (self.steady_window > 0.0):
-            raise ValueError(
-                f"steady_window must be > 0, got {self.steady_window}"
-            )
 
 
 @dataclass(frozen=True)

@@ -97,19 +97,19 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point's inputs and results.
-
-    cavity_lifetime is derived as 1 / gamma_cav at construction; gamma_cav
-    is the primary field.
-    """
+    """One grid point's inputs and results."""
 
     gamma_cav: float
-    cavity_lifetime: float
     g_over_omega_r0: float
     pump: float
     toggles: CorrelationToggles
     observables: Observables
     converged: bool
+
+    @property
+    def cavity_lifetime(self) -> float:
+        """1 / gamma_cav, in ps. Derived, never stored."""
+        return 1.0 / self.gamma_cav
 
 
 def _solve_point(task):
@@ -132,7 +132,6 @@ def _solve_point(task):
         obs = observables_of(state, params)
     return SweepRecord(
         gamma_cav=gamma_cav,
-        cavity_lifetime=1.0 / gamma_cav,
         g_over_omega_r0=g_multiple,
         pump=pump,
         toggles=toggles,

@@ -2,6 +2,7 @@
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,8 @@ from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli
 from qdcavity.cli import main
 from qdcavity.config import (
     DEFAULT_AGREEMENT_BAND,
+    load_config,
     parse_config,
-    render_config,
 )
 from qdcavity.dynamics import ARRAY_FIELDS
 from qdcavity.errors import (
@@ -19,6 +20,8 @@ from qdcavity.errors import (
     SingularSteadyState,
     StiffnessFailure,
 )
+from qdcavity.model import default_params
+from qdcavity.solver import IntegrationConfig
 
 MINIMAL = textwrap.dedent("""\
     [model]
@@ -43,9 +46,10 @@ def test_parse_minimal_config_defaults():
     assert config.params.gamma_nr == 0.03
     assert config.params.gamma_nl == 0.01
     assert config.params.detuning == 0.0
-    assert config.g_multiple is None
+    assert config.params == default_params(g=0.05, gamma_c=0.5, pump=1.0)
     assert config.toggles.variant_name == "full"
     assert config.integration.rel_tol == 1e-9
+    assert config.integration == IntegrationConfig()
     assert config.grid is None
     assert config.output_path == "qdcavity_out.csv"
     assert config.output_format == "csv"
@@ -61,7 +65,6 @@ def test_parse_coupling_as_reference_multiple():
         pump_per_ps = 1.0
     """)
     config = parse_config(text)
-    assert config.g_multiple == 0.2
     assert config.params.g == 0.2 * REFERENCE_COUPLING_RAD_PER_PS
 
 
@@ -101,6 +104,7 @@ def test_missing_required_keys():
 def test_scan_errors_carry_line_numbers():
     cases = (
         ("[model]\nbogus_key = 1\n", 2, "unknown key"),
+        ("[model]\nomega_r0_per_ps = 0.025\n", 2, "unknown key"),
         ("[nonsense]\n", 1, "unknown section"),
         ("[model]\npump_per_ps = 1\npump_per_ps = 2\n", 3, "duplicate"),
         (
@@ -234,6 +238,9 @@ def test_output_and_oracle_sections():
         parse_config(MINIMAL + "[output]\nformat = xml\n")
     with pytest.raises(ConfigError, match="n_max"):
         parse_config(MINIMAL + "[oracle]\nn_max = 0\n")
+    with pytest.raises(ConfigError, match="n_max") as info:
+        parse_config(MINIMAL + "[oracle]\nn_max = 65\n")
+    assert info.value.line == 6
     with pytest.raises(ConfigError, match="agreement_band_rel"):
         parse_config(MINIMAL + "[oracle]\nagreement_band_rel = -1\n")
 
@@ -252,29 +259,15 @@ def test_comments_and_blank_lines_are_ignored():
     assert config.params.pump == 1.0
 
 
-def test_render_parse_round_trip():
-    text = MINIMAL + textwrap.dedent("""\
-        [toggles]
-        variant = no_inversion
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")
+)
 
-        [integration]
-        rel_tol = 1e-8
 
-        [grid]
-        cavity_lifetime_ps = geom(0.5, 5, 4)
-        g_multiples = 0.18, 0.2
-        pump_per_ps = 2.0
-        variants = full, no_inversion
-
-        [output]
-        format = jsonl
-
-        [oracle]
-        n_max = 4
-    """)
-    config = parse_config(text)
-    rendered = render_config(config)
-    assert parse_config(rendered) == config
+def test_shipped_configs_load_with_a_grid():
+    assert SHIPPED_CONFIGS
+    for path in SHIPPED_CONFIGS:
+        assert load_config(path).grid is not None, path.name
 
 
 def test_cli_simulate_prints_observables(tmp_path, capsys):
@@ -291,6 +284,16 @@ def test_cli_simulate_config_error(tmp_path, capsys):
     path = config_file(tmp_path, "[model]\ngamma_c_per_ps = -1\n")
     assert main(["simulate", "--config", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_simulate_infinite_residual_is_a_config_error(tmp_path, capsys):
+    text = MINIMAL + "[integration]\nsteady_state_residual = inf\n"
+    path = config_file(tmp_path, text)
+    assert main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "line 6:" in err
+    assert "steady_state_residual" in err
 
 
 def test_cli_simulate_missing_file(tmp_path, capsys):

@@ -203,7 +203,6 @@ def test_cavity_lifetime_is_inverse_decay_rate(gamma_c):
 
 def test_reference_rabi_defaults():
     rabi = ReferenceRabi()
-    assert rabi.omega_r0 == 0.025
     assert rabi.coupling_scale == FROZEN_COUPLING
     assert rabi.coupling_for(0.2) == 0.2 * FROZEN_COUPLING
     assert rabi.coupling_for(0.0) == 0.0
@@ -211,9 +210,9 @@ def test_reference_rabi_defaults():
 
 def test_reference_rabi_validation():
     with pytest.raises(ValueError):
-        ReferenceRabi(omega_r0=0.0)
-    with pytest.raises(ValueError):
         ReferenceRabi(coupling_scale=-1.0)
+    with pytest.raises(ValueError):
+        ReferenceRabi(coupling_scale=math.inf)
 
 
 def test_default_params_fills_documented_backgrounds():

@@ -76,6 +76,15 @@ def test_config_validation():
         IntegrationConfig(steady_window=0.0)
 
 
+@pytest.mark.parametrize("field", [
+    "rel_tol", "abs_tol", "max_time", "initial_step",
+    "steady_state_residual", "steady_window",
+])
+def test_config_rejects_infinite_settings(field):
+    with pytest.raises(ValueError, match=field):
+        IntegrationConfig(**{field: math.inf})
+
+
 def test_trajectory_invariants():
     s = DynamicState.vacuum()
     with pytest.raises(ValueError):

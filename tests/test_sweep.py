@@ -132,7 +132,7 @@ def fabricated(g2, rate, pump=1.0):
         output_rate=rate,
     )
     return SweepRecord(
-        gamma_cav=1.0, cavity_lifetime=1.0, g_over_omega_r0=0.2,
+        gamma_cav=1.0, g_over_omega_r0=0.2,
         pump=pump, toggles=FULL, observables=obs, converged=True,
     )
 
@@ -180,7 +180,7 @@ def test_jsonl_rows_are_strict_json():
         g2_zero=None, output_rate=float("nan"),
     )
     bad = SweepRecord(
-        gamma_cav=1.0, cavity_lifetime=1.0, g_over_omega_r0=0.2,
+        gamma_cav=1.0, g_over_omega_r0=0.2,
         pump=1.0, toggles=FACTORIZED, observables=nan_obs, converged=False,
     )
     table = SweepTable((fabricated(g2=2.0, rate=0.5), bad))
