@@ -26,10 +26,10 @@ import numpy as np
 
 from .dynamics import CorrelationToggles
 from .errors import ConfigError, ValidationError
-from .model import ModelParams, ReferenceRabi, default_params
+from .model import ModelParams, ReferenceRabi, default_params, validate
 from .oracle import DEFAULT_N_MAX, N_MAX_CAP
 from .solver import IntegrationConfig
-from .sweep import SweepGrid
+from .sweep import SweepGrid, point_params
 
 # Relative agreement band on the steady-state photon number between the
 # truncated hierarchy and the reference model in the weak-coupling regime
@@ -339,6 +339,15 @@ def parse_config(text: str) -> RunConfig:
                 )
         except ValueError as err:
             raise ConfigError(str(err), grid_line)
+        # An axis value can be valid alone and still give an invalid point,
+        # such as a coupling multiple times the scale overflowing to inf.
+        try:
+            for point, _ in point_params(grid, params, rabi):
+                validate(point)
+        except ValidationError as err:
+            raise ConfigError(
+                "grid point: " + "; ".join(err.problems), grid_line
+            )
 
     output_path = entries.take_str("output", "path", "qdcavity_out.csv")
     output_format = entries.take_str("output", "format", "csv")

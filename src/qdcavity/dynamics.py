@@ -155,7 +155,7 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
     inversion = toggles.include_inversion_term
 
     def rhs(t, y):
-        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y
+        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
         if not doublets:
             d2 = dTr = dTi = de = dh = 0.0
         f = np.empty(STATE_DIM)
@@ -188,7 +188,7 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
         return f
 
     def jacobian(t, y):
-        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y
+        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
         if not doublets:
             d2 = dTr = dTi = de = dh = 0.0
         J = np.zeros((STATE_DIM, STATE_DIM))

@@ -17,7 +17,10 @@ class ValidationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Base class for integration failures."""
+    """Base class for integration failures.
+
+    Raised itself when a march uses up its step budget.
+    """
 
 
 class StiffnessFailure(SolverError):

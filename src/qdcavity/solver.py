@@ -1,9 +1,12 @@
 """Time integration and direct steady-state solution.
 
 The pump rate can exceed every other rate by five orders of magnitude,
-making the equations stiff. Integration therefore uses an implicit
-error-controlled Runge-Kutta method (Radau IIA of order 5, embedded error
-estimate) driven by the exact analytic Jacobian.
+making the equations stiff. Integration therefore uses RODAS4, an L-stable
+Rosenbrock method of order 4 with an embedded third-order error estimate
+(Hairer & Wanner, Solving ODEs II, section IV.7): each step inverts
+W = I/(h gamma) - J once, on the exact analytic Jacobian, and its six
+stages share that inverse. The march is our own loop, bounded by
+MAX_MARCH_STEPS steps, so that no march can run without end.
 
 Steady states are solved for directly rather than marched to. Pseudo-
 transient continuation takes linearly implicit Euler steps on the analytic
@@ -15,13 +18,12 @@ can land on unstable roots, a time-march cannot), the linearised flow from
 the initial state settled within the time budget, and the residual staying
 below threshold over a window of the flow linearised at the root. Both flow
 checks are evaluated in closed form on the eigen-decomposition of J, so a
-certified root costs no Radau step. Anything else falls back to one Radau
-march over the whole budget. A recorded trajectory is one Radau march from
-the initial state to the settling time of the flow linearised at the
-certified root, also read off that eigen-decomposition; ``integrate`` is
-the only caller of Radau. Every solve is single-threaded and
-deterministic: identical inputs give bitwise-identical results on the same
-platform.
+certified root costs no march step. Anything else falls back to one march
+over the whole budget. A recorded trajectory is one march from the initial
+state to the settling time of the flow linearised at the certified root,
+also read off that eigen-decomposition; ``integrate`` is the only march.
+Every solve is single-threaded and deterministic: identical inputs give
+bitwise-identical results on the same platform.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Unused: kept only because perfbench's tracer patches solver.solve_ivp.
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dynamics import (
     SINGLET_DIM,
@@ -41,13 +44,20 @@ from .dynamics import (
     DynamicState,
     make_rhs,
 )
-from .errors import NonFiniteState, NotConverged, StiffnessFailure
+from .errors import NonFiniteState, NotConverged, SolverError, StiffnessFailure
 from .model import ModelParams, validate
 
 # Bound on continuation iterates, accepted or rejected. Roots reached from
 # vacuum take about 20; a step quartered this often (4**-100) stays far above
 # underflow.
 MAX_CONTINUATION_STEPS = 100
+
+# Bound on the steps of one march, accepted or rejected: ten times the
+# longest march of the tests, the shipped figures and the benchmark pool
+# (about 2700 steps, over the whole 1e4 ps budget next to the lasing
+# threshold). Past the threshold the photon number builds up over thousands
+# of ps while the step falls below 0.02 ps, and the budget ends that march.
+MAX_MARCH_STEPS = 30000
 
 
 class PhysicalRangeWarning(UserWarning):
@@ -62,17 +72,19 @@ class IntegrationConfig:
     shallow correlation dip in g2(0) requires. Every field must be finite
     and positive, rel_tol also below 1.
 
-    rel_tol, abs_tol: error tolerances of every Radau march, all of them
-        ``integrate`` calls: a direct call, the steady-state fallback march
+    rel_tol, abs_tol: error tolerances of the Rosenbrock march, every one
+        ``integrate`` runs: a direct call, the steady-state fallback march
         over max_time and the march to the settling time that
-        ``steady_state(record=True)`` records. The certification of a root,
-        its steady window included, runs no Radau and does not read them.
-        10*rel_tol is also the allowance of the physical-range check.
+        ``steady_state(record=True)`` records. A step is accepted when the
+        RMS of its error estimate over abs_tol + rel_tol * |y| is at most 1.
+        The certification of a root, its steady window included, runs no
+        march and does not read them. 10*rel_tol is also the allowance of
+        the physical-range check.
     max_time: default horizon of ``integrate``, in ps. For ``steady_state``
         the time budget: a root is accepted only if the flow linearised at
         it, started from the initial state, settles below
         steady_state_residual by max_time; the fallback march runs to it.
-    initial_step: first Radau step, and the first pseudo-time step of the
+    initial_step: first march step, and the first pseudo-time step of the
         steady-state continuation, in ps.
     steady_state_residual: threshold on the scaled residual
         ||rhs|| / max(||state||, 1) that a steady state must meet.
@@ -156,6 +168,48 @@ def _check_ranges(times, ys, rel_tol):
         )
 
 
+# Hairer & Wanner's RODAS (rodas.f, METH=1; Solving ODEs II, section IV.7):
+# six stages, order 4(3), L-stable and stiffly accurate. Entry i gives stage
+# i + 2's coefficients on k_1 .. k_{i+1}, a_ij in its first row and c_ij in
+# its second. The sixth stage's a row is (a51, a52, a53, a54, 1), so its
+# stage point is the embedded third-order solution.
+_RODAS_GAMMA = 0.25
+_RODAS_STAGES = tuple(np.array(rows) for rows in (
+    ((1.544,),
+     (-5.6688,)),
+    ((0.9466785280815826, 0.2557011698983284),
+     (-2.430093356833875, -0.2063599157091915)),
+    ((3.314825187068521, 2.896124015972201, 0.9986419139977817),
+     (-0.1073529058151375, -9.594562251023355, -20.47028614809616)),
+    ((1.221224509226641, 6.019134481288629, 12.53708332932087,
+      -0.6878860361058950),
+     (7.496443313967647, -10.24680431464352, -33.99990352819905,
+      11.70890893206160)),
+    ((1.221224509226641, 6.019134481288629, 12.53708332932087,
+      -0.6878860361058950, 1.0),
+     (8.083246795921522, -7.981132988064893, -31.52159432874371,
+      16.31930543123136, -6.058818238834054)),
+))
+
+
+def _rodas_step(rhs, y, f, J, h):
+    """One RODAS4 step of size h from y, given f = rhs(y) and J = jac(y).
+
+    The six stages share one inverse of W = I/(h gamma) - J: k_1 = W^-1 f(y)
+    and k_i = W^-1 (f(y + sum_j a_ij k_j) + sum_j c_ij k_j / h).
+    Returns the new state y + sum_j a_5j k_j + k_5 + k_6 and the error
+    estimate k_6.
+    """
+    w_inv = np.linalg.inv(np.eye(y.size) / (h * _RODAS_GAMMA) - J)
+    ks = np.empty((6, y.size))
+    ks[0] = w_inv @ f
+    for i, coefficients in enumerate(_RODAS_STAGES, start=1):
+        a_sum, c_sum = coefficients @ ks[:i]
+        stage = y + a_sum
+        ks[i] = w_inv @ (rhs(0.0, stage) + c_sum / h)
+    return stage + ks[5], ks[5]
+
+
 def integrate(
     initial: DynamicState,
     params: ModelParams,
@@ -165,46 +219,71 @@ def integrate(
 ) -> Trajectory:
     """Integrate from t = 0 to t_end (default cfg.max_time).
 
-    Returns the accepted-step trajectory. Raises StiffnessFailure or
-    NonFiniteState on integrator breakdown; emits PhysicalRangeWarning when
-    accepted states leave the physical simplex beyond 10*rel_tol.
+    RODAS4 steps on the analytic Jacobian, the first of cfg.initial_step.
+    A step is accepted when the RMS of its error estimate, scaled by
+    abs_tol + rel_tol * max(|y|, |y_new|) per component, is at most 1; the
+    next step is the last one times min(6, max(0.2, 0.9 err^-1/4)), and
+    does not grow right after a rejection. Returns the accepted-step
+    trajectory. Raises NonFiniteState on a non-finite state,
+    StiffnessFailure when the step falls below the representable floor and
+    SolverError after MAX_MARCH_STEPS steps, accepted or rejected; emits
+    PhysicalRangeWarning when accepted states leave the physical simplex
+    beyond 10*rel_tol.
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
-    y0 = initial.to_array()
+    y = initial.to_array()
     horizon = cfg.max_time if t_end is None else t_end
     if not (horizon > 0.0):
         raise ValueError(f"t_end must be > 0, got {horizon}")
-    if not np.all(np.isfinite(y0)):
+    if not np.all(np.isfinite(y)):
         raise NonFiniteState("non-finite state at t = 0 ps")
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        y0,
-        method="Radau",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        jac=jac,
-        first_step=min(cfg.initial_step, horizon),
-        dense_output=False,
-    )
-    if not sol.success:
-        y_last = sol.y[:, -1] if sol.y.size else y0
-        if not np.all(np.isfinite(y_last)) or not np.all(
-            np.isfinite(rhs(sol.t[-1] if sol.t.size else 0.0, y_last))
-        ):
-            raise NonFiniteState(sol.message)
-        # Radau gives up exactly when the controller wants a step below the
-        # representable floor, under 1e-12 ps for the spans used here.
-        raise StiffnessFailure(sol.message)
-    _check_ranges(sol.t, sol.y, cfg.rel_tol)
-    y_final = sol.y[:, -1]
-    residual = scaled_residual(rhs(sol.t[-1], y_final), y_final)
-    states = tuple(DynamicState.from_array(sol.y[:, k]) for k in range(sol.t.size))
+    t = 0.0
+    times, ys = [t], [y]
+    f, J = rhs(t, y), jac(t, y)
+    h = cfg.initial_step
+    rejected = False
+    for _ in range(MAX_MARCH_STEPS):
+        last = t + h >= horizon
+        if last:
+            h = horizon - t
+        y_new, error = _rodas_step(rhs, y, f, J, h)
+        if not np.all(np.isfinite(y_new)):
+            raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
+        ratio = error / (
+            cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        )
+        err = math.sqrt(float(ratio @ ratio) / ratio.size)
+        # An exact step (err 0) grows the next one by the full factor 6.
+        factor = min(6.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.25))
+        if err <= 1.0:
+            t = horizon if last else t + h
+            y = y_new
+            times.append(t)
+            ys.append(y)
+            if last:
+                break
+            f, J = rhs(t, y), jac(t, y)
+            if rejected:
+                factor = min(factor, 1.0)
+            rejected = False
+        else:
+            rejected = True
+            if h * factor < 10.0 * (math.nextafter(t, math.inf) - t):
+                raise StiffnessFailure(
+                    f"step size fell below the floor at t = {t:.6g} ps"
+                )
+        h *= factor
+    else:
+        raise SolverError(
+            f"march stopped after {MAX_MARCH_STEPS} steps at t = {t:.6g} "
+            f"of {horizon:g} ps"
+        )
+    _check_ranges(times, np.array(ys).T, cfg.rel_tol)
     return Trajectory(
-        times=tuple(float(t) for t in sol.t),
-        states=states,
-        final_residual=residual,
+        times=tuple(times),
+        states=tuple(map(DynamicState.from_array, ys)),
+        final_residual=scaled_residual(rhs(t, y), y),
     )
 
 
@@ -317,13 +396,15 @@ def steady_state(
     PhysicalRangeWarning is emitted if the root or that window leaves the
     physical range.
 
-    If any check fails, one Radau march runs from the initial state to
+    If any check fails, one march runs from the initial state to
     cfg.max_time; if it ends below the threshold, the continuation restarts
     from there and certifies again. Raises NotConverged (carrying the
-    march's last state and residual) otherwise.
+    march's last state and residual) otherwise, and the march's
+    SolverError if it breaks down or uses up MAX_MARCH_STEPS, as it can
+    past the lasing threshold.
 
     With record=True, returns (state, Trajectory): the trajectory collects
-    every accepted step of one Radau march from the initial state to the
+    every accepted step of one march from the initial state to the
     settling time of the flow linearised at the certified root, its last
     row replaced by the returned state, so the state is bitwise the one the
     bare call returns. The settling time, from the eigen-decomposition

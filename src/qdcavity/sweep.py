@@ -140,6 +140,19 @@ def _solve_point(task):
     )
 
 
+def point_params(grid: SweepGrid, base: ModelParams, rabi: ReferenceRabi):
+    """Each grid point's params with the point itself, in grid order."""
+    for point in grid.points():
+        gamma_cav, g_multiple, pump, _ = point
+        params = replace(
+            base,
+            g=rabi.coupling_for(g_multiple),
+            gamma_c=0.5 * gamma_cav,
+            pump=pump,
+        )
+        yield params, point
+
+
 def run_sweep(
     grid: SweepGrid,
     base: ModelParams,
@@ -149,20 +162,17 @@ def run_sweep(
 ) -> List[SweepRecord]:
     """One steady-state solve per grid point, in frozen grid order.
 
-    Per-point failures are captured in the records (converged False, NaN
-    observables on hard integrator errors); the sweep itself never aborts.
+    Raises ValidationError, before any point is solved, if the base or a
+    grid point's params are invalid. Per-point solver failures are captured
+    in the records (converged False, NaN observables on hard integrator
+    errors); the sweep itself never aborts.
     """
     validate(base)
-    rabi = rabi or ReferenceRabi()
-    tasks = []
-    for gamma_cav, g_multiple, pump, toggles in grid.points():
-        params = replace(
-            base,
-            g=rabi.coupling_for(g_multiple),
-            gamma_c=0.5 * gamma_cav,
-            pump=pump,
-        )
-        tasks.append((params, toggles, cfg, gamma_cav, g_multiple, pump))
+    tasks = [
+        (validate(params), toggles, cfg, gamma_cav, g_multiple, pump)
+        for params, (gamma_cav, g_multiple, pump, toggles)
+        in point_params(grid, base, rabi or ReferenceRabi())
+    ]
     if workers <= 1 or len(tasks) <= 1:
         return [_solve_point(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

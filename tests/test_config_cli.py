@@ -202,6 +202,28 @@ def test_grid_inherits_pump_and_variant():
     assert tuple(t.variant_name for t in grid.toggle_variants) == ("full",)
 
 
+def test_grid_point_overflow_is_a_config_error(tmp_path, capsys):
+    # Scale and multiple are each finite, their product is not.
+    text = textwrap.dedent("""\
+        [model]
+        coupling_scale_rad_per_ps = 1e308
+        g_multiple_of_omega_r0 = 0.2
+        gamma_c_per_ps = 0.5
+        pump_per_ps = 1.0
+        [grid]
+        gamma_cav_per_ps = 1.0
+        g_multiples = 10
+    """)
+    with pytest.raises(ConfigError, match="g: must be finite") as info:
+        parse_config(text)
+    assert info.value.line == 6
+    path = config_file(tmp_path, text)
+    out = str(tmp_path / "out.csv")
+    assert main(["sweep", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
 def test_geom_expression_errors():
     bad_count = MINIMAL + "[grid]\ncavity_lifetime_ps = geom(1, 2)\ng_multiples = 0.2\n"
     with pytest.raises(ConfigError, match="geom"):

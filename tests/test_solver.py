@@ -17,6 +17,7 @@ from qdcavity import (
     IntegrationConfig,
     ModelParams,
     NotConverged,
+    SolverError,
     Trajectory,
     ValidationError,
     default_params,
@@ -24,6 +25,7 @@ from qdcavity import (
     rhs,
     steady_state,
 )
+from qdcavity import solver
 from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
 from qdcavity.model import ReferenceRabi
@@ -32,6 +34,7 @@ from qdcavity.solver import (
     PhysicalRangeWarning,
     _certified_root,
     _continue_to_root,
+    _rodas_step,
     _window_holds,
     scaled_residual,
 )
@@ -152,6 +155,33 @@ def test_trajectory_matches_independent_rk4():
         ), name
 
 
+def test_rodas_step_is_fourth_order():
+    # Fixed steps on the full system from vacuum: for a fourth-order step
+    # the gap between the marches at h and h/2 shrinks 16-fold per halving
+    # of h. Each of the six coefficients tried off by 0.1% gave ratios of
+    # 1-6 instead.
+    params = default_params(g=0.15, gamma_c=0.4, pump=0.8)
+    f, jac = make_rhs(params, FULL)
+
+    def march(h, t_end=1.6):
+        y = DynamicState.vacuum().to_array()
+        for _ in range(round(t_end / h)):
+            y, _ = _rodas_step(f, y, f(0.0, y), jac(0.0, y), h)
+        return y
+
+    ends = [march(0.2 / 2**k) for k in range(5)]
+    gaps = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse / fine == pytest.approx(16.0, rel=0.1)
+
+
+def test_march_stops_at_the_step_budget(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_MARCH_STEPS", 5)
+    params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
+    with pytest.raises(SolverError, match="after 5 steps"):
+        integrate(DynamicState.vacuum(), params, FULL, CFG, t_end=3.0)
+
+
 def test_self_convergence_under_tolerance_tightening():
     params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
     loose = integrate(
@@ -258,6 +288,33 @@ def test_lasing_roots_past_threshold():
     n_20, n_30 = (float(line) for line in result.stdout.split())
     assert n_20 == pytest.approx(308288.732382456, rel=1e-8)
     assert n_30 == pytest.approx(972981.4683834307, rel=1e-8)
+
+
+@pytest.mark.parametrize("lifetime_ps, extra", [
+    (25.0, ()), (20.0, ("--trajectory",)),
+])
+def test_slow_march_past_threshold_exits_2(tmp_path, lifetime_ps, extra):
+    # Past the lasing threshold the photon number builds up over thousands
+    # of ps while the march's step falls below 0.02 ps: at 25 ps in the
+    # fallback march of a plain solve, at 20 ps in the march a trajectory
+    # records to the certified root. The step budget ends both with exit 2
+    # and a one-line message instead of minutes of stepping.
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[model]\ng_multiple_of_omega_r0 = 0.20\n"
+        f"gamma_c_per_ps = {0.5 / lifetime_ps!r}\npump_per_ps = 1e5\n",
+        encoding="utf-8",
+    )
+    src = str(Path(qdcavity.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "qdcavity.cli", "simulate", "--config",
+         str(config), "--out", str(tmp_path / "out.csv"), *extra],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "steps" in result.stderr
 
 
 def test_steady_state_is_fixed_point_of_integration():

@@ -12,6 +12,7 @@ from qdcavity import (
     SweepGrid,
     SweepRecord,
     SweepTable,
+    ValidationError,
     default_params,
     observables_of,
     regime_classify,
@@ -48,6 +49,10 @@ def test_grid_validation():
         SweepGrid((1.0,), (-0.1,), (1.0,), (FULL,))
     with pytest.raises(ValueError):
         SweepGrid((1.0,), (0.1,), (math.inf,), (FULL,))
+    # Valid axes can still make an invalid point, which run_sweep refuses.
+    with pytest.raises(ValidationError, match="g: must be finite"):
+        run_sweep(SweepGrid((1.0,), (10.0,), (1.0,), (FULL,)), BASE, CFG,
+                  rabi=ReferenceRabi(coupling_scale=1e308))
 
 
 def test_grid_points_lexicographic():
