@@ -8,7 +8,6 @@ the generated gnuplot templates land in the chosen output directory. The
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ def main() -> int:
         help="directory for the CSV and gnuplot files (default figures_out)",
     )
     parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
+        "--workers", type=int, default=1,
         help="worker processes per sweep",
     )
     parser.add_argument(

@@ -67,7 +67,6 @@ from .sweep import (
     SweepGrid,
     SweepRecord,
     SweepTable,
-    regime_classify,
     run_sweep,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "observables_of",
     "oracle_steady_observables",
     "output_rate",
-    "regime_classify",
     "rhs",
     "run_sweep",
     "steady_observables_auto",

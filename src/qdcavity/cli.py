@@ -10,7 +10,6 @@ too small at its cap.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="configuration file")
         sub.add_argument("--out", help="override the configured output path")
         sub.add_argument(
-            "--workers", type=int, default=os.cpu_count() or 1,
+            "--workers", type=int, default=1,
             help="worker processes for sweeps",
         )
         if name == "sweep":

@@ -36,7 +36,8 @@ class NotConverged(SolverError):
 
     Attributes:
         max_time: the time budget that was exhausted, in ps.
-        last_state: the state at the end of integration.
+        last_state: the state that the flow linearised at the last root
+            found reaches at max_time, or the initial state if none was.
         residual: the scaled residual at that state.
     """
 

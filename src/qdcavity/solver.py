@@ -18,10 +18,12 @@ can land on unstable roots, a time-march cannot), the linearised flow from
 the initial state settled within the time budget, and the residual staying
 below threshold over a window of the flow linearised at the root. Both flow
 checks are evaluated in closed form on the eigen-decomposition of J, so a
-certified root costs no march step. Anything else falls back to one march
-over the whole budget. A recorded trajectory is one march from the initial
-state to the settling time of the flow linearised at the certified root,
-also read off that eigen-decomposition; ``integrate`` is the only march.
+certified root costs no march step. Failing that, the continuation climbs
+in the pump from far below the lasing threshold (natural-parameter
+continuation, Allgower & Georg, ch. 1-2); no steady-state solve marches. A
+recorded trajectory is one march from the initial state to the settling
+time of the flow linearised at the certified root, also read off that
+eigen-decomposition; ``integrate`` is the only march.
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,11 +54,18 @@ from .model import ModelParams, validate
 # underflow.
 MAX_CONTINUATION_STEPS = 100
 
-# Bound on the steps of one march, accepted or rejected: ten times the
-# longest march of the tests, the shipped figures and the benchmark pool
-# (about 2700 steps, over the whole 1e4 ps budget next to the lasing
-# threshold). Past the threshold the photon number builds up over thousands
-# of ps while the step falls below 0.02 ps, and the budget ends that march.
+# Pump ladder start: continuation from vacuum certifies there in every variant.
+PUMP_START = 1e-2
+# Rungs of the ladder: 1.74x apart up to pump 1e5, close enough for Newton.
+PUMP_RUNGS = 30
+# First pseudo-time step of a later rung, in ps: its first iterate is Newton's.
+RUNG_STEP = 1e6
+
+# Bound on the steps of one march, accepted or rejected: about thirty times
+# the longest march of the tests, the shipped figures and the benchmark pool
+# (about 1060 steps). Past the lasing threshold a recorded march builds the
+# photon number up over thousands of ps as its step falls below 0.02 ps;
+# the budget ends it.
 MAX_MARCH_STEPS = 30000
 
 
@@ -73,17 +82,17 @@ class IntegrationConfig:
     and positive, rel_tol also below 1.
 
     rel_tol, abs_tol: error tolerances of the Rosenbrock march, every one
-        ``integrate`` runs: a direct call, the steady-state fallback march
-        over max_time and the march to the settling time that
-        ``steady_state(record=True)`` records. A step is accepted when the
-        RMS of its error estimate over abs_tol + rel_tol * |y| is at most 1.
-        The certification of a root, its steady window included, runs no
-        march and does not read them. 10*rel_tol is also the allowance of
-        the physical-range check.
+        ``integrate`` runs: a direct call and the march to the settling
+        time that ``steady_state(record=True)`` records. A step is accepted
+        when the RMS of its error estimate over abs_tol + rel_tol * |y| is
+        at most 1. Finding and certifying a root, its steady window
+        included, runs no march and does not read them. 10*rel_tol is also
+        the allowance of the physical-range check.
     max_time: default horizon of ``integrate``, in ps. For ``steady_state``
         the time budget: a root is accepted only if the flow linearised at
         it, started from the initial state, settles below
-        steady_state_residual by max_time; the fallback march runs to it.
+        steady_state_residual by max_time, and a refused solve reports the
+        state that flow reaches at max_time.
     initial_step: first march step, and the first pseudo-time step of the
         steady-state continuation, in ps.
     steady_state_residual: threshold on the scaled residual
@@ -349,31 +358,50 @@ def _window_holds(rhs, root, rates, modes, cfg):
     return True
 
 
-def _certified_root(rhs, jac, y0, n, cfg):
-    """Continue from y0 to a root and certify it, or return None.
-
-    The root must be linearly stable, the flow linearised at it must carry
-    y0 below the residual threshold by cfg.max_time, and the residual must
-    hold over a steady window.
-    """
+def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+    """Yield the root that each pump ladder reaches at the target pump: the
+    target alone, on rhs and jac, then PUMP_RUNGS geometric rungs up from
+    PUMP_START."""
     root = _continue_to_root(rhs, jac, y0, n, cfg)
-    if root is None:
-        return None
+    if root is not None:
+        yield root
+    if params.pump <= PUMP_START:
+        return
+    y, rung_cfg = y0, cfg
+    for pump in np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist():
+        rung = make_rhs(replace(params, pump=pump), toggles)
+        y = _continue_to_root(*rung, y, n, rung_cfg)
+        if y is None:
+            return
+        rung_cfg = replace(cfg, initial_step=RUNG_STEP)
+    yield y
+
+
+def _eigen(jac, y0, root, n):
+    """J = V diag(rates) V^-1 at root: (rates, V, V^-1 (y0 - root)) or None."""
     rates, modes = np.linalg.eig(jac(0.0, root)[:n, :n])
-    if not np.all(rates.real < 0.0):
-        return None
-    # Linearised about the root, y(t) - root = exp(J t) (y0 - root), so the
-    # residual there is J exp(J t) (y0 - root), summed here over the modes.
     try:
-        amplitudes = np.linalg.solve(modes, (y0 - root)[:n])
+        return rates, modes, np.linalg.solve(modes, (y0 - root)[:n])
     except np.linalg.LinAlgError:
         return None
+
+
+def _certified(rhs, root, eigen, cfg):
+    """Certify a root given its _eigen decomposition from the initial state.
+
+    The root must be linearly stable, the flow linearised at it must carry
+    the initial state below the residual threshold by cfg.max_time, and the
+    residual must hold over a steady window.
+    """
+    rates, modes, amplitudes = eigen
+    if not np.all(rates.real < 0.0):
+        return False
+    # Linearised about the root, y(t) - root = exp(J t) (y0 - root), so the
+    # residual there is J exp(J t) (y0 - root), summed here over the modes.
     flow = modes @ (rates * np.exp(rates * cfg.max_time) * amplitudes)
     if not scaled_residual(flow.real, root) < cfg.steady_state_residual:
-        return None
-    if not _window_holds(rhs, root, rates, modes, cfg):
-        return None
-    return root
+        return False
+    return _window_holds(rhs, root, rates, modes, cfg)
 
 
 def steady_state(
@@ -396,12 +424,11 @@ def steady_state(
     PhysicalRangeWarning is emitted if the root or that window leaves the
     physical range.
 
-    If any check fails, one march runs from the initial state to
-    cfg.max_time; if it ends below the threshold, the continuation restarts
-    from there and certifies again. Raises NotConverged (carrying the
-    march's last state and residual) otherwise, and the march's
-    SolverError if it breaks down or uses up MAX_MARCH_STEPS, as it can
-    past the lasing threshold.
+    Failing that, the continuation climbs a ladder of pumps from PUMP_START
+    to the target, and its root is certified the same way. Raises
+    NotConverged otherwise, carrying the state that the flow linearised at
+    the last root found reaches at max_time (the initial state if none) and
+    its residual.
 
     With record=True, returns (state, Trajectory): the trajectory collects
     every accepted step of one march from the initial state to the
@@ -410,7 +437,8 @@ def steady_state(
     bare call returns. The settling time, from the eigen-decomposition
     J = V diag(rates) V^-1 at the root, is the time by which each of the n
     modes carries its share of the residual below threshold / n, clipped to
-    [initial_step, max_time]; a warm start on the root gives two rows.
+    [initial_step, max_time]; a warm start on the root gives two rows. Past
+    the lasing threshold that march can use up MAX_MARCH_STEPS (SolverError).
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
@@ -418,13 +446,20 @@ def steady_state(
     y0 = start.to_array()
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
 
-    root = _certified_root(rhs, jac, y0, n, cfg)
-    if root is None:
-        march = integrate(start, params, toggles, cfg)
-        if march.final_residual < cfg.steady_state_residual:
-            root = _certified_root(rhs, jac, march.final.to_array(), n, cfg)
-        if root is None:
-            raise NotConverged(cfg.max_time, march.final, march.final_residual)
+    root = eigen = None
+    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+        eigen = _eigen(jac, y0, root, n)
+        if eigen is not None and _certified(rhs, root, eigen, cfg):
+            break
+    else:
+        # The state that the flow linearised at the last root reaches.
+        y = y0
+        if eigen is not None:
+            rates, modes, amplitudes = eigen
+            y = root.copy()
+            y[:n] += (modes @ (np.exp(rates * cfg.max_time) * amplitudes)).real
+        raise NotConverged(cfg.max_time, DynamicState.from_array(y),
+                           scaled_residual(rhs(0.0, y), y))
     state = DynamicState.from_array(root)
     if not record:
         return state
@@ -432,8 +467,7 @@ def steady_state(
     # Linearised at the root, the residual is a sum of n modes of size
     # |rates_i a_i| e^{Re rates_i t} with a = V^-1 (y0 - root); a mode with
     # no amplitude, as at a warm start on the root, gives log(0) = -inf.
-    rates, modes = np.linalg.eig(jac(0.0, root)[:n, :n])
-    amplitudes = np.linalg.solve(modes, (y0 - root)[:n])
+    rates, modes, amplitudes = eigen
     share = np.abs(rates * amplitudes) * n / (
         cfg.steady_state_residual * max(math.sqrt(float(root @ root)), 1.0)
     )

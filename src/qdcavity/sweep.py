@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import CorrelationToggles, DynamicState
-from .errors import NotConverged, SolverError
+from .errors import NotConverged
 from .model import ModelParams, ReferenceRabi, validate
 from .observables import Observables, observables_of
 from .solver import IntegrationConfig, steady_state
@@ -120,22 +120,12 @@ def _solve_point(task):
     except NotConverged as err:
         state = err.last_state
         converged = False
-    except SolverError:
-        state = None
-        converged = False
-    if state is None:
-        nan = float("nan")
-        obs = Observables(
-            photon_number=nan, two_photon=nan, g2_zero=None, output_rate=nan
-        )
-    else:
-        obs = observables_of(state, params)
     return SweepRecord(
         gamma_cav=gamma_cav,
         g_over_omega_r0=g_multiple,
         pump=pump,
         toggles=toggles,
-        observables=obs,
+        observables=observables_of(state, params),
         converged=converged,
     )
 
@@ -163,9 +153,9 @@ def run_sweep(
     """One steady-state solve per grid point, in frozen grid order.
 
     Raises ValidationError, before any point is solved, if the base or a
-    grid point's params are invalid. Per-point solver failures are captured
-    in the records (converged False, NaN observables on hard integrator
-    errors); the sweep itself never aborts.
+    grid point's params are invalid. A point with no certified steady state
+    is recorded with converged False and the observables of the state
+    NotConverged carries; the sweep itself never aborts.
     """
     validate(base)
     tasks = [
@@ -177,34 +167,6 @@ def run_sweep(
         return [_solve_point(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_solve_point, tasks))
-
-
-def regime_classify(
-    records: Sequence[SweepRecord],
-    g2_threshold: float = 0.1,
-    rate_threshold: float = 1e-3,
-) -> List[str]:
-    """Label records weak, purcell or strong.
-
-    strong: g2(0) above g2_threshold. Otherwise weak when the output rate is
-    below rate_threshold, purcell when at or above it. Records with
-    undefined g2 (no photons) cannot be bunched and are never strong. The
-    default thresholds are conventions of this package, not measured
-    boundaries. Records must share a pump value.
-    """
-    pumps = {r.pump for r in records}
-    if len(pumps) > 1:
-        raise ValueError(f"records mix pump values: {sorted(pumps)}")
-    labels = []
-    for r in records:
-        g2 = r.observables.g2_zero
-        if g2 is not None and g2 > g2_threshold:
-            labels.append("strong")
-        elif r.observables.output_rate >= rate_threshold:
-            labels.append("purcell")
-        else:
-            labels.append("weak")
-    return labels
 
 
 def _values(r: SweepRecord) -> tuple:

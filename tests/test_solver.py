@@ -1,5 +1,6 @@
 """Integration, steady-state detection, and failure reporting."""
 
+import json
 import math
 import os
 import subprocess
@@ -32,8 +33,9 @@ from qdcavity.model import ReferenceRabi
 from qdcavity.observables import observables_of
 from qdcavity.solver import (
     PhysicalRangeWarning,
-    _certified_root,
+    _certified,
     _continue_to_root,
+    _eigen,
     _rodas_step,
     _window_holds,
     scaled_residual,
@@ -252,13 +254,15 @@ def test_window_catches_transient_growth():
     growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
     assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
     assert not _window_holds(f, growing, rates, modes, CFG)
-    assert _certified_root(f, jac, growing, 3, CFG) is None
+    assert _continue_to_root(f, jac, growing, 3, CFG) is growing
+    assert not _certified(f, growing, _eigen(jac, growing, growing, 3), CFG)
     # Started along the first axis the residual only decays, so a state
     # just under the threshold holds; stepping the flow backwards would
     # double its residual instead.
     decaying = np.linalg.solve(J, [0.8 * CFG.steady_state_residual, 0.0, 0.0])
     assert _window_holds(f, decaying, rates, modes, CFG)
-    assert _certified_root(f, jac, decaying, 3, CFG) is decaying
+    assert _continue_to_root(f, jac, decaying, 3, CFG) is decaying
+    assert _certified(f, decaying, _eigen(jac, decaying, decaying, 3), CFG)
 
 
 def test_lasing_roots_past_threshold():
@@ -290,15 +294,63 @@ def test_lasing_roots_past_threshold():
     assert n_30 == pytest.approx(972981.4683834307, rel=1e-8)
 
 
+def test_pump_continuation_past_threshold():
+    # Just past the lasing threshold continuation from vacuum finds no root;
+    # the pump ladder must reach and certify the lasing root that a Newton
+    # step from the same variant's certified lasing root at a longer
+    # lifetime reaches. A march from vacuum here would run for seconds to
+    # its step budget, so the solves run in a child process under a limit.
+    script = textwrap.dedent("""
+        import json
+        from dataclasses import replace
+        from qdcavity import IntegrationConfig, default_params, steady_state
+        from qdcavity.dynamics import STATE_DIM, TOGGLE_VARIANTS, make_rhs
+        from qdcavity.model import ReferenceRabi
+        from qdcavity.solver import RUNG_STEP, _continue_to_root
+        g = ReferenceRabi().coupling_for(0.20)
+        cfg = IntegrationConfig()
+        pairs = []
+        for variant, lifetime_ps, neighbour_ps in (
+            ("full", 17.0, 18.0), ("full", 25.0, 28.0),
+            ("no_inversion", 22.0, 28.0),
+        ):
+            toggles = TOGGLE_VARIANTS[variant]
+            params = default_params(g=g, gamma_c=0.5 / lifetime_ps, pump=1e5)
+            state = steady_state(params, toggles, cfg)
+            neighbour = steady_state(
+                replace(params, gamma_c=0.5 / neighbour_ps), toggles, cfg
+            )
+            warm = _continue_to_root(
+                *make_rhs(params, toggles), neighbour.to_array(), STATE_DIM,
+                replace(cfg, initial_step=RUNG_STEP),
+            )
+            pairs.append((state.to_array().tolist(), warm.tolist()))
+        print(json.dumps(pairs))
+    """)
+    src = str(Path(qdcavity.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    for state, warm in json.loads(result.stdout):
+        state, warm = np.array(state), np.array(warm)
+        assert state[2] > 7e4
+        assert state[2] == pytest.approx(warm[2], rel=1e-7)
+        assert np.linalg.norm(state - warm) <= 1e-7 * np.linalg.norm(warm)
+
+
 @pytest.mark.parametrize("lifetime_ps, extra", [
-    (25.0, ()), (20.0, ("--trajectory",)),
+    (16.5, ()), (20.0, ("--trajectory",)),
 ])
 def test_slow_march_past_threshold_exits_2(tmp_path, lifetime_ps, extra):
-    # Past the lasing threshold the photon number builds up over thousands
-    # of ps while the march's step falls below 0.02 ps: at 25 ps in the
-    # fallback march of a plain solve, at 20 ps in the march a trajectory
-    # records to the certified root. The step budget ends both with exit 2
-    # and a one-line message instead of minutes of stepping.
+    # At 16.5 ps the solve finds a root that relaxes too slowly to settle
+    # within max_time and refuses it, in milliseconds. At 20 ps it certifies
+    # the lasing root, but the march a trajectory records to it builds the
+    # photon number up over thousands of ps while its step falls below
+    # 0.02 ps, and the step budget ends it. Both exit 2 with a one-line
+    # message instead of minutes of stepping.
     config = tmp_path / "run.cfg"
     config.write_text(
         "[model]\ng_multiple_of_omega_r0 = 0.20\n"
@@ -314,7 +366,7 @@ def test_slow_march_past_threshold_exits_2(tmp_path, lifetime_ps, extra):
     )
     assert result.returncode == 2, result.stderr
     assert result.stderr.count("\n") == 1
-    assert "steps" in result.stderr
+    assert ("steps" if extra else "not converged") in result.stderr
 
 
 def test_steady_state_is_fixed_point_of_integration():
@@ -412,11 +464,12 @@ def test_steady_state_accepts_initial_guess():
     assert warm.n_p == pytest.approx(reference.n_p, rel=1e-9)
 
 
-def test_unstable_root_falls_back_to_march():
+def test_unstable_root_falls_back_to_pump_ladder(monkeypatch):
     # Past the lasing threshold the carrier-saturated singlet root
     # n_p = g^2 / (gamma_c (gamma_c + gamma_deph) - g^2) is negative and
     # unstable. Continuation from vacuum lands on it, so steady_state must
-    # reject it and reach the lasing state a time-march reaches.
+    # reject it and reach the lasing state through the pump ladder, which
+    # never marches.
     params = saturated_params(30.0)
     gc = params.gamma_c
     singlet_root = G_DIP**2 / (gc * (gc + params.gamma_deph) - G_DIP**2)
@@ -429,6 +482,10 @@ def test_unstable_root_falls_back_to_march():
     rates = np.linalg.eigvals(jac(0.0, landed)[:SINGLET_DIM, :SINGLET_DIM])
     assert max(rates.real) == pytest.approx(0.020, abs=0.001)
 
+    def no_march(*args, **kwargs):
+        raise AssertionError("steady_state marched")
+
+    monkeypatch.setattr(solver, "integrate", no_march)
     state = steady_state(params, FACTORIZED, CFG)
     assert state.n_p == pytest.approx(972981.853828596, rel=1e-8)
 

@@ -15,7 +15,6 @@ from qdcavity import (
     ValidationError,
     default_params,
     observables_of,
-    regime_classify,
     run_sweep,
     steady_state,
 )
@@ -129,7 +128,7 @@ def test_non_convergence_is_captured_not_raised():
     assert math.isfinite(record.observables.photon_number)
 
 
-def fabricated(g2, rate, pump=1.0):
+def fabricated(g2, rate):
     obs = Observables(
         photon_number=0.1,
         two_photon=0.02 if g2 is None else g2 * 0.01,
@@ -138,25 +137,8 @@ def fabricated(g2, rate, pump=1.0):
     )
     return SweepRecord(
         gamma_cav=1.0, g_over_omega_r0=0.2,
-        pump=pump, toggles=FULL, observables=obs, converged=True,
+        pump=1.0, toggles=FULL, observables=obs, converged=True,
     )
-
-
-def test_regime_classification():
-    records = [
-        fabricated(g2=0.5, rate=0.5),
-        fabricated(g2=0.01, rate=0.01),
-        fabricated(g2=0.01, rate=1e-5),
-        fabricated(g2=None, rate=0.5),
-    ]
-    assert regime_classify(records) == ["strong", "purcell", "weak", "purcell"]
-
-
-def test_regime_classification_rejects_mixed_pumps():
-    records = [fabricated(g2=0.5, rate=0.5, pump=1.0),
-               fabricated(g2=0.5, rate=0.5, pump=2.0)]
-    with pytest.raises(ValueError):
-        regime_classify(records)
 
 
 def test_csv_schema_and_tokens():
