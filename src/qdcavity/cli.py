@@ -1,10 +1,10 @@
 """Command-line surface: simulate | sweep | oracle-compare.
 
-Exit codes: 0 success, 1 configuration error, 2 steady state not reached
-(the hierarchy did not converge or its integration failed, or the reference
-model has no unique, well-formed steady state), 3 reference-model
-disagreement beyond the configured band, 4 photon-space truncation still
-too small at its cap.
+Exit codes: 0 success, 1 configuration or output error, 2 steady state
+not reached (the hierarchy did not converge or its integration failed, or
+the reference model has no unique, well-formed steady state), 3 reference-
+model disagreement beyond the configured band, 4 photon-space truncation
+still too small at its cap.
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ def cmd_simulate(args) -> int:
     except SolverError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 1
     _print_observables(observables_of(state, config.params), converged=True)
     return 0
 
@@ -131,15 +134,21 @@ def cmd_sweep(args) -> int:
     table = SweepTable(tuple(records))
     fmt = args.format or config.output_format
     out_path = Path(args.out or config.output_path)
-    if fmt == "csv":
-        _write_text(out_path, "\n".join([table.header()] + table.csv_rows()) + "\n")
-        plot_path = out_path.with_suffix(".gp")
-        _write_text(
-            plot_path, _GNUPLOT_TEMPLATE.format(csv_name=out_path.name)
-        )
-        print(f"plot template written to {plot_path}")
-    else:
-        _write_text(out_path, "\n".join(table.jsonl_rows()) + "\n")
+    try:
+        if fmt == "csv":
+            _write_text(
+                out_path, "\n".join([table.header()] + table.csv_rows()) + "\n"
+            )
+            plot_path = out_path.with_suffix(".gp")
+            _write_text(
+                plot_path, _GNUPLOT_TEMPLATE.format(csv_name=out_path.name)
+            )
+            print(f"plot template written to {plot_path}")
+        else:
+            _write_text(out_path, "\n".join(table.jsonl_rows()) + "\n")
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 1
     failed = sum(1 for r in records if not r.converged)
     print(f"wrote {len(records)} records to {out_path}"
           + (f" ({failed} not converged)" if failed else ""))

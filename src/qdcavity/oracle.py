@@ -44,6 +44,11 @@ vec(A rho B) = (A kron B^T) vec(rho).
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
+
+scipy is imported inside the functions that call it: every simulate and
+sweep process imports this module (config reads its cutoff constants) but
+never runs the oracle, and a module-level scipy import would triple their
+start-up time.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply, splu
 
 from .errors import OracleError, SingularSteadyState, TruncationTooSmall
 from .model import ModelParams, validate
@@ -189,6 +192,8 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace, entries=None):
     default, every entry in vec order, gives the full (dim^2 x dim^2)
     generator of d vec(rho) / dt. Rates are in 1/ps.
     """
+    from scipy import sparse
+
     validate(params)
     dim = space.dim
     entries = np.arange(dim * dim) if entries is None else np.asarray(entries)
@@ -283,6 +288,9 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
     dimension above one there leaves the substituted matrix singular and
     raises SingularSteadyState.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     entries = charge_sector(space)
     gen = build_liouvillian(params, space, entries)
     dim = space.dim
@@ -380,6 +388,8 @@ def propagate(
     times must be non-negative and strictly increasing. Returns an array of
     shape (len(times), dim, dim).
     """
+    from scipy.sparse.linalg import expm_multiply
+
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")

@@ -36,8 +36,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
-# Unused: kept only because perfbench's tracer patches solver.solve_ivp.
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .dynamics import (
     SINGLET_DIM,
@@ -48,6 +46,19 @@ from .dynamics import (
 )
 from .errors import NonFiniteState, NotConverged, SolverError, StiffnessFailure
 from .model import ModelParams, validate
+
+
+def __getattr__(name):
+    # Unused by the solver: solver.solve_ivp exists only because perfbench's
+    # tracer reads and patches it. Imported on first access so that a solve
+    # never loads scipy. Delete this hook once the tracer stops patching it
+    # (ROADMAP item 3).
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Bound on continuation iterates, accepted or rejected. Roots reached from
 # vacuum take about 20; a step quartered this often (4**-100) stays far above

@@ -1,6 +1,9 @@
 """Configuration parsing with line-numbered errors, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -398,6 +401,23 @@ def test_cli_sweep_jsonl_format(tmp_path, capsys):
         assert row["g_over_omega_r0"] == 0.2
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trajectory"],
+    ["sweep", "--format", "csv"],
+    ["sweep", "--format", "jsonl"],
+])
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, command):
+    path = config_file(tmp_path, SWEEP_TEXT)
+    out_dir = tmp_path / "taken"
+    out_dir.mkdir()
+    argv = command[:1] + ["--config", path, "--out", str(out_dir)] + command[1:]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("output error: ")
+
+
 def test_cli_sweep_requires_grid(tmp_path, capsys):
     path = config_file(tmp_path, MINIMAL)
     assert main(["sweep", "--config", path]) == 1
@@ -466,3 +486,54 @@ def test_cli_usage_errors_return_1(tmp_path, capsys):
 def test_cli_help_returns_0(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: these tests import scipy themselves.
+_LEAN_CHILD = """\
+import json
+import sys
+import qdcavity
+from qdcavity import cli
+run, sweep, out = sys.argv[1:]
+codes = [
+    cli.main(["simulate", "--config", run]),
+    cli.main(["simulate", "--config", run, "--trajectory", "--out", out]),
+    cli.main(["sweep", "--config", sweep, "--out", out]),
+]
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+_ORACLE_CHILD = """\
+import sys
+from qdcavity import cli, solver
+code = cli.main(["oracle-compare", "--config", sys.argv[1]])
+import scipy.integrate
+assert solver.solve_ivp is scipy.integrate.solve_ivp
+sys.exit(code)
+"""
+
+
+def _fresh_python(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_simulate_and_sweep_never_import_scipy(tmp_path):
+    run = config_file(tmp_path, MINIMAL)
+    sweep = config_file(tmp_path, SWEEP_TEXT, name="sweep.cfg")
+    lean = _fresh_python(_LEAN_CHILD, run, sweep, str(tmp_path / "out.csv"))
+    assert lean.returncode == 0, lean.stderr
+    report = json.loads(lean.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": []}
+    # The oracle's function-local imports, and the tracer's solve_ivp hook,
+    # resolve in a clean process.
+    oracle = _fresh_python(_ORACLE_CHILD, config_file(tmp_path, ORACLE_TEXT,
+                                                      name="oracle.cfg"))
+    assert oracle.returncode == 0, oracle.stdout + oracle.stderr
+    assert "within_band=" in oracle.stdout
