@@ -10,6 +10,7 @@ still too small at its cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -80,8 +81,8 @@ def _write_text(path: Path, text: str) -> None:
 def _write_trajectory(path: Path, trajectory) -> None:
     lines = ["t_ps," + ",".join(ARRAY_FIELDS)]
     for t, state in zip(trajectory.times, trajectory.states):
-        row = state.to_array()
-        lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row))
+        row = state.to_array().tolist()
+        lines.append(repr(float(t)) + "," + ",".join(map(repr, row)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -240,10 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: building costs several times a parse.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for non-convergence
         # here, so usage problems map to the configuration-error code.

@@ -85,16 +85,9 @@ class DynamicState:
         y = np.asarray(y, dtype=float)
         if y.shape != (STATE_DIM,):
             raise ValueError(f"expected shape ({STATE_DIM},), got {y.shape}")
-        return cls(
-            n_e=float(y[0]),
-            n_h=float(y[1]),
-            n_p=float(y[2]),
-            p=complex(y[3], y[4]),
-            d_photon2=float(y[5]),
-            d_bc_aaa=complex(y[6], y[7]),
-            d_ce_phot=float(y[8]),
-            d_h_phot=float(y[9]),
-        )
+        n_e, n_h, n_p, re_p, im_p, d2, re_t, im_t, d_e, d_h = y.tolist()
+        return cls(n_e, n_h, n_p, complex(re_p, im_p), d2,
+                   complex(re_t, im_t), d_e, d_h)
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,14 @@ TOGGLE_VARIANTS = {
     "factorized": CorrelationToggles(False, False),
 }
 
+# Flat indices, 10 i + j, of the Jacobian's state-dependent entries [i, j],
+# in the order jacobian lists their values.
+_SINGLET_ENTRIES = np.array([0, 1, 10, 11, 30, 31, 32])
+_DOUBLET_ENTRIES = np.array([
+    0, 1, 10, 11, 30, 31, 32,
+    60, 61, 62, 63, 64, 65, 68, 69, 73, 74, 80, 82, 83, 91, 92, 93,
+])
+
 
 def make_rhs(params: ModelParams, toggles: CorrelationToggles):
     """Build (rhs, jacobian) callables over the flat 10-component layout.
@@ -156,89 +157,97 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
 
     def rhs(t, y):
         ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
-        if not doublets:
-            d2 = dTr = dTi = de = dh = 0.0
-        f = np.empty(STATE_DIM)
         # The -+2 g Re p exchange terms cancel between the carrier and photon
         # equations, so d(n_e + n_p)/dt is pump and loss only.
-        f[0] = -2.0 * g * pr + P * (1.0 - ne) - gnr * ne - gnl * ne * nh
-        f[1] = -2.0 * g * pr + P * (1.0 - nh) - gnr * nh - gnl * ne * nh
-        f[2] = 2.0 * g * pr - 2.0 * gc * nph
-        f[3] = (
+        f0 = -2.0 * g * pr + P * (1.0 - ne) - gnr * ne - gnl * ne * nh
+        f1 = -2.0 * g * pr + P * (1.0 - nh) - gnr * nh - gnl * ne * nh
+        f2 = 2.0 * g * pr - 2.0 * gc * nph
+        f3 = (
             -(gam + gc) * pr + det * pi
             + g * ne * nh + g * (ne + nh - 1.0) * nph
         )
-        if doublets:
-            f[3] += g * (de + dh)
-        f[4] = -(gam + gc) * pi - det * pr
-        if doublets:
-            f[5] = -4.0 * gc * d2 + 4.0 * g * dTr
-            f[6] = (
-                -(gam + 3.0 * gc) * dTr - det * dTi
-                + 2.0 * g * (nh + nph) * de + 2.0 * g * (ne + nph) * dh
-                - 2.0 * g * (pr * pr - pi * pi)
-            )
-            if inversion:
-                f[6] += g * (ne + nh - 1.0) * d2
-            f[7] = -(gam + 3.0 * gc) * dTi + det * dTr - 4.0 * g * pr * pi
-            f[8] = -(gnr + 2.0 * gc) * de - 2.0 * g * (pr * (ne + nph) + dTr)
-            f[9] = -(gnr + 2.0 * gc) * dh - 2.0 * g * (pr * (nh + nph) + dTr)
-        else:
-            f[5:] = 0.0
-        return f
+        f4 = -(gam + gc) * pi - det * pr
+        if not doublets:
+            return np.array((f0, f1, f2, f3, f4, 0.0, 0.0, 0.0, 0.0, 0.0))
+        f3 += g * (de + dh)
+        f5 = -4.0 * gc * d2 + 4.0 * g * dTr
+        f6 = (
+            -(gam + 3.0 * gc) * dTr - det * dTi
+            + 2.0 * g * (nh + nph) * de + 2.0 * g * (ne + nph) * dh
+            - 2.0 * g * (pr * pr - pi * pi)
+        )
+        if inversion:
+            f6 += g * (ne + nh - 1.0) * d2
+        f7 = -(gam + 3.0 * gc) * dTi + det * dTr - 4.0 * g * pr * pi
+        f8 = -(gnr + 2.0 * gc) * de - 2.0 * g * (pr * (ne + nph) + dTr)
+        f9 = -(gnr + 2.0 * gc) * dh - 2.0 * g * (pr * (nh + nph) + dTr)
+        return np.array((f0, f1, f2, f3, f4, f5, f6, f7, f8, f9))
+
+    # The state-independent entries of the Jacobian; each call copies this
+    # template and stores the state-dependent ones.
+    template = np.zeros((STATE_DIM, STATE_DIM))
+    template[0, 3] = -2.0 * g
+    template[1, 3] = -2.0 * g
+    template[2, 2] = -2.0 * gc
+    template[2, 3] = 2.0 * g
+    template[3, 3] = -(gam + gc)
+    template[3, 4] = det
+    template[4, 3] = -det
+    template[4, 4] = -(gam + gc)
+    if doublets:
+        template[3, 8] = g
+        template[3, 9] = g
+        template[5, 5] = -4.0 * gc
+        template[5, 6] = 4.0 * g
+        template[6, 6] = -(gam + 3.0 * gc)
+        template[6, 7] = -det
+        template[7, 6] = det
+        template[7, 7] = -(gam + 3.0 * gc)
+        template[8, 6] = -2.0 * g
+        template[8, 8] = -(gnr + 2.0 * gc)
+        template[9, 6] = -2.0 * g
+        template[9, 9] = -(gnr + 2.0 * gc)
 
     def jacobian(t, y):
         ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
+        J = template.copy()
+        singlet = (
+            -P - gnr - gnl * nh,        # [0, 0]
+            -gnl * ne,                  # [0, 1]
+            -gnl * nh,                  # [1, 0]
+            -P - gnr - gnl * ne,        # [1, 1]
+            g * nh + g * nph,           # [3, 0]
+            g * ne + g * nph,           # [3, 1]
+            g * (ne + nh - 1.0),        # [3, 2]
+        )
         if not doublets:
-            d2 = dTr = dTi = de = dh = 0.0
-        J = np.zeros((STATE_DIM, STATE_DIM))
-        J[0, 0] = -P - gnr - gnl * nh
-        J[0, 1] = -gnl * ne
-        J[0, 3] = -2.0 * g
-        J[1, 0] = -gnl * nh
-        J[1, 1] = -P - gnr - gnl * ne
-        J[1, 3] = -2.0 * g
-        J[2, 2] = -2.0 * gc
-        J[2, 3] = 2.0 * g
-        J[3, 0] = g * nh + g * nph
-        J[3, 1] = g * ne + g * nph
-        J[3, 2] = g * (ne + nh - 1.0)
-        J[3, 3] = -(gam + gc)
-        J[3, 4] = det
-        J[4, 3] = -det
-        J[4, 4] = -(gam + gc)
-        if doublets:
-            J[3, 8] = g
-            J[3, 9] = g
-            J[5, 5] = -4.0 * gc
-            J[5, 6] = 4.0 * g
-            J[6, 0] = 2.0 * g * dh
-            J[6, 1] = 2.0 * g * de
-            J[6, 2] = 2.0 * g * (de + dh)
-            J[6, 3] = -4.0 * g * pr
-            J[6, 4] = 4.0 * g * pi
-            J[6, 6] = -(gam + 3.0 * gc)
-            J[6, 7] = -det
-            J[6, 8] = 2.0 * g * (nh + nph)
-            J[6, 9] = 2.0 * g * (ne + nph)
-            if inversion:
-                J[6, 0] += g * d2
-                J[6, 1] += g * d2
-                J[6, 5] = g * (ne + nh - 1.0)
-            J[7, 3] = -4.0 * g * pi
-            J[7, 4] = -4.0 * g * pr
-            J[7, 6] = det
-            J[7, 7] = -(gam + 3.0 * gc)
-            J[8, 0] = -2.0 * g * pr
-            J[8, 2] = -2.0 * g * pr
-            J[8, 3] = -2.0 * g * (ne + nph)
-            J[8, 6] = -2.0 * g
-            J[8, 8] = -(gnr + 2.0 * gc)
-            J[9, 1] = -2.0 * g * pr
-            J[9, 2] = -2.0 * g * pr
-            J[9, 3] = -2.0 * g * (nh + nph)
-            J[9, 6] = -2.0 * g
-            J[9, 9] = -(gnr + 2.0 * gc)
+            J.put(_SINGLET_ENTRIES, singlet)
+            return J
+        j60 = 2.0 * g * dh
+        j61 = 2.0 * g * de
+        j65 = 0.0
+        if inversion:
+            j60 += g * d2
+            j61 += g * d2
+            j65 = g * (ne + nh - 1.0)
+        J.put(_DOUBLET_ENTRIES, singlet + (
+            j60,                        # [6, 0]
+            j61,                        # [6, 1]
+            2.0 * g * (de + dh),        # [6, 2]
+            -4.0 * g * pr,              # [6, 3]
+            4.0 * g * pi,               # [6, 4]
+            j65,                        # [6, 5]
+            2.0 * g * (nh + nph),       # [6, 8]
+            2.0 * g * (ne + nph),       # [6, 9]
+            -4.0 * g * pi,              # [7, 3]
+            -4.0 * g * pr,              # [7, 4]
+            -2.0 * g * pr,              # [8, 0]
+            -2.0 * g * pr,              # [8, 2]
+            -2.0 * g * (ne + nph),      # [8, 3]
+            -2.0 * g * pr,              # [9, 1]
+            -2.0 * g * pr,              # [9, 2]
+            -2.0 * g * (nh + nph),      # [9, 3]
+        ))
         return J
 
     return rhs, jacobian

@@ -235,6 +235,37 @@ def apply_liouvillian(generator, rho: np.ndarray) -> np.ndarray:
     return np.asarray(generator @ rho.reshape(-1)).reshape(dim, dim)
 
 
+def _min_eigenvalue(herm: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, block by block.
+
+    The blocks are the connected components of its nonzero pattern (a
+    steady state of the charge sector has blocks of at most two states);
+    the blocks of each size go to one batched eigvalsh. A matrix with no
+    zero pattern is one block.
+    """
+    dim = herm.shape[0]
+    linked = herm != 0
+    # Each state takes the smallest label among its neighbours, then the
+    # label of its label; at the fixed point a component shares one label.
+    labels = np.arange(dim)
+    while True:
+        new = np.minimum(labels, np.where(linked, labels, dim).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(
+        labels[order], return_index=True, return_counts=True
+    )
+    smallest = math.inf
+    for size in np.unique(sizes).tolist():
+        members = order[starts[sizes == size][:, None] + np.arange(size)]
+        blocks = herm[members[:, :, None], members[:, None, :]]
+        smallest = min(smallest, float(np.linalg.eigvalsh(blocks).min()))
+    return smallest
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated open-system state."""
@@ -251,7 +282,7 @@ class DensityMatrix:
         trace = complex(np.trace(rho))
         if abs(trace - 1.0) > 1e-10:
             problems.append(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+        min_eig = _min_eigenvalue(0.5 * (rho + rho.conj().T))
         if min_eig < -1e-10:
             problems.append(f"negative eigenvalue {min_eig:.3e}")
         if problems:

@@ -210,6 +210,9 @@ _RODAS_STAGES = tuple(np.array(rows) for rows in (
      (8.083246795921522, -7.981132988064893, -31.52159432874371,
       16.31930543123136, -6.058818238834054)),
 ))
+# W is formed as _EYE / (h gamma) - J, not as -J plus a diagonal: negating
+# J flips the sign of its zero entries.
+_EYE = np.eye(STATE_DIM)
 
 
 def _rodas_step(rhs, y, f, J, h):
@@ -220,13 +223,13 @@ def _rodas_step(rhs, y, f, J, h):
     Returns the new state y + sum_j a_5j k_j + k_5 + k_6 and the error
     estimate k_6.
     """
-    w_inv = np.linalg.inv(np.eye(y.size) / (h * _RODAS_GAMMA) - J)
-    ks = np.empty((6, y.size))
+    w_inv = np.linalg.inv(_EYE / (h * _RODAS_GAMMA) - J)
+    ks = np.empty((6, STATE_DIM))
     ks[0] = w_inv @ f
     for i, coefficients in enumerate(_RODAS_STAGES, start=1):
-        a_sum, c_sum = coefficients @ ks[:i]
-        stage = y + a_sum
-        ks[i] = w_inv @ (rhs(0.0, stage) + c_sum / h)
+        sums = np.dot(coefficients, ks[:i])
+        stage = y + sums[0]
+        ks[i] = w_inv @ (rhs(0.0, stage) + sums[1] / h)
     return stage + ks[5], ks[5]
 
 
@@ -256,11 +259,13 @@ def integrate(
     horizon = cfg.max_time if t_end is None else t_end
     if not (horizon > 0.0):
         raise ValueError(f"t_end must be > 0, got {horizon}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteState("non-finite state at t = 0 ps")
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     t = 0.0
     times, ys = [t], [y]
     f, J = rhs(t, y), jac(t, y)
+    abs_y = np.abs(y)
     h = cfg.initial_step
     rejected = False
     for _ in range(MAX_MARCH_STEPS):
@@ -268,17 +273,16 @@ def integrate(
         if last:
             h = horizon - t
         y_new, error = _rodas_step(rhs, y, f, J, h)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
-        ratio = error / (
-            cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        )
-        err = math.sqrt(float(ratio @ ratio) / ratio.size)
+        abs_new = np.abs(y_new)
+        ratio = error / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
+        err = math.sqrt(float(ratio @ ratio) / STATE_DIM)
         # An exact step (err 0) grows the next one by the full factor 6.
         factor = min(6.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.25))
         if err <= 1.0:
             t = horizon if last else t + h
-            y = y_new
+            y, abs_y = y_new, abs_new
             times.append(t)
             ys.append(y)
             if last:

@@ -6,8 +6,13 @@ arithmetic throughout, dict-of-fields states, no flat array layout, no code
 shared with the package. Together with the fixed-step integrator below it
 gives a second route to every dynamical prediction, so agreement between the
 two routes is a meaningful cross-check rather than a tautology.
+
+The flat-array references further down are the opposite: the package's own
+arithmetic, written as plain item stores into fresh arrays, against which
+the package's closures and RODAS4 step are compared byte for byte.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from qdcavity import DynamicState, ModelParams
@@ -88,6 +93,119 @@ def reference_rhs(state, params, include_doublets=True,
         out["d_ce_phot"] = 0.0
         out["d_h_phot"] = 0.0
     return out
+
+
+def store_rhs_and_jacobian(params, toggles):
+    """(rhs, jacobian) over the flat layout, one item store per entry.
+
+    The same floating-point operations, in the same order, as
+    qdcavity.dynamics.make_rhs; its closures must agree to the byte.
+    """
+    g = params.g
+    gc = params.gamma_c
+    gam = params.gamma_deph
+    gnr = params.gamma_nr
+    gnl = params.gamma_nl
+    P = params.pump
+    det = params.detuning
+    doublets = toggles.include_doublets
+    inversion = toggles.include_inversion_term
+
+    def rhs(t, y):
+        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
+        f = np.empty(10)
+        f[0] = -2.0 * g * pr + P * (1.0 - ne) - gnr * ne - gnl * ne * nh
+        f[1] = -2.0 * g * pr + P * (1.0 - nh) - gnr * nh - gnl * ne * nh
+        f[2] = 2.0 * g * pr - 2.0 * gc * nph
+        f[3] = (
+            -(gam + gc) * pr + det * pi
+            + g * ne * nh + g * (ne + nh - 1.0) * nph
+        )
+        if doublets:
+            f[3] += g * (de + dh)
+        f[4] = -(gam + gc) * pi - det * pr
+        if doublets:
+            f[5] = -4.0 * gc * d2 + 4.0 * g * dTr
+            f[6] = (
+                -(gam + 3.0 * gc) * dTr - det * dTi
+                + 2.0 * g * (nh + nph) * de + 2.0 * g * (ne + nph) * dh
+                - 2.0 * g * (pr * pr - pi * pi)
+            )
+            if inversion:
+                f[6] += g * (ne + nh - 1.0) * d2
+            f[7] = -(gam + 3.0 * gc) * dTi + det * dTr - 4.0 * g * pr * pi
+            f[8] = -(gnr + 2.0 * gc) * de - 2.0 * g * (pr * (ne + nph) + dTr)
+            f[9] = -(gnr + 2.0 * gc) * dh - 2.0 * g * (pr * (nh + nph) + dTr)
+        else:
+            f[5:] = 0.0
+        return f
+
+    def jacobian(t, y):
+        ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
+        J = np.zeros((10, 10))
+        J[0, 0] = -P - gnr - gnl * nh
+        J[0, 1] = -gnl * ne
+        J[0, 3] = -2.0 * g
+        J[1, 0] = -gnl * nh
+        J[1, 1] = -P - gnr - gnl * ne
+        J[1, 3] = -2.0 * g
+        J[2, 2] = -2.0 * gc
+        J[2, 3] = 2.0 * g
+        J[3, 0] = g * nh + g * nph
+        J[3, 1] = g * ne + g * nph
+        J[3, 2] = g * (ne + nh - 1.0)
+        J[3, 3] = -(gam + gc)
+        J[3, 4] = det
+        J[4, 3] = -det
+        J[4, 4] = -(gam + gc)
+        if doublets:
+            J[3, 8] = g
+            J[3, 9] = g
+            J[5, 5] = -4.0 * gc
+            J[5, 6] = 4.0 * g
+            J[6, 0] = 2.0 * g * dh
+            J[6, 1] = 2.0 * g * de
+            J[6, 2] = 2.0 * g * (de + dh)
+            J[6, 3] = -4.0 * g * pr
+            J[6, 4] = 4.0 * g * pi
+            J[6, 6] = -(gam + 3.0 * gc)
+            J[6, 7] = -det
+            J[6, 8] = 2.0 * g * (nh + nph)
+            J[6, 9] = 2.0 * g * (ne + nph)
+            if inversion:
+                J[6, 0] += g * d2
+                J[6, 1] += g * d2
+                J[6, 5] = g * (ne + nh - 1.0)
+            J[7, 3] = -4.0 * g * pi
+            J[7, 4] = -4.0 * g * pr
+            J[7, 6] = det
+            J[7, 7] = -(gam + 3.0 * gc)
+            J[8, 0] = -2.0 * g * pr
+            J[8, 2] = -2.0 * g * pr
+            J[8, 3] = -2.0 * g * (ne + nph)
+            J[8, 6] = -2.0 * g
+            J[8, 8] = -(gnr + 2.0 * gc)
+            J[9, 1] = -2.0 * g * pr
+            J[9, 2] = -2.0 * g * pr
+            J[9, 3] = -2.0 * g * (nh + nph)
+            J[9, 6] = -2.0 * g
+            J[9, 9] = -(gnr + 2.0 * gc)
+        return J
+
+    return rhs, jacobian
+
+
+def reference_rodas_step(rhs, y, f, J, h, gamma, stages):
+    """One RODAS4 step as qdcavity.solver._rodas_step takes it, written with
+    np.eye(n), @ and tuple unpacking of the stage sums."""
+    w_inv = np.linalg.inv(np.eye(y.size) / (h * gamma) - J)
+    ks = np.empty((6, y.size))
+    ks[0] = w_inv @ f
+    for i, coefficients in enumerate(stages, start=1):
+        a_sum, c_sum = coefficients @ ks[:i]
+        stage = y + a_sum
+        ks[i] = w_inv @ (rhs(0.0, stage) + c_sum / h)
+    return stage + ks[5], ks[5]
 
 
 def _axpy(state, deriv, h):

@@ -1,5 +1,6 @@
 """Configuration parsing with line-numbered errors, and the CLI surface."""
 
+import functools
 import json
 import os
 import subprocess
@@ -481,6 +482,30 @@ def test_cli_usage_errors_return_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", path, "--format", "csv"]) == 1
     assert "--format" in capsys.readouterr().err
+
+
+def test_cli_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(counting_build_parser))
+    path = config_file(tmp_path, SWEEP_TEXT)
+    trajectory = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", path, "--trajectory",
+                 "--out", str(trajectory)]) == 0
+    assert main(["sweep", "--config", path,
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["simulate", "--config", path, "--format", "csv"]) == 1
+    # A flag of one call does not carry over to the next.
+    capsys.readouterr()
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "plain.csv")]) == 0
+    assert "trajectory written" not in capsys.readouterr().out
+    assert not (tmp_path / "plain.csv").exists()
+    assert built == [1]
 
 
 def test_cli_help_returns_0(capsys):

@@ -23,6 +23,7 @@ from helpers import (
     rk4_step,
     state_to_dict,
     states_strategy,
+    store_rhs_and_jacobian,
     toggles_strategy,
 )
 
@@ -221,6 +222,33 @@ def test_jacobian_matches_finite_difference(state, params, toggles):
         step[j] = h
         column = (f(0.0, y + step) - f(0.0, y - step)) / (2.0 * h)
         assert np.max(np.abs(J[:, j] - column)) <= 1e-6 * scale, f"column {j}"
+
+
+@given(state=states_strategy, params=params_strategy)
+def test_rhs_and_jacobian_bytes_match_item_store_reference(state, params):
+    # Bytes, not values: a sign flipped on a zero entry shows only there.
+    y = state.to_array()
+    for toggles in TOGGLE_VARIANTS.values():
+        f, jac = make_rhs(params, toggles)
+        ref_f, ref_jac = store_rhs_and_jacobian(params, toggles)
+        assert f(0.0, y).tobytes() == ref_f(0.0, y).tobytes()
+        assert jac(0.0, y).tobytes() == ref_jac(0.0, y).tobytes()
+
+
+def test_jacobian_calls_return_fresh_arrays():
+    params = ModelParams(
+        g=0.5, gamma_c=0.7, gamma_deph=0.1, gamma_nr=0.2,
+        gamma_nl=0.3, pump=0.9, detuning=-0.4,
+    )
+    y = np.linspace(-0.4, 1.1, STATE_DIM)
+    for toggles in TOGGLE_VARIANTS.values():
+        _, jac = make_rhs(params, toggles)
+        first, second = jac(0.0, y), jac(0.0, y)
+        assert first is not second
+        expected = second.copy()
+        first[:] = 7.0
+        second[:] = 7.0
+        assert np.array_equal(jac(0.0, y), expected)
 
 
 def test_jacobian_of_pinned_inputs_matches_variant():

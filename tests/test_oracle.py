@@ -22,6 +22,7 @@ from qdcavity import (
 )
 from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState
 from qdcavity.oracle import (
+    _min_eigenvalue,
     apply_liouvillian,
     basis_density,
     build_operators,
@@ -356,6 +357,40 @@ def test_density_matrix_validation_rejects_defects():
     indefinite = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(indefinite).validate()
+
+
+def test_positivity_check_finds_an_indefinite_block_among_positive_ones():
+    # Positive 2 x 2 blocks and single states, plus one block with
+    # eigenvalues 0.05 +- 0.0707: only the pattern's blocks are checked.
+    rho = np.diag([0.2, 0.2, 0.1, 0.15, 0.05, 0.05, 0.15, 0.1]).astype(complex)
+    rho[0, 1] = 0.05j
+    rho[1, 0] = -0.05j
+    rho[2, 6] = rho[6, 2] = 0.05
+    rho[4, 5] = 0.07 - 0.01j
+    rho[5, 4] = 0.07 + 0.01j
+    rho = rho / np.trace(rho).real
+    with pytest.raises(ValueError, match=r"^negative eigenvalue -2\.07"):
+        DensityMatrix(rho).validate()
+    rho[4, 5] = rho[5, 4] = 0.01
+    DensityMatrix(rho / np.trace(rho).real).validate()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_blockwise_min_eigenvalue_matches_dense(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        herm = 0.5 * (a + a.conj().T)
+        dense = float(np.min(np.linalg.eigvalsh(herm)))
+        assert _min_eigenvalue(herm) == pytest.approx(dense, rel=1e-12)
+        # The same matrix with its states shuffled into two blocks.
+        cut = dim // 2
+        herm[:cut, cut:] = 0.0
+        herm[cut:, :cut] = 0.0
+        perm = rng.permutation(dim)
+        shuffled = herm[np.ix_(perm, perm)]
+        dense = float(np.min(np.linalg.eigvalsh(shuffled)))
+        assert _min_eigenvalue(shuffled) == pytest.approx(dense, rel=1e-12)
 
 
 def test_basis_density_unit_population():

@@ -41,7 +41,7 @@ from qdcavity.solver import (
     scaled_residual,
 )
 
-from helpers import rk4_integrate, state_to_dict
+from helpers import reference_rodas_step, rk4_integrate, state_to_dict
 
 FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
@@ -175,6 +175,26 @@ def test_rodas_step_is_fourth_order():
     gaps = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse / fine == pytest.approx(16.0, rel=0.1)
+
+
+@pytest.mark.parametrize("variant", sorted(TOGGLE_VARIANTS))
+@pytest.mark.parametrize("pump", [1e-2, 1.0, 1e5])
+def test_rodas_step_bytes_match_reference_step(variant, pump):
+    # States along a recorded march, each stepped with sizes from far below
+    # to far above the march's own.
+    params = saturated_params(3.0, pump=pump)
+    toggles = TOGGLE_VARIANTS[variant]
+    _, trajectory = steady_state(params, toggles, CFG, record=True)
+    f, jac = make_rhs(params, toggles)
+    for state in trajectory.states[::25]:
+        y = state.to_array()
+        for h in (1e-4, 1e-2, 1.0, 100.0):
+            args = (f, y, f(0.0, y), jac(0.0, y), h)
+            ours = _rodas_step(*args)
+            reference = reference_rodas_step(
+                *args, solver._RODAS_GAMMA, solver._RODAS_STAGES)
+            for a, b in zip(ours, reference):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_march_stops_at_the_step_budget(monkeypatch):
