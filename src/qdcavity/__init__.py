@@ -18,6 +18,7 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
+    MalformedSteadyState,
     NonFiniteState,
     NotConverged,
     OracleError,
@@ -81,6 +82,7 @@ __all__ = [
     "DynamicState",
     "HilbertSpace",
     "IntegrationConfig",
+    "MalformedSteadyState",
     "ModelParams",
     "NonFiniteState",
     "NotConverged",

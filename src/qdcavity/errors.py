@@ -80,6 +80,11 @@ class SingularSteadyState(OracleError):
     """The generator's null space is not one-dimensional."""
 
 
+class MalformedSteadyState(OracleError):
+    """The reference steady state fails a check: Hermiticity, unit trace or
+    positivity."""
+
+
 class ConfigError(ValueError):
     """A configuration file failed to parse or validate.
 

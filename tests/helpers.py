@@ -9,7 +9,9 @@ two routes is a meaningful cross-check rather than a tautology.
 
 The flat-array references further down are the opposite: the package's own
 arithmetic, written as plain item stores into fresh arrays, against which
-the package's closures and RODAS4 step are compared byte for byte.
+the package's closures and RODAS4 step are compared byte for byte. The dense
+steady state after them is the oracle's charge-sector solve carried through
+a full density matrix, against which the block-kept state is compared.
 """
 
 import numpy as np
@@ -206,6 +208,37 @@ def reference_rodas_step(rhs, y, f, J, h, gamma, stages):
         stage = y + a_sum
         ks[i] = w_inv @ (rhs(0.0, stage) + c_sum / h)
     return stage + ks[5], ks[5]
+
+
+def dense_steady_state(params, space):
+    """The oracle's stationary state as a dense dim x dim rho.
+
+    The same charge-sector solve as qdcavity.oracle.steady_state_density,
+    with the trace row stacked onto the generator by scipy, the solution
+    scattered into the full matrix, symmetrised and normalised there, and
+    positivity checked by one dense eigvalsh.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    from qdcavity.oracle import build_liouvillian, charge_sector
+
+    entries = charge_sector(space)
+    gen = build_liouvillian(params, space, entries)
+    dim = space.dim
+    rows, cols = np.divmod(entries, dim)
+    trace_row = sparse.csr_matrix((rows == cols).astype(complex))
+    system = sparse.vstack([trace_row, gen[1:]], format="csc")
+    rhs = np.zeros(entries.size, dtype=complex)
+    rhs[0] = 1.0
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[rows, cols] = splu(system).solve(rhs)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    return rho
 
 
 def _axpy(state, deriv, h):

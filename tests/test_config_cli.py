@@ -8,9 +8,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli
+from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli, oracle
 from qdcavity.cli import main
 from qdcavity.config import (
     DEFAULT_AGREEMENT_BAND,
@@ -471,6 +472,67 @@ def test_cli_oracle_compare_solver_failures_exit_2(
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert str(error) in err
+
+
+def _defective_state(defect):
+    """A DensityMatrix factory that plants a defect in the solved state."""
+    real = oracle.DensityMatrix
+
+    def build(space, values):
+        entries = oracle.charge_sector(space)
+        rows, cols = np.divmod(entries, space.dim)
+        k = np.flatnonzero(rows < cols)[0]
+        partner = np.flatnonzero(entries == cols[k] * space.dim + rows[k])[0]
+        values = values.copy()
+        if defect == "asymmetric":
+            values[k] += 1e-6
+        elif defect == "trace":
+            values *= 2.0
+        else:
+            values[[k, partner]] += 1.0
+        return real(space, values)
+
+    return build
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("asymmetric", "hermiticity violated by 1.000e-06"),
+    ("trace", "trace deviates from 1 by 1.000e+00"),
+    ("indefinite", "negative eigenvalue"),
+])
+def test_cli_oracle_compare_malformed_reference_state_exits_2(
+    tmp_path, capsys, monkeypatch, defect, message
+):
+    monkeypatch.setattr(oracle, "DensityMatrix", _defective_state(defect))
+    path = config_file(tmp_path, ORACLE_TEXT)
+    assert main(["oracle-compare", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("reference model failed: ")
+    assert message in err
+
+
+def test_cli_oracle_compare_truncation_at_the_cap_exits_4(tmp_path, capsys):
+    # The first `cap` entry of the perfbench single_point pool: the top
+    # Fock level still holds population at n_max = 32 and 64.
+    text = textwrap.dedent("""\
+        [model]
+        g_multiple_of_omega_r0 = 10.78801666820234
+        gamma_c_per_ps = 0.05142511214117223
+        pump_per_ps = 10.82299305592718
+        [toggles]
+        variant = no_inversion
+        [oracle]
+        n_max = 32
+    """)
+    path = config_file(tmp_path, text)
+    assert main(["oracle-compare", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("truncation failure: top Fock level n=64 ")
 
 
 def test_cli_usage_errors_return_1(tmp_path, capsys):

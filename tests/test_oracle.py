@@ -10,7 +10,9 @@ from scipy.sparse.linalg import splu
 from qdcavity import (
     DensityMatrix,
     HilbertSpace,
+    MalformedSteadyState,
     ModelParams,
+    ReferenceRabi,
     SingularSteadyState,
     TruncationTooSmall,
     build_hamiltonian,
@@ -22,7 +24,7 @@ from qdcavity import (
 )
 from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState
 from qdcavity.oracle import (
-    _min_eigenvalue,
+    TOP_LEVEL_LIMIT,
     apply_liouvillian,
     basis_density,
     build_operators,
@@ -33,6 +35,8 @@ from qdcavity.oracle import (
     top_level_population,
 )
 from qdcavity.solver import IntegrationConfig
+
+from helpers import assert_close, dense_steady_state
 
 FULL = TOGGLE_VARIANTS["full"]
 
@@ -85,6 +89,11 @@ def full_space_steady_state(params, space):
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
     return splu(system).solve(rhs).reshape(dim, dim)
+
+
+def sector_state(rho, space):
+    """The state of a dense rho whose entries outside the sector are 0."""
+    return DensityMatrix(space, rho.reshape(-1)[charge_sector(space)])
 
 
 def random_params(rng):
@@ -210,6 +219,46 @@ def test_sector_steady_state_matches_full_space_solve():
             reference = full_space_steady_state(params, space)
             rho = steady_state_density(params, space).elements
             assert np.max(np.abs(rho - reference)) < 1e-12
+
+
+# (coupling multiple, gamma_c, pump) at the centres of the perfbench
+# single_point oracle classes: resolved at n_max 8, 16, 32 and 64, and still
+# truncated at 64.
+POOL_LIKE = (
+    (0.5, 0.05, 1.0), (10.0, 0.5, 10.0), (10.0, 0.1, 3.0),
+    (10.0, 0.1, 10.0), (10.0, 0.05, 10.0),
+)
+
+
+@pytest.mark.parametrize("n_max", [16, 32, 64])
+def test_sector_state_matches_the_dense_path(n_max):
+    space = HilbertSpace(n_max)
+    ops = build_operators(space)
+    a_dag = ops.a.conj().T
+    pair = a_dag @ a_dag @ ops.a @ ops.a
+    top = [state_index(space, e, h, n_max) for e in (0, 1) for h in (0, 1)]
+    resolved = 0
+    for g_multiple, gamma_c, pump in POOL_LIKE:
+        params = default_params(
+            g=ReferenceRabi().coupling_for(g_multiple), gamma_c=gamma_c,
+            pump=pump,
+        )
+        rho = dense_steady_state(params, space)
+        state = steady_state_density(params, space)
+        # The same arithmetic in the same order: the same bits.
+        assert np.array_equal(state.elements, rho)
+        if sum(rho[k, k].real for k in top) >= TOP_LEVEL_LIMIT:
+            with pytest.raises(TruncationTooSmall):
+                oracle_steady_observables(params, space)
+            continue
+        resolved += 1
+        obs = oracle_steady_observables(params, space)
+        n_p = float(np.trace(ops.n_photon @ rho).real)
+        two = float(np.trace(pair @ rho).real)
+        assert_close(obs.photon_number, n_p, 1e-12, "n_p")
+        assert_close(obs.two_photon, two, 1e-12, "<a+a+aa>")
+        assert_close(obs.g2_zero, two / n_p ** 2, 1e-12, "g2")
+    assert resolved == {16: 2, 32: 3, 64: 4}[n_max]
 
 
 def test_photon_decay_through_propagate():
@@ -339,58 +388,74 @@ def test_truncation_convergence_of_observables():
 
 def test_top_level_population_accounting():
     space = HilbertSpace(2)
-    rho = basis_density(space, 1, 0, 2)
-    assert top_level_population(rho, space) == 1.0
-    assert top_level_population(basis_density(space, 1, 0, 1), space) == 0.0
+    top = np.diag(basis_density(space, 1, 0, 2)).real
+    assert top_level_population(top, space) == 1.0
+    below = np.diag(basis_density(space, 1, 0, 1)).real
+    assert top_level_population(below, space) == 0.0
 
 
 def test_density_matrix_validation_rejects_defects():
-    good = np.eye(4, dtype=complex) / 4.0
-    DensityMatrix(good).validate()
+    space = HilbertSpace(1)
+    good = np.eye(space.dim, dtype=complex) / space.dim
+    state = sector_state(good, space).validate()
+    assert np.array_equal(state.elements, good)
+    assert np.array_equal(state.populations, np.diag(good).real)
+    # |0,0,1> and |1,1,0> (states 1 and 6) share the charge Q = 2.
     skew = good.copy()
-    skew[0, 1] = 1e-3
-    with pytest.raises(ValueError, match="hermiticity"):
-        DensityMatrix(skew).validate()
-    off_trace = good * 2.0
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(off_trace).validate()
-    indefinite = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(indefinite).validate()
+    skew[1, 6] = 1e-3
+    with pytest.raises(MalformedSteadyState, match="hermiticity"):
+        sector_state(skew, space).validate()
+    with pytest.raises(MalformedSteadyState, match="trace"):
+        sector_state(good * 2.0, space).validate()
+    indefinite = np.diag([0.75, 0.75, -0.25, -0.25, 0, 0, 0, 0])
+    with pytest.raises(MalformedSteadyState, match="eigenvalue"):
+        sector_state(indefinite.astype(complex), space).validate()
+
+
+# At n_max = 1 the charge blocks are {0}, {1, 6}, {2, 4}, {3, 5} and {7}.
+def _blocks_state(coupling_35):
+    rho = np.diag([0.2, 0.2, 0.1, 0.05, 0.15, 0.05, 0.15, 0.1]).astype(complex)
+    rho[1, 6] = 0.05j
+    rho[6, 1] = -0.05j
+    rho[2, 4] = rho[4, 2] = 0.05
+    rho[3, 5] = coupling_35
+    rho[5, 3] = np.conj(coupling_35)
+    return rho
 
 
 def test_positivity_check_finds_an_indefinite_block_among_positive_ones():
-    # Positive 2 x 2 blocks and single states, plus one block with
-    # eigenvalues 0.05 +- 0.0707: only the pattern's blocks are checked.
-    rho = np.diag([0.2, 0.2, 0.1, 0.15, 0.05, 0.05, 0.15, 0.1]).astype(complex)
-    rho[0, 1] = 0.05j
-    rho[1, 0] = -0.05j
-    rho[2, 6] = rho[6, 2] = 0.05
-    rho[4, 5] = 0.07 - 0.01j
-    rho[5, 4] = 0.07 + 0.01j
-    rho = rho / np.trace(rho).real
-    with pytest.raises(ValueError, match=r"^negative eigenvalue -2\.07"):
-        DensityMatrix(rho).validate()
-    rho[4, 5] = rho[5, 4] = 0.01
-    DensityMatrix(rho / np.trace(rho).real).validate()
+    # Block {3, 5} has eigenvalues 0.05 +- 0.0707; the others are positive.
+    space = HilbertSpace(1)
+    with pytest.raises(MalformedSteadyState,
+                       match=r"^negative eigenvalue -2\.071e-02$"):
+        sector_state(_blocks_state(0.07 - 0.01j), space).validate()
+    sector_state(_blocks_state(0.01), space).validate()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 7, 40])
-def test_blockwise_min_eigenvalue_matches_dense(dim):
-    rng = np.random.default_rng(dim)
+def test_positivity_check_finds_a_negative_lone_population():
+    space = HilbertSpace(1)
+    rho = _blocks_state(0.01)
+    rho[7, 7] = -0.01
+    rho[0, 0] += 0.11
+    with pytest.raises(MalformedSteadyState,
+                       match=r"^negative eigenvalue -1\.000e-02$"):
+        sector_state(rho, space).validate()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 40])
+def test_blockwise_min_eigenvalue_matches_dense(n_max):
+    space = HilbertSpace(n_max)
+    entries = charge_sector(space)
+    rng = np.random.default_rng(n_max)
     for _ in range(5):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        herm = 0.5 * (a + a.conj().T)
-        dense = float(np.min(np.linalg.eigvalsh(herm)))
-        assert _min_eigenvalue(herm) == pytest.approx(dense, rel=1e-12)
-        # The same matrix with its states shuffled into two blocks.
-        cut = dim // 2
-        herm[:cut, cut:] = 0.0
-        herm[cut:, :cut] = 0.0
-        perm = rng.permutation(dim)
-        shuffled = herm[np.ix_(perm, perm)]
-        dense = float(np.min(np.linalg.eigvalsh(shuffled)))
-        assert _min_eigenvalue(shuffled) == pytest.approx(dense, rel=1e-12)
+        a = np.zeros(space.dim ** 2, dtype=complex)
+        a[entries] = rng.normal(size=entries.size) \
+            + 1j * rng.normal(size=entries.size)
+        a = a.reshape(space.dim, space.dim)
+        # A non-Hermitian rho counts by its Hermitian part.
+        dense = float(np.min(np.linalg.eigvalsh(0.5 * (a + a.conj().T))))
+        blockwise = sector_state(a, space).min_eigenvalue()
+        assert blockwise == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 def test_basis_density_unit_population():
