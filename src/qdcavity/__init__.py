@@ -52,7 +52,6 @@ from .observables import (
 from .oracle import (
     DensityMatrix,
     HilbertSpace,
-    build_hamiltonian,
     build_liouvillian,
     oracle_steady_observables,
     steady_observables_auto,
@@ -105,7 +104,6 @@ __all__ = [
     "TruncationTooSmall",
     "VacuumUndefined",
     "ValidationError",
-    "build_hamiltonian",
     "build_liouvillian",
     "coupling_strength",
     "default_params",

@@ -108,12 +108,6 @@ class CorrelationToggles:
         if self.include_inversion_term and not self.include_doublets:
             raise ValueError("include_inversion_term requires include_doublets")
 
-    @property
-    def variant_name(self) -> str:
-        if not self.include_doublets:
-            return "factorized"
-        return "full" if self.include_inversion_term else "no_inversion"
-
     @classmethod
     def from_name(cls, name: str) -> "CorrelationToggles":
         try:

@@ -40,11 +40,15 @@ Q = 2m, |1,0,m> and |0,1,m> for Q = 2m + 1, so the state is checked block
 by block and its populations are read straight off its diagonal entries.
 
 Each operator of the model sends one basis state to one basis state with a
-single weight, so build_liouvillian assembles the generator on any closed
-set of density-matrix entries directly from those index maps. Entries are
-numbered in row-major (C-order) vectorization, i * dim + j for rho[i, j];
-the full generator, every entry in that order, acts on vec(rho) as
-vec(A rho B) = (A kron B^T) vec(rho).
+single weight, and the generator is linear in seven rates: detuning, g,
+2 gamma_c, pump, gamma_nr, gamma_nl and gamma_deph / 2. Its sparsity
+pattern on the sector, the union of every term's pattern, and an
+nnz x 7 table of each entry's coefficient per rate are therefore fixed by
+the cutoff alone; they are built once per HilbertSpace from those index
+maps and cached, and build_liouvillian forms the values as that table
+times the rate vector. A zero rate leaves explicit zeros, so the pattern
+never changes with the parameters. Entries are numbered in row-major
+(C-order) vectorization, i * dim + j for rho[i, j].
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
@@ -58,7 +62,6 @@ start-up time.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,56 +106,21 @@ def state_index(space: HilbertSpace, n_e: int, n_h: int, n_photon: int) -> int:
     return (2 * n_e + n_h) * (space.n_max + 1) + n_photon
 
 
-class Operators:
-    """Dense matrices of the elementary mode operators on the product space."""
-
-    def __init__(self, space: HilbertSpace):
-        n_ph = space.n_max + 1
-        lower = np.zeros((2, 2), dtype=complex)
-        lower[0, 1] = 1.0
-        ident2 = np.eye(2, dtype=complex)
-        a_ph = np.zeros((n_ph, n_ph), dtype=complex)
-        for n in range(1, n_ph):
-            a_ph[n - 1, n] = math.sqrt(n)
-        ident_ph = np.eye(n_ph, dtype=complex)
-        self.space = space
-        self.c = np.kron(lower, np.kron(ident2, ident_ph))
-        self.b = np.kron(ident2, np.kron(lower, ident_ph))
-        self.a = np.kron(ident2, np.kron(ident2, a_ph))
-        self.n_e = self.c.conj().T @ self.c
-        self.n_h = self.b.conj().T @ self.b
-        self.n_photon = self.a.conj().T @ self.a
-
-
-def build_operators(space: HilbertSpace) -> Operators:
-    return Operators(space)
-
-
-def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
-    """Rotating-frame Hamiltonian in rad/ps units; Hermitian by construction."""
-    ops = build_operators(space)
-    det = params.detuning
-    g = params.g
-    h_carriers = 0.5 * det * (ops.n_e + ops.n_h)
-    pair_creation = ops.b.conj().T @ ops.c.conj().T @ ops.a
-    interaction = -1j * g * (pair_creation - pair_creation.conj().T)
-    return h_carriers + interaction
-
-
 def _occupations(space: HilbertSpace):
     """(n_e, n_h, n_photon) of every basis state, as index arrays."""
     carriers, n = np.divmod(np.arange(space.dim), space.n_max + 1)
     return carriers >> 1, carriers & 1, n
 
 
-def _ladder_maps(params: ModelParams, space: HilbertSpace):
-    """Hamiltonian terms and rated collapse operators as basis-index maps.
+def _unit_maps(space: HilbertSpace):
+    """Hamiltonian terms and collapse operators as basis-index maps, at unit
+    rates.
 
     Every operator of the model sends a basis state to at most one basis
     state: op |k> = weight[k] |target[k]>, with target[k] = -1 where
-    op |k> = 0. Returns (hamiltonian, collapses): the terms of H as
-    (target, weight) pairs, and the collapse operators as
-    ((target, weight), rate) pairs.
+    op |k> = 0. Returns (hamiltonian, collapses): the terms of H and the
+    collapse operators, each as ((target, weight), column), where column is
+    the position of its rate in the rate vector of build_liouvillian.
     """
     k = np.arange(space.dim)
     n_ph = space.n_max + 1
@@ -167,18 +135,18 @@ def _ladder_maps(params: ModelParams, space: HilbertSpace):
     adj, adj_weight = shift((e + h == 2) & (n < space.n_max), 1 - 3 * n_ph,
                             np.sqrt(n + 1))
     hamiltonian = (
-        (k, 0.5 * params.detuning * (e + h)),
-        (pair, -1j * params.g * pair_weight),
-        (adj, 1j * params.g * adj_weight),
+        ((k, 0.5 * (e + h)), 0),
+        ((pair, -1j * pair_weight), 1),
+        ((adj, 1j * adj_weight), 1),
     )
     collapses = (
-        (shift(n >= 1, -1, sqrt_n), 2.0 * params.gamma_c),
-        (shift(e == 0, 2 * n_ph), params.pump),
-        (shift(h == 0, n_ph), params.pump),
-        (shift(e == 1, -2 * n_ph), params.gamma_nr),
-        (shift(h == 1, -n_ph), params.gamma_nr),
-        (shift(e + h == 2, -3 * n_ph), params.gamma_nl),
-        ((k, (e + h).astype(float)), 0.5 * params.gamma_deph),
+        (shift(n >= 1, -1, sqrt_n), 2),
+        (shift(e == 0, 2 * n_ph), 3),
+        (shift(h == 0, n_ph), 3),
+        (shift(e == 1, -2 * n_ph), 4),
+        (shift(h == 1, -n_ph), 4),
+        (shift(e + h == 2, -3 * n_ph), 5),
+        ((k, (e + h).astype(float)), 6),
     )
     return hamiltonian, collapses
 
@@ -225,55 +193,101 @@ def charge_sector(space: HilbertSpace) -> np.ndarray:
     return _sector(space).entries
 
 
-def build_liouvillian(params: ModelParams, space: HilbertSpace, entries=None):
-    """Sparse generator of d rho / dt on the given density-matrix entries.
+class _Generator(NamedTuple):
+    """Parameter-free form of the sector generator; every array is read-only.
 
-    entries are row-major vec indices i * dim + j of rho[i, j] and must be
-    closed under the generator; the matrix is indexed by their order. The
-    default, every entry in vec order, gives the full (dim^2 x dim^2)
-    generator of d vec(rho) / dt. Rates are in 1/ps.
+    indices, indptr: CSR pattern of the generator on charge_sector, the
+        union of every term's pattern.
+    coefficients: nnz x 7 complex; the CSR values are coefficients @ rates
+        for the rate vector of build_liouvillian.
+    system_indices, system_indptr: CSC pattern of the generator with its
+        first row, rho[0, 0]'s, replaced by the trace row.
+    gather: the CSC values are concatenate(([1.0], values))[gather] for the
+        generator's CSR values; position 0 is the trace row's one.
     """
-    from scipy import sparse
 
-    validate(params)
-    dim = space.dim
-    entries = np.arange(dim * dim) if entries is None else np.asarray(entries)
-    rows, cols = np.divmod(entries, dim)
-    hamiltonian, collapses = _ladder_maps(params, space)
-    # Each term sends entry (rows, cols) to (to_row, to_col) with weight coef.
-    terms = []
-    for target, weight in hamiltonian:
+    indices: np.ndarray
+    indptr: np.ndarray
+    coefficients: np.ndarray
+    system_indices: np.ndarray
+    system_indptr: np.ndarray
+    gather: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _generator(space: HilbertSpace) -> _Generator:
+    layout = _sector(space)
+    rows, cols, size = layout.rows, layout.cols, layout.entries.size
+    hamiltonian, collapses = _unit_maps(space)
+    # Each term sends entry (rows, cols) to (to_row, to_col) with weight coef
+    # times the rate at position column of the rate vector.
+    terms, columns = [], []
+    for (target, weight), column in hamiltonian:
         # -i H rho + i rho H; H is Hermitian, so rho H acts on the column
         # index through the conjugate of H's own map.
         terms.append((target[rows], cols, -1j * weight[rows]))
         terms.append((rows, target[cols], 1j * np.conj(weight[cols])))
-    for (target, weight), rate in collapses:
-        if rate == 0.0:
-            continue
-        # rate (L rho L+ - {L+ L, rho} / 2); the weights are real and
-        # L+ L is diagonal, weight^2.
-        terms.append((target[rows], target[cols],
-                      rate * weight[rows] * weight[cols]))
-        terms.append((rows, cols,
-                      -0.5 * rate * (weight[rows] ** 2 + weight[cols] ** 2)))
+        columns += [column, column]
+    for (target, weight), column in collapses:
+        # L rho L+ - {L+ L, rho} / 2; the weights are real and L+ L is
+        # diagonal, weight^2.
+        terms.append((target[rows], target[cols], weight[rows] * weight[cols]))
+        terms.append((rows, cols, -0.5 * (weight[rows] ** 2 + weight[cols] ** 2)))
+        columns += [column, column]
     to_row, to_col, coef = (np.concatenate(part) for part in zip(*terms))
-    source = np.tile(np.arange(entries.size), len(terms))
+    column = np.repeat(columns, size)
+    source = np.tile(np.arange(size), len(terms))
     keep = (to_row >= 0) & (to_col >= 0) & (coef != 0.0)
-    position = np.full(dim * dim, -1)
-    position[entries] = np.arange(entries.size)
-    to = position[to_row[keep] * dim + to_col[keep]]
-    if np.any(to < 0):
-        raise ValueError("entries are not closed under the generator")
-    return sparse.csr_matrix(
-        (coef[keep], (to, source[keep])),
-        shape=(entries.size, entries.size), dtype=complex,
+    position = np.full(space.dim ** 2, -1)
+    position[layout.entries] = np.arange(size)
+    to = position[to_row[keep] * space.dim + to_col[keep]]
+    # Row-major keys of the union pattern: CSR order.
+    keys, slot = np.unique(to * size + source[keep], return_inverse=True)
+    coefficients = np.zeros((keys.size, 7), dtype=complex)
+    np.add.at(coefficients, (slot, column[keep]), coef[keep])
+    row, col = np.divmod(keys, size)
+    # The trace row replaces row 0; value 0 of the gathered array is its one.
+    first = np.count_nonzero(row == 0)
+    system_row = np.concatenate((np.zeros(layout.diagonal.size, int), row[first:]))
+    system_col = np.concatenate((layout.diagonal, col[first:]))
+    values = np.concatenate((np.zeros(layout.diagonal.size, int),
+                             np.arange(first, row.size) + 1))
+    order = np.lexsort((system_row, system_col))
+    table = _Generator(
+        col.astype(np.int32),
+        np.searchsorted(row, np.arange(size + 1)).astype(np.int32),
+        coefficients,
+        system_row[order].astype(np.int32),
+        np.searchsorted(system_col[order], np.arange(size + 1)).astype(np.int32),
+        values[order],
     )
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def apply_liouvillian(generator, rho: np.ndarray) -> np.ndarray:
-    """d rho / dt for a density matrix under a vectorized generator."""
-    dim = rho.shape[0]
-    return np.asarray(generator @ rho.reshape(-1)).reshape(dim, dim)
+def build_liouvillian(params: ModelParams, space: HilbertSpace):
+    """Sparse (CSR) generator of d rho / dt on the charge sector.
+
+    Rows and columns follow charge_sector(space). The values are the cached
+    per-cutoff coefficient table times the rate vector (detuning, g,
+    2 gamma_c, pump, gamma_nr, gamma_nl, gamma_deph / 2); the pattern, shared
+    by every call at the cutoff, keeps an explicit zero wherever only a zero
+    rate contributes. Rates are in 1/ps.
+    """
+    from scipy import sparse
+
+    validate(params)
+    table = _generator(space)
+    rates = np.array((
+        params.detuning, params.g, 2.0 * params.gamma_c, params.pump,
+        params.gamma_nr, params.gamma_nl, 0.5 * params.gamma_deph,
+    ))
+    size = table.indptr.size - 1
+    return sparse.csr_matrix(
+        (table.coefficients @ rates, table.indices, table.indptr),
+        shape=(size, size),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,20 +358,6 @@ class DensityMatrix:
             raise MalformedSteadyState("; ".join(problems))
         return self
 
-    def expectation(self, op: np.ndarray) -> float:
-        """<op> for Hermitian op (real part of the trace)."""
-        return float(np.trace(op @ self.elements).real)
-
-
-def basis_density(
-    space: HilbertSpace, n_e: int, n_h: int, n_photon: int
-) -> np.ndarray:
-    """Pure product state |n_e, n_h, n_photon><...| as a density matrix."""
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    k = state_index(space, n_e, n_h, n_photon)
-    rho[k, k] = 1.0
-    return rho
-
 
 def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMatrix:
     """Unique stationary state of the generator within the charge sector.
@@ -380,18 +380,16 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
     from scipy.sparse.linalg import splu
 
     layout = _sector(space)
-    gen = build_liouvillian(params, space, layout.entries)
+    gen = build_liouvillian(params, space)
     # The trace row, a one at each diagonal entry, replaces row 0, which is
-    # rho[0, 0]'s: the CSR arrays of gen with its first row swapped, since
-    # sparse.vstack costs several times the LU factorization here.
-    start = gen.indptr[1]
-    ones = layout.diagonal.size
-    system = sparse.csr_matrix(
-        (np.concatenate((np.ones(ones), gen.data[start:])),
-         np.concatenate((layout.diagonal, gen.indices[start:])),
-         np.concatenate(([0], gen.indptr[1:] - start + ones))),
+    # rho[0, 0]'s: the system's CSC pattern is cached with the generator's,
+    # and its values are gathered from gen's.
+    table = _generator(space)
+    system = sparse.csc_matrix(
+        (np.concatenate(([1.0], gen.data))[table.gather],
+         table.system_indices, table.system_indptr),
         shape=gen.shape,
-    ).tocsc()
+    )
     rhs = np.zeros(layout.entries.size, dtype=complex)
     rhs[0] = 1.0
     try:
@@ -466,35 +464,3 @@ def steady_observables_auto(
             if 2 * n > n_max_cap:
                 raise
             n = 2 * n
-
-
-def propagate(
-    rho0: np.ndarray,
-    params: ModelParams,
-    space: HilbertSpace,
-    times,
-) -> np.ndarray:
-    """Density matrices at the requested times, starting from rho0 at t = 0.
-
-    times must be non-negative and strictly increasing. Returns an array of
-    shape (len(times), dim, dim).
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be non-negative and strictly increasing")
-    gen = build_liouvillian(params, space)
-    dim = space.dim
-    vec = rho0.reshape(-1).astype(complex)
-    out = np.empty((times.size, dim, dim), dtype=complex)
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        dt = float(t) - t_prev
-        if dt > 0.0:
-            vec = expm_multiply(gen * dt, vec)
-        out[k] = vec.reshape(dim, dim)
-        t_prev = float(t)
-    return out

@@ -12,13 +12,23 @@ arithmetic, written as plain item stores into fresh arrays, against which
 the package's closures and RODAS4 step are compared byte for byte. The dense
 steady state after them is the oracle's charge-sector solve carried through
 a full density matrix, against which the block-kept state is compared.
+
+The dense reference model at the end restates the oracle's Lindblad
+generator on the whole density matrix: dense mode operators, the
+Hamiltonian, and the generator assembled term by term from basis-index maps
+on any closed set of entries, with propagation by expm_multiply. The
+package keeps only the charge-sector generator, built as a cached linear
+map of its rates, and is checked against this one.
 """
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qdcavity import DynamicState, ModelParams
+from qdcavity import DynamicState, ModelParams, validate
 from qdcavity.dynamics import TOGGLE_VARIANTS
+from qdcavity.oracle import state_index
 
 FIELDS = (
     "n_e", "n_h", "n_p", "p", "d_photon2", "d_bc_aaa", "d_ce_phot", "d_h_phot",
@@ -224,7 +234,7 @@ def dense_steady_state(params, space):
     from qdcavity.oracle import build_liouvillian, charge_sector
 
     entries = charge_sector(space)
-    gen = build_liouvillian(params, space, entries)
+    gen = build_liouvillian(params, space)
     dim = space.dim
     rows, cols = np.divmod(entries, dim)
     trace_row = sparse.csr_matrix((rows == cols).astype(complex))
@@ -322,3 +332,171 @@ def assert_close(actual, expected, rel, context=""):
     assert err < rel, (
         f"{context}: {actual!r} vs {expected!r} (rel err {err:.3e} >= {rel:g})"
     )
+
+
+class Operators:
+    """Dense matrices of the elementary mode operators on the product space."""
+
+    def __init__(self, space):
+        n_ph = space.n_max + 1
+        lower = np.zeros((2, 2), dtype=complex)
+        lower[0, 1] = 1.0
+        ident2 = np.eye(2, dtype=complex)
+        a_ph = np.zeros((n_ph, n_ph), dtype=complex)
+        for n in range(1, n_ph):
+            a_ph[n - 1, n] = math.sqrt(n)
+        ident_ph = np.eye(n_ph, dtype=complex)
+        self.space = space
+        self.c = np.kron(lower, np.kron(ident2, ident_ph))
+        self.b = np.kron(ident2, np.kron(lower, ident_ph))
+        self.a = np.kron(ident2, np.kron(ident2, a_ph))
+        self.n_e = self.c.conj().T @ self.c
+        self.n_h = self.b.conj().T @ self.b
+        self.n_photon = self.a.conj().T @ self.a
+
+
+def build_operators(space):
+    return Operators(space)
+
+
+def build_hamiltonian(params, space):
+    """Rotating-frame Hamiltonian in rad/ps units; Hermitian by construction."""
+    ops = build_operators(space)
+    det = params.detuning
+    g = params.g
+    h_carriers = 0.5 * det * (ops.n_e + ops.n_h)
+    pair_creation = ops.b.conj().T @ ops.c.conj().T @ ops.a
+    interaction = -1j * g * (pair_creation - pair_creation.conj().T)
+    return h_carriers + interaction
+
+
+def ladder_maps(params, space):
+    """Hamiltonian terms and rated collapse operators as basis-index maps.
+
+    Every operator of the model sends a basis state to at most one basis
+    state: op |k> = weight[k] |target[k]>, with target[k] = -1 where
+    op |k> = 0. Returns (hamiltonian, collapses): the terms of H as
+    (target, weight) pairs, and the collapse operators as
+    ((target, weight), rate) pairs.
+    """
+    k = np.arange(space.dim)
+    n_ph = space.n_max + 1
+    carriers, n = np.divmod(k, n_ph)
+    e, h = carriers >> 1, carriers & 1
+    sqrt_n = np.sqrt(n)
+
+    def shift(mask, offset, weight=1.0):
+        return np.where(mask, k + offset, -1), np.where(mask, weight, 0.0)
+
+    # b+ c+ a: |0, 0, n> -> sqrt(n) |1, 1, n - 1>, and its adjoint a+ c b.
+    pair, pair_weight = shift((e + h == 0) & (n >= 1), 3 * n_ph - 1, sqrt_n)
+    adj, adj_weight = shift((e + h == 2) & (n < space.n_max), 1 - 3 * n_ph,
+                            np.sqrt(n + 1))
+    hamiltonian = (
+        (k, 0.5 * params.detuning * (e + h)),
+        (pair, -1j * params.g * pair_weight),
+        (adj, 1j * params.g * adj_weight),
+    )
+    collapses = (
+        (shift(n >= 1, -1, sqrt_n), 2.0 * params.gamma_c),
+        (shift(e == 0, 2 * n_ph), params.pump),
+        (shift(h == 0, n_ph), params.pump),
+        (shift(e == 1, -2 * n_ph), params.gamma_nr),
+        (shift(h == 1, -n_ph), params.gamma_nr),
+        (shift(e + h == 2, -3 * n_ph), params.gamma_nl),
+        ((k, (e + h).astype(float)), 0.5 * params.gamma_deph),
+    )
+    return hamiltonian, collapses
+
+
+def index_map_liouvillian(params, space, entries=None):
+    """Sparse generator of d rho / dt on the given density-matrix entries.
+
+    entries are row-major vec indices i * dim + j of rho[i, j] and must be
+    closed under the generator; the matrix is indexed by their order. The
+    default, every entry in vec order, gives the full (dim^2 x dim^2)
+    generator of d vec(rho) / dt, which acts on vec(rho) as
+    vec(A rho B) = (A kron B^T) vec(rho). Rates are in 1/ps.
+    """
+    from scipy import sparse
+
+    validate(params)
+    dim = space.dim
+    entries = np.arange(dim * dim) if entries is None else np.asarray(entries)
+    rows, cols = np.divmod(entries, dim)
+    hamiltonian, collapses = ladder_maps(params, space)
+    # Each term sends entry (rows, cols) to (to_row, to_col) with weight coef.
+    terms = []
+    for target, weight in hamiltonian:
+        # -i H rho + i rho H; H is Hermitian, so rho H acts on the column
+        # index through the conjugate of H's own map.
+        terms.append((target[rows], cols, -1j * weight[rows]))
+        terms.append((rows, target[cols], 1j * np.conj(weight[cols])))
+    for (target, weight), rate in collapses:
+        if rate == 0.0:
+            continue
+        # rate (L rho L+ - {L+ L, rho} / 2); the weights are real and
+        # L+ L is diagonal, weight^2.
+        terms.append((target[rows], target[cols],
+                      rate * weight[rows] * weight[cols]))
+        terms.append((rows, cols,
+                      -0.5 * rate * (weight[rows] ** 2 + weight[cols] ** 2)))
+    to_row, to_col, coef = (np.concatenate(part) for part in zip(*terms))
+    source = np.tile(np.arange(entries.size), len(terms))
+    keep = (to_row >= 0) & (to_col >= 0) & (coef != 0.0)
+    position = np.full(dim * dim, -1)
+    position[entries] = np.arange(entries.size)
+    to = position[to_row[keep] * dim + to_col[keep]]
+    if np.any(to < 0):
+        raise ValueError("entries are not closed under the generator")
+    return sparse.csr_matrix(
+        (coef[keep], (to, source[keep])),
+        shape=(entries.size, entries.size), dtype=complex,
+    )
+
+
+def apply_liouvillian(generator, rho):
+    """d rho / dt for a density matrix under a full vectorized generator."""
+    dim = rho.shape[0]
+    return np.asarray(generator @ rho.reshape(-1)).reshape(dim, dim)
+
+
+def basis_density(space, n_e, n_h, n_photon):
+    """Pure product state |n_e, n_h, n_photon><...| as a density matrix."""
+    rho = np.zeros((space.dim, space.dim), dtype=complex)
+    k = state_index(space, n_e, n_h, n_photon)
+    rho[k, k] = 1.0
+    return rho
+
+
+def expectation(state, op):
+    """<op> in a qdcavity.oracle.DensityMatrix, for Hermitian op (real part
+    of the trace)."""
+    return float(np.trace(op @ state.elements).real)
+
+
+def propagate(rho0, params, space, times):
+    """Density matrices at the requested times, starting from rho0 at t = 0.
+
+    times must be non-negative and strictly increasing. Returns an array of
+    shape (len(times), dim, dim).
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-d sequence")
+    if times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be non-negative and strictly increasing")
+    gen = index_map_liouvillian(params, space)
+    dim = space.dim
+    vec = rho0.reshape(-1).astype(complex)
+    out = np.empty((times.size, dim, dim), dtype=complex)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        dt = float(t) - t_prev
+        if dt > 0.0:
+            vec = expm_multiply(gen * dt, vec)
+        out[k] = vec.reshape(dim, dim)
+        t_prev = float(t)
+    return out

@@ -40,12 +40,18 @@ from qdcavity.model import (
     REFERENCE_GEOMETRY,
 )
 from qdcavity.oracle import (
-    apply_liouvillian,
     build_liouvillian,
-    build_operators,
-    propagate,
-    basis_density,
+    charge_sector,
     steady_state_density,
+)
+
+from helpers import (
+    apply_liouvillian,
+    basis_density,
+    build_operators,
+    expectation,
+    index_map_liouvillian,
+    propagate,
 )
 
 FULL = TOGGLE_VARIANTS["full"]
@@ -137,7 +143,7 @@ def test_criterion_01_decoupled_limit_exactness():
 
     oracle = steady_state_density(carrier_params, HilbertSpace(1))
     small_ops = build_operators(HilbertSpace(1))
-    n_e_oracle = oracle.expectation(small_ops.n_e)
+    n_e_oracle = expectation(oracle, small_ops.n_e)
     assert abs(cluster.n_e - n_e_oracle) / n_e_oracle < 1e-6
 
     assert time.perf_counter() - started < 1.0
@@ -233,7 +239,7 @@ def test_criterion_05_output_monotone_in_coupling(dip_sweep):
         for tau, a, b in zip(DIP_LIFETIMES, low, high):
             assert b - a >= -1e-9 * max(abs(a), abs(b)), (
                 f"output rate fell from g multiple 0.18 to 0.20 at "
-                f"lifetime {tau:.3g} ps ({toggles.variant_name})"
+                f"lifetime {tau:.3g} ps ({toggles})"
             )
 
 
@@ -333,9 +339,13 @@ def test_criterion_08_oracle_integrity():
         g=0.2 * FROZEN_COUPLING, gamma_c=0.5, pump=0.1
     )
 
-    # Trace preservation per application at the acceptance truncation.
+    # Trace preservation per application at the acceptance truncation, by
+    # the full generator and by the oracle's own on the charge sector.
     space = HilbertSpace(16)
-    gen = build_liouvillian(params, space)
+    gen = index_map_liouvillian(params, space)
+    sector_gen = build_liouvillian(params, space)
+    entries = charge_sector(space)
+    rows, cols = np.divmod(entries, space.dim)
     rng = np.random.default_rng(3)
     for _ in range(3):
         A = rng.normal(size=(space.dim, space.dim)) \
@@ -343,6 +353,8 @@ def test_criterion_08_oracle_integrity():
         rho = A @ A.conj().T
         rho /= np.trace(rho)
         assert abs(np.trace(apply_liouvillian(gen, rho))) < 1e-12
+        drho = sector_gen @ rho.reshape(-1)[entries]
+        assert abs(drho[rows == cols].sum()) < 1e-12
 
     # Steady-state positivity at the same truncation.
     rho16 = steady_state_density(params, space)

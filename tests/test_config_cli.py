@@ -18,7 +18,7 @@ from qdcavity.config import (
     load_config,
     parse_config,
 )
-from qdcavity.dynamics import ARRAY_FIELDS
+from qdcavity.dynamics import ARRAY_FIELDS, TOGGLE_VARIANTS
 from qdcavity.errors import (
     NonFiniteState,
     OracleError,
@@ -52,7 +52,7 @@ def test_parse_minimal_config_defaults():
     assert config.params.gamma_nl == 0.01
     assert config.params.detuning == 0.0
     assert config.params == default_params(g=0.05, gamma_c=0.5, pump=1.0)
-    assert config.toggles.variant_name == "full"
+    assert config.toggles == TOGGLE_VARIANTS["full"]
     assert config.integration.rel_tol == 1e-9
     assert config.integration == IntegrationConfig()
     assert config.grid is None
@@ -174,8 +174,8 @@ def test_grid_lists_and_range_expressions():
     assert grid.g_values == (0.1, 0.15000000000000002, 0.2) or \
         grid.g_values == pytest.approx((0.1, 0.15, 0.2))
     assert grid.pump_values == (0.5, 2.0)
-    assert tuple(t.variant_name for t in grid.toggle_variants) == (
-        "full", "factorized",
+    assert grid.toggle_variants == (
+        TOGGLE_VARIANTS["full"], TOGGLE_VARIANTS["factorized"],
     )
 
 
@@ -204,7 +204,7 @@ def test_grid_inherits_pump_and_variant():
     """)
     grid = parse_config(text).grid
     assert grid.pump_values == (1.0,)
-    assert tuple(t.variant_name for t in grid.toggle_variants) == ("full",)
+    assert grid.toggle_variants == (TOGGLE_VARIANTS["full"],)
 
 
 def test_grid_point_overflow_is_a_config_error(tmp_path, capsys):

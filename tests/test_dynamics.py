@@ -101,7 +101,7 @@ def test_rhs_matches_independent_reference(state, params, toggles):
         include_inversion_term=toggles.include_inversion_term,
     )
     scale = derivative_scale(state_dict, params)
-    assert_rhs_agree(ours, reference, scale, 1e-13, toggles.variant_name)
+    assert_rhs_agree(ours, reference, scale, 1e-13, toggles)
 
 
 def test_rhs_matches_finite_difference_of_reference_trajectory():
@@ -265,9 +265,9 @@ def test_jacobian_of_pinned_inputs_matches_variant():
 
 
 def test_toggle_constructor_and_names():
-    assert FULL.variant_name == "full"
-    assert NO_INVERSION.variant_name == "no_inversion"
-    assert FACTORIZED.variant_name == "factorized"
+    assert FULL == CorrelationToggles(True, True)
+    assert NO_INVERSION == CorrelationToggles(True, False)
+    assert FACTORIZED == CorrelationToggles(False, False)
     for name, toggles in TOGGLE_VARIANTS.items():
         assert CorrelationToggles.from_name(name) == toggles
     with pytest.raises(ValueError, match="full"):

@@ -1,5 +1,6 @@
 """Reference-model checks: generator structure, steady states, propagation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from qdcavity import (
     ReferenceRabi,
     SingularSteadyState,
     TruncationTooSmall,
-    build_hamiltonian,
     build_liouvillian,
     default_params,
     integrate,
@@ -25,18 +25,25 @@ from qdcavity import (
 from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState
 from qdcavity.oracle import (
     TOP_LEVEL_LIMIT,
-    apply_liouvillian,
-    basis_density,
-    build_operators,
+    _generator,
     charge_sector,
-    propagate,
     state_index,
     steady_state_density,
     top_level_population,
 )
 from qdcavity.solver import IntegrationConfig
 
-from helpers import assert_close, dense_steady_state
+from helpers import (
+    apply_liouvillian,
+    assert_close,
+    basis_density,
+    build_hamiltonian,
+    build_operators,
+    dense_steady_state,
+    expectation,
+    index_map_liouvillian,
+    propagate,
+)
 
 FULL = TOGGLE_VARIANTS["full"]
 
@@ -82,7 +89,7 @@ def dense_lindblad_action(params, space, rho):
 def full_space_steady_state(params, space):
     """Reference stationary state from the full dim^2 generator: the trace
     row replaces the row of rho[0, 0] and sparse LU solves the rest."""
-    gen = build_liouvillian(params, space)
+    gen = index_map_liouvillian(params, space)
     dim = space.dim
     trace_row = sparse.identity(dim, dtype=complex).reshape((1, dim * dim))
     system = sparse.vstack([trace_row, gen[1:]], format="csc")
@@ -170,7 +177,7 @@ def test_hamiltonian_pair_coupling_element():
 
 def test_generator_matches_dense_lindblad_form():
     space = HilbertSpace(2)
-    gen = build_liouvillian(GENERIC, space)
+    gen = index_map_liouvillian(GENERIC, space)
     for seed in range(3):
         rho = random_density(space, seed)
         ours = apply_liouvillian(gen, rho)
@@ -180,7 +187,7 @@ def test_generator_matches_dense_lindblad_form():
 
 def test_generator_preserves_trace():
     space = HilbertSpace(2)
-    gen = build_liouvillian(GENERIC, space)
+    gen = index_map_liouvillian(GENERIC, space)
     for seed in range(5):
         drho = apply_liouvillian(gen, random_density(space, seed))
         assert abs(np.trace(drho)) < 1e-12
@@ -194,20 +201,58 @@ def test_charge_sector_size():
         assert np.all(np.diff(entries) > 0)
 
 
+def assert_generator_close(ours, reference):
+    """max |ours - reference| <= 4 eps max |reference|, over the whole
+    matrix: the two builds sum an entry's terms in different orders, and
+    where a diagonal entry's terms cancel, a per-entry bound fails."""
+    eps = np.finfo(float).eps
+    scale = np.max(np.abs(reference.toarray()))
+    assert np.max(np.abs((ours - reference).toarray())) <= 4.0 * eps * scale
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_sector_generator_is_the_restricted_full_generator(n_max):
     space = HilbertSpace(n_max)
     entries = charge_sector(space)
-    full = build_liouvillian(GENERIC, space)
-    sector = build_liouvillian(GENERIC, space, entries)
+    full = index_map_liouvillian(GENERIC, space)
     restricted = full[entries][:, entries]
-    assert np.max(np.abs((sector - restricted).toarray())) <= 1.1e-16
+    assert_generator_close(build_liouvillian(GENERIC, space), restricted)
     # The full generator maps sector columns only into sector rows.
     outside = np.setdiff1d(np.arange(space.dim ** 2), entries)
     assert np.max(np.abs(full[outside][:, entries].toarray())) == 0.0
     # A set the generator leaves is refused: the pump lifts rho[0, 0].
     with pytest.raises(ValueError, match="closed"):
-        build_liouvillian(GENERIC, space, entries[:1])
+        index_map_liouvillian(GENERIC, space, entries[:1])
+
+
+def linear_build_cases():
+    rng = np.random.default_rng(20261019)
+    cases = [GENERIC]
+    for name in ("g", "gamma_deph", "gamma_nr", "gamma_nl", "pump",
+                 "detuning"):
+        cases.append(dataclasses.replace(GENERIC, **{name: 0.0}))
+    cases += [random_params(rng) for _ in range(30)]
+    return cases
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 8, 64])
+def test_linear_build_matches_the_index_map_build(n_max):
+    space = HilbertSpace(n_max)
+    entries = charge_sector(space)
+    table = _generator(space)
+    for params in linear_build_cases():
+        gen = build_liouvillian(params, space)
+        assert_generator_close(
+            gen, index_map_liouvillian(params, space, entries)
+        )
+        # One pattern per cutoff, whatever the rates: a zero rate leaves
+        # explicit zeros, and the index arrays are the cached ones.
+        assert np.shares_memory(gen.indices, table.indices)
+        assert np.shares_memory(gen.indptr, table.indptr)
+        assert gen.nnz == table.coefficients.shape[0]
+    assert _generator(HilbertSpace(n_max)) is table
+    for array in table:
+        assert not array.flags.writeable
 
 
 def test_sector_steady_state_matches_full_space_solve():
@@ -329,9 +374,9 @@ def test_pump_only_steady_state_is_full_inversion():
     space = HilbertSpace(1)
     rho = steady_state_density(params, space)
     ops = build_operators(space)
-    assert rho.expectation(ops.n_e) == pytest.approx(1.0, abs=1e-12)
-    assert rho.expectation(ops.n_h) == pytest.approx(1.0, abs=1e-12)
-    assert rho.expectation(ops.n_photon) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(rho, ops.n_e) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(rho, ops.n_h) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(rho, ops.n_photon) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pump_only_observables_mark_g2_undefined():
