@@ -26,7 +26,6 @@ from .errors import (
     SolverError,
     StiffnessFailure,
     TruncationTooSmall,
-    VacuumUndefined,
     ValidationError,
 )
 from .model import (
@@ -45,9 +44,7 @@ from .model import (
 from .observables import (
     PHOTON_FLOOR,
     Observables,
-    g2_zero,
     observables_of,
-    output_rate,
 )
 from .oracle import (
     DensityMatrix,
@@ -102,18 +99,15 @@ __all__ = [
     "TOGGLE_VARIANTS",
     "Trajectory",
     "TruncationTooSmall",
-    "VacuumUndefined",
     "ValidationError",
     "build_liouvillian",
     "coupling_strength",
     "default_params",
-    "g2_zero",
     "integrate",
     "make_rhs",
     "mode_volume_cubic",
     "observables_of",
     "oracle_steady_observables",
-    "output_rate",
     "rhs",
     "run_sweep",
     "steady_observables_auto",

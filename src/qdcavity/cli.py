@@ -80,9 +80,8 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_trajectory(path: Path, trajectory) -> None:
     lines = ["t_ps," + ",".join(ARRAY_FIELDS)]
-    for t, state in zip(trajectory.times, trajectory.states):
-        row = state.to_array().tolist()
-        lines.append(repr(float(t)) + "," + ",".join(map(repr, row)))
+    for t, row in zip(trajectory.times.tolist(), trajectory.states.tolist()):
+        lines.append(repr(t) + "," + ",".join(map(repr, row)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -226,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="override the configured output path")
         sub.add_argument(
             "--workers", type=int, default=1,
-            help="worker processes for sweeps",
+            help="worker processes for sweeps, at most one per grid point "
+                 "and CPU",
         )
         if name == "sweep":
             sub.add_argument(

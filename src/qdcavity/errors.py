@@ -51,10 +51,6 @@ class NotConverged(SolverError):
         )
 
 
-class VacuumUndefined(ValueError):
-    """g2(0) was requested for a state with no photons (a 0/0 expression)."""
-
-
 class OracleError(RuntimeError):
     """Base class for reference-model failures."""
 

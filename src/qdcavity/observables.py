@@ -11,30 +11,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dynamics import DynamicState, two_photon_expectation
-from .errors import VacuumUndefined
 from .model import ModelParams
 
 # Photon number below which g2(0) is reported as undefined instead of an
 # unstable 0/0 quotient.
 PHOTON_FLOOR = 1e-15
-
-
-def g2_zero(state: DynamicState) -> float:
-    """Second-order correlation at zero delay, <a+a+aa> / <a+a>^2.
-
-    Raises VacuumUndefined when n_p is at or below PHOTON_FLOOR.
-    """
-    n_p = state.n_p
-    if not n_p > PHOTON_FLOOR:
-        raise VacuumUndefined(
-            f"g2(0) undefined for n_p = {n_p!r} (floor {PHOTON_FLOOR})"
-        )
-    return two_photon_expectation(state) / (n_p * n_p)
-
-
-def output_rate(state: DynamicState, params: ModelParams) -> float:
-    """Photon flux out of the cavity, 2 gamma_c n_p, in 1/ps."""
-    return 2.0 * params.gamma_c * state.n_p
 
 
 @dataclass(frozen=True)
@@ -50,6 +31,24 @@ class Observables:
     g2_zero: Optional[float]
     output_rate: float
 
+    @classmethod
+    def from_moments(
+        cls, photon_number: float, two_photon: float, params: ModelParams
+    ) -> "Observables":
+        """Observables from n_p = <a+a> and <a+a+aa>.
+
+        g2(0) is <a+a+aa> / n_p^2, None when n_p is at or below
+        PHOTON_FLOOR; the output rate is the photon flux out of the cavity,
+        2 gamma_c n_p, in 1/ps.
+        """
+        n_p = photon_number
+        return cls(
+            photon_number=n_p,
+            two_photon=two_photon,
+            g2_zero=two_photon / (n_p * n_p) if n_p > PHOTON_FLOOR else None,
+            output_rate=2.0 * params.gamma_c * n_p,
+        )
+
     @property
     def physical(self) -> bool:
         """True when photon_number and two_photon are both non-negative."""
@@ -57,14 +56,7 @@ class Observables:
 
 
 def observables_of(state: DynamicState, params: ModelParams) -> Observables:
-    """Observables for a state; g2 carries the undefined marker in vacuum."""
-    try:
-        g2: Optional[float] = g2_zero(state)
-    except VacuumUndefined:
-        g2 = None
-    return Observables(
-        photon_number=state.n_p,
-        two_photon=two_photon_expectation(state),
-        g2_zero=g2,
-        output_rate=output_rate(state, params),
+    """Observables of a hierarchy state; g2 is None in vacuum."""
+    return Observables.from_moments(
+        state.n_p, two_photon_expectation(state), params
     )

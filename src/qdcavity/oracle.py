@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import MalformedSteadyState, SingularSteadyState, TruncationTooSmall
 from .model import ModelParams, validate
-from .observables import PHOTON_FLOOR, Observables
+from .observables import Observables
 
 # Population allowed in the top Fock level before the truncation is rejected.
 TOP_LEVEL_LIMIT = 1e-8
@@ -437,30 +437,20 @@ def oracle_steady_observables(
     n = _occupations(space)[2]
     n_p = float(populations @ n)
     two = float(populations @ (n * (n - 1)))
-    g2 = two / (n_p * n_p) if n_p > PHOTON_FLOOR else None
-    return Observables(
-        photon_number=n_p,
-        two_photon=two,
-        g2_zero=g2,
-        output_rate=2.0 * params.gamma_c * n_p,
-    )
+    return Observables.from_moments(n_p, two, params)
 
 
-def steady_observables_auto(
-    params: ModelParams,
-    n_max: int = DEFAULT_N_MAX,
-    n_max_cap: int = N_MAX_CAP,
-):
+def steady_observables_auto(params: ModelParams, n_max: int = DEFAULT_N_MAX):
     """oracle_steady_observables with n_max doubling on truncation failure.
 
-    Returns (observables, n_max_used). Raises TruncationTooSmall if the cap
-    itself is still too small.
+    Returns (observables, n_max_used). Raises TruncationTooSmall if the cap,
+    N_MAX_CAP, is itself still too small.
     """
     n = n_max
     while True:
         try:
             return oracle_steady_observables(params, HilbertSpace(n)), n
         except TruncationTooSmall:
-            if 2 * n > n_max_cap:
+            if 2 * n > N_MAX_CAP:
                 raise
             n = 2 * n

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -131,31 +131,31 @@ class IntegrationConfig:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States at the integrator's accepted steps.
+    """States at the integrator's accepted steps, as two arrays.
 
-    times is strictly increasing and starts at 0; states has the same
-    length.
+    times has shape (k,), k >= 1, starts at 0 and is strictly increasing;
+    states has shape (k, STATE_DIM), row i the state at times[i] in the
+    ARRAY_FIELDS layout of DynamicState.to_array.
     """
 
-    times: Tuple[float, ...]
-    states: Tuple[DynamicState, ...]
-    final_residual: float
+    times: np.ndarray
+    states: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) == 0:
+        times, states = self.times, self.states
+        if times.ndim != 1 or states.shape != (times.size, STATE_DIM):
+            raise ValueError(
+                f"expected times (k,) and states (k, {STATE_DIM}), got "
+                f"{times.shape} and {states.shape}"
+            )
+        if times.size == 0:
             raise ValueError("a trajectory holds at least its initial point")
-        if self.times[0] != 0.0:
-            raise ValueError(f"first time must be 0, got {self.times[0]}")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if times[0] != 0.0:
+            raise ValueError(f"first time must be 0, got {times[0]}")
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def final(self) -> DynamicState:
-        return self.states[-1]
 
 
 def scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
@@ -246,8 +246,8 @@ def integrate(
     A step is accepted when the RMS of its error estimate, scaled by
     abs_tol + rel_tol * max(|y|, |y_new|) per component, is at most 1; the
     next step is the last one times min(6, max(0.2, 0.9 err^-1/4)), and
-    does not grow right after a rejection. Returns the accepted-step
-    trajectory. Raises NonFiniteState on a non-finite state,
+    does not grow right after a rejection. Returns the accepted steps as a
+    Trajectory of arrays. Raises NonFiniteState on a non-finite state,
     StiffnessFailure when the step falls below the representable floor and
     SolverError after MAX_MARCH_STEPS steps, accepted or rejected; emits
     PhysicalRangeWarning when accepted states leave the physical simplex
@@ -303,12 +303,9 @@ def integrate(
             f"march stopped after {MAX_MARCH_STEPS} steps at t = {t:.6g} "
             f"of {horizon:g} ps"
         )
-    _check_ranges(times, np.array(ys).T, cfg.rel_tol)
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(map(DynamicState.from_array, ys)),
-        final_residual=scaled_residual(rhs(t, y), y),
-    )
+    states = np.array(ys)
+    _check_ranges(times, states.T, cfg.rel_tol)
+    return Trajectory(np.array(times), states)
 
 
 def _continue_to_root(rhs, jac, y0, n, cfg):
@@ -448,12 +445,13 @@ def steady_state(
     With record=True, returns (state, Trajectory): the trajectory collects
     every accepted step of one march from the initial state to the
     settling time of the flow linearised at the certified root, its last
-    row replaced by the returned state, so the state is bitwise the one the
-    bare call returns. The settling time, from the eigen-decomposition
-    J = V diag(rates) V^-1 at the root, is the time by which each of the n
-    modes carries its share of the residual below threshold / n, clipped to
-    [initial_step, max_time]; a warm start on the root gives two rows. Past
-    the lasing threshold that march can use up MAX_MARCH_STEPS (SolverError).
+    row overwritten with that root, so the row and the state are bitwise
+    the one the bare call returns. The settling time, from the eigen-
+    decomposition J = V diag(rates) V^-1 at the root, is the time by which
+    each of the n modes carries its share of the residual below
+    threshold / n, clipped to [initial_step, max_time]; a warm start on the
+    root gives two rows. Past the lasing threshold that march can use up
+    MAX_MARCH_STEPS (SolverError).
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
@@ -492,9 +490,5 @@ def steady_state(
         start, params, toggles, cfg,
         t_end=min(max(settle, cfg.initial_step), cfg.max_time),
     )
-    trajectory = Trajectory(
-        times=march.times,
-        states=march.states[:-1] + (state,),
-        final_residual=scaled_residual(rhs(0.0, root), root),
-    )
-    return state, trajectory
+    march.states[-1] = root
+    return state, march

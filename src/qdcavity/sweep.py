@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -155,7 +156,8 @@ def run_sweep(
     Raises ValidationError, before any point is solved, if the base or a
     grid point's params are invalid. A point with no certified steady state
     is recorded with converged False and the observables of the state
-    NotConverged carries; the sweep itself never aborts.
+    NotConverged carries; the sweep itself never aborts. Runs on at most
+    min(workers, points, CPUs) processes, serially when that is 1.
     """
     validate(base)
     tasks = [
@@ -163,7 +165,9 @@ def run_sweep(
         for params, (gamma_cav, g_multiple, pump, toggles)
         in point_params(grid, base, rabi or ReferenceRabi())
     ]
-    if workers <= 1 or len(tasks) <= 1:
+    # The pool starts every worker at once: never more than points or CPUs.
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_solve_point(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_solve_point, tasks))

@@ -26,7 +26,7 @@ from qdcavity.errors import (
     StiffnessFailure,
 )
 from qdcavity.model import default_params
-from qdcavity.solver import IntegrationConfig
+from qdcavity.solver import IntegrationConfig, steady_state
 
 MINIMAL = textwrap.dedent("""\
     [model]
@@ -352,6 +352,16 @@ def test_cli_simulate_trajectory_output(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert len(first) == 11
+    # Every row parses back bitwise to the recorded arrays, and the last
+    # one is the certified state.
+    config = load_config(path)
+    state, trajectory = steady_state(
+        config.params, config.toggles, config.integration, record=True
+    )
+    rows = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
+    assert rows[:, 0].tobytes() == trajectory.times.tobytes()
+    assert rows[:, 1:].tobytes() == trajectory.states.tobytes()
+    assert rows[-1, 1:].tobytes() == state.to_array().tobytes()
 
 
 SWEEP_TEXT = MINIMAL + textwrap.dedent("""\

@@ -20,6 +20,7 @@ from qdcavity import (
     default_params,
     integrate,
     oracle_steady_observables,
+    oracle,
     steady_observables_auto,
 )
 from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState
@@ -355,7 +356,8 @@ def test_decoupled_relaxation_matches_cluster_equations():
         short = integrate(
             DynamicState.vacuum(), params, FULL, cfg, t_end=float(t)
         )
-        assert n_e_oracle == pytest.approx(short.final.n_e, rel=1e-6)
+        n_e = DynamicState.from_array(short.states[-1]).n_e
+        assert n_e_oracle == pytest.approx(n_e, rel=1e-6)
 
 
 def test_steady_state_density_is_physical():
@@ -409,7 +411,7 @@ def test_degenerate_null_space_is_rejected_at_n_max_20():
     _assert_degenerate_null_space_rejected(20)
 
 
-def test_truncation_guard_and_auto_doubling():
+def test_truncation_guard_and_auto_doubling(monkeypatch):
     params = default_params(g=0.1, gamma_c=0.5, pump=1.0)
     with pytest.raises(TruncationTooSmall) as info:
         oracle_steady_observables(params, HilbertSpace(1))
@@ -419,8 +421,9 @@ def test_truncation_guard_and_auto_doubling():
     assert n_used > 1
     assert obs.photon_number > 0.0
     # A cap below the needed size re-raises instead of looping.
+    monkeypatch.setattr(oracle, "N_MAX_CAP", 1)
     with pytest.raises(TruncationTooSmall):
-        steady_observables_auto(params, n_max=1, n_max_cap=1)
+        steady_observables_auto(params, n_max=1)
 
 
 def test_truncation_convergence_of_observables():

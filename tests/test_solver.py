@@ -91,19 +91,22 @@ def test_config_rejects_infinite_settings(field):
 
 
 def test_trajectory_invariants():
-    s = DynamicState.vacuum()
+    row = DynamicState.vacuum().to_array()
     with pytest.raises(ValueError):
-        Trajectory(times=(0.0,), states=(), final_residual=0.0)
+        Trajectory(np.array([0.0]), np.empty((0, STATE_DIM)))
     with pytest.raises(ValueError):
-        Trajectory(times=(), states=(), final_residual=0.0)
+        Trajectory(np.array([]), np.empty((0, STATE_DIM)))
     with pytest.raises(ValueError):
-        Trajectory(times=(1.0,), states=(s,), final_residual=0.0)
+        Trajectory(np.array([1.0]), np.array([row]))
     with pytest.raises(ValueError):
-        Trajectory(
-            times=(0.0, 2.0, 2.0), states=(s, s, s), final_residual=0.0,
-        )
-    traj = Trajectory(times=(0.0, 1.0), states=(s, s), final_residual=0.0)
-    assert traj.final is s
+        Trajectory(np.array([0.0, 2.0, 2.0]), np.array([row, row, row]))
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0]), np.array([row[:-1]]))
+    with pytest.raises(ValueError):
+        Trajectory(np.array([[0.0]]), np.array([row]))
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([row, 2.0 * row]))
+    assert traj.states.shape == (2, STATE_DIM)
+    assert traj.states[-1].tobytes() == (2.0 * row).tobytes()
 
 
 def test_photon_decay_matches_exponential():
@@ -112,9 +115,11 @@ def test_photon_decay_matches_exponential():
     traj = integrate(initial, params, FULL, CFG, t_end=5.0)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 5.0
-    for t, state in zip(traj.times, traj.states):
+    for t, row in zip(traj.times, traj.states):
         expected = math.exp(-2.0 * 0.6 * t)
-        assert state.n_p == pytest.approx(expected, rel=1e-6)
+        assert DynamicState.from_array(row).n_p == pytest.approx(
+            expected, rel=1e-6
+        )
 
 
 def test_integrate_rejects_invalid_params_and_horizon():
@@ -150,7 +155,7 @@ def test_trajectory_matches_independent_rk4():
     reference = rk4_integrate(
         state_to_dict(initial), params, t_end, steps=4000
     )
-    final = state_to_dict(traj.final)
+    final = state_to_dict(DynamicState.from_array(traj.states[-1]))
     for name, value in reference.items():
         assert complex(final[name]) == pytest.approx(
             complex(value), rel=1e-6, abs=1e-10
@@ -186,8 +191,7 @@ def test_rodas_step_bytes_match_reference_step(variant, pump):
     toggles = TOGGLE_VARIANTS[variant]
     _, trajectory = steady_state(params, toggles, CFG, record=True)
     f, jac = make_rhs(params, toggles)
-    for state in trajectory.states[::25]:
-        y = state.to_array()
+    for y in trajectory.states[::25]:
         for h in (1e-4, 1e-2, 1.0, 100.0):
             args = (f, y, f(0.0, y), jac(0.0, y), h)
             ours = _rodas_step(*args)
@@ -214,16 +218,19 @@ def test_self_convergence_under_tolerance_tightening():
         DynamicState.vacuum(), params, FULL,
         IntegrationConfig(rel_tol=1e-11, abs_tol=1e-14), t_end=3.0,
     )
-    assert loose.final.n_p == pytest.approx(tight.final.n_p, rel=1e-6)
-    assert loose.final.n_e == pytest.approx(tight.final.n_e, rel=1e-6)
+    loose, tight = (
+        DynamicState.from_array(t.states[-1]) for t in (loose, tight)
+    )
+    assert loose.n_p == pytest.approx(tight.n_p, rel=1e-6)
+    assert loose.n_e == pytest.approx(tight.n_e, rel=1e-6)
 
 
 def test_integration_is_deterministic():
     params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
     a = integrate(DynamicState.vacuum(), params, FULL, CFG, t_end=2.0)
     b = integrate(DynamicState.vacuum(), params, FULL, CFG, t_end=2.0)
-    assert a.times == b.times
-    assert a.states == b.states
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_scaled_residual_definition():
@@ -252,8 +259,7 @@ def test_steady_state_residual_holds_over_window():
     # stay below threshold across the whole verification window.
     f, _ = make_rhs(params, FULL)
     traj = integrate(state, params, FULL, CFG, t_end=CFG.steady_window)
-    for point in traj.states:
-        y = point.to_array()
+    for y in traj.states:
         assert scaled_residual(f(0.0, y), y) < CFG.steady_state_residual
 
 
@@ -393,7 +399,7 @@ def test_steady_state_is_fixed_point_of_integration():
     params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     state = steady_state(params, FULL, CFG)
     moved = integrate(state, params, FULL, CFG, t_end=CFG.initial_step)
-    drift = np.abs(moved.final.to_array() - state.to_array())
+    drift = np.abs(moved.states[-1] - state.to_array())
     assert np.max(drift) < 1e-9
 
 
@@ -402,7 +408,8 @@ def test_steady_state_record_returns_trajectory():
     state, traj = steady_state(params, FULL, CFG, record=True)
     assert isinstance(traj, Trajectory)
     assert traj.times[0] == 0.0
-    assert traj.final == state
+    assert traj.states[-1].tobytes() == state.to_array().tobytes()
+    assert DynamicState.from_array(traj.states[-1]) == state
     bare = steady_state(params, FULL, CFG)
     assert bare == state
 
@@ -419,7 +426,9 @@ def test_recorded_trajectory_reaches_the_threshold(variant, pump):
     march = integrate(
         DynamicState.vacuum(), params, toggles, CFG, t_end=traj.times[-1]
     )
-    assert march.final_residual < CFG.steady_state_residual
+    f, _ = make_rhs(params, toggles)
+    end = march.states[-1]
+    assert scaled_residual(f(0.0, end), end) < CFG.steady_state_residual
 
 
 def test_recorded_trajectory_from_the_root():
@@ -428,7 +437,8 @@ def test_recorded_trajectory_from_the_root():
     again, traj = steady_state(params, FULL, CFG, initial=state, record=True)
     assert len(traj.times) >= 2
     assert traj.times[0] == 0.0
-    assert traj.final == again == state
+    assert traj.states[-1].tobytes() == state.to_array().tobytes()
+    assert again == state
 
 
 def test_steady_state_not_converged_carries_last_state():
@@ -565,6 +575,7 @@ def test_steady_state_matches_plain_integration(variant, pump, lifetime_ps):
     horizon = 30.0 / min(-rates.real)
     marched = integrate(DynamicState.vacuum(), params, toggles, CFG, t_end=horizon)
     difference = gate_scaled_difference(
-        observables_of(state, params), observables_of(marched.final, params)
+        observables_of(state, params),
+        observables_of(DynamicState.from_array(marched.states[-1]), params),
     )
     assert difference < 1e-7

@@ -18,6 +18,7 @@ from qdcavity import (
     run_sweep,
     steady_state,
 )
+from qdcavity import sweep
 from qdcavity.dynamics import TOGGLE_VARIANTS
 from qdcavity.sweep import CSV_COLUMNS
 
@@ -117,6 +118,36 @@ def test_worker_counts_give_identical_output():
     serial_text = "\n".join(SweepTable(serial).csv_rows())
     parallel_text = "\n".join(SweepTable(parallel).csv_rows())
     assert serial_text == parallel_text
+
+
+@pytest.mark.parametrize("cpus, pools", [
+    (64, [3]), (2, [2]), (1, []), (None, []),
+])
+def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
+    # The executor starts every worker it is asked for at once, so an
+    # oversized --workers must not reach it. The fake pool records its size
+    # and maps in this process.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    grid = SweepGrid((1.0, 2.0, 4.0), (0.1,), (1.0,), (FULL,))
+    records = run_sweep(grid, BASE, CFG, workers=10**6)
+    assert started == pools
+    assert records == run_sweep(grid, BASE, CFG, workers=1)
 
 
 def test_non_convergence_is_captured_not_raised():
