@@ -9,10 +9,15 @@ may encounter. The package freezes the angular-frequency value as
 qdcavity.model.REFERENCE_COUPLING_RAD_PER_PS; this script is the
 independent route to that number, so it must not share code with the
 package. When qdcavity is importable the frozen constant is printed
-alongside for comparison.
+alongside, and the script exits 1 if the two differ by more than
+MAX_RELATIVE_DIFFERENCE: scipy's CODATA constants may be newer than the
+package's rounded CODATA 2018 values, which moves the result by about 1e-9.
+
+Run from the repository root: PYTHONPATH=src python scripts/reference_coupling.py
 """
 
 import math
+import sys
 
 from scipy.constants import c, e, epsilon_0, hbar
 
@@ -20,9 +25,10 @@ WAVELENGTH_M = 920e-9
 BACKGROUND_INDEX = 3.5
 DIPOLE_LENGTH_M = 0.5e-9
 QUOTED_SCALE_PER_PS = 0.025
+MAX_RELATIVE_DIFFERENCE = 1e-8
 
 
-def main() -> None:
+def main() -> int:
     volume = (WAVELENGTH_M / BACKGROUND_INDEX) ** 3
     dipole = e * DIPOLE_LENGTH_M
     eps_background = epsilon_0 * BACKGROUND_INDEX**2
@@ -56,13 +62,18 @@ def main() -> None:
     try:
         from qdcavity.model import REFERENCE_COUPLING_RAD_PER_PS
     except ImportError:
-        return
+        return 0
     rel = abs(g_rad_per_ps - REFERENCE_COUPLING_RAD_PER_PS) \
         / REFERENCE_COUPLING_RAD_PER_PS
     print()
     print(f"package frozen value         {REFERENCE_COUPLING_RAD_PER_PS:.17g}")
     print(f"  relative difference        {rel:.3e}")
+    if rel > MAX_RELATIVE_DIFFERENCE:
+        print(f"relative difference above {MAX_RELATIVE_DIFFERENCE:g}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -29,16 +29,11 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    CONSTANTS,
     REFERENCE_COUPLING_RAD_PER_PS,
-    REFERENCE_GEOMETRY,
-    CavityGeometry,
     ModelParams,
-    PhysicalConstants,
     ReferenceRabi,
     coupling_strength,
     default_params,
-    mode_volume_cubic,
     validate,
 )
 from .observables import (
@@ -70,8 +65,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
-    "CavityGeometry",
     "ConfigError",
     "CorrelationToggles",
     "DensityMatrix",
@@ -85,10 +78,8 @@ __all__ = [
     "Observables",
     "OracleError",
     "PHOTON_FLOOR",
-    "PhysicalConstants",
     "PhysicalRangeWarning",
     "REFERENCE_COUPLING_RAD_PER_PS",
-    "REFERENCE_GEOMETRY",
     "ReferenceRabi",
     "SingularSteadyState",
     "SolverError",
@@ -105,7 +96,6 @@ __all__ = [
     "default_params",
     "integrate",
     "make_rhs",
-    "mode_volume_cubic",
     "observables_of",
     "oracle_steady_observables",
     "rhs",

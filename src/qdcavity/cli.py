@@ -64,10 +64,7 @@ def _print_observables(obs: Observables, converged: bool) -> None:
 def _load(config_path: str):
     try:
         return load_config(config_path)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return None
-    except OSError as err:
+    except (ConfigError, OSError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return None
 
@@ -225,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="override the configured output path")
         sub.add_argument(
             "--workers", type=int, default=1,
-            help="worker processes for sweeps, at most one per grid point "
-                 "and CPU",
+            help="worker processes, at most one per grid point and CPU"
+                 if name == "sweep"
+                 else "accepted and ignored; only sweep runs worker processes",
         )
         if name == "sweep":
             sub.add_argument(

@@ -2,7 +2,11 @@
 
 Unit system: rates in 1/ps, times in ps, coupling and detuning in rad/ps.
 SI units appear only inside the coupling-strength computation, which is the
-single place where absolute scales (dipole moment, mode volume) enter.
+single place where absolute scales (dipole moment, mode volume) enter. Its
+SI constants are the module constants ELECTRON_CHARGE, HBAR,
+VACUUM_PERMITTIVITY and SPEED_OF_LIGHT (CODATA 2018), and the reference
+scale REFERENCE_COUPLING_RAD_PER_PS is one coupling_strength call on the
+reference geometry.
 """
 
 from __future__ import annotations
@@ -13,26 +17,11 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 values, fixed at build time and never configurable."""
-
-    electron_charge: float = 1.602176634e-19        # C
-    hbar: float = 1.054571817e-34                   # J s
-    vacuum_permittivity: float = 8.8541878128e-12   # F/m
-    speed_of_light: float = 299792458.0             # m/s
-
-
-CONSTANTS = PhysicalConstants()
-
-
-def mode_volume_cubic(wavelength: float, background_index: float) -> float:
-    """Volume of a cubic cavity with side wavelength/background_index, in m^3."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if background_index < 1:
-        raise ValueError(f"background_index must be >= 1, got {background_index}")
-    return (wavelength / background_index) ** 3
+# CODATA 2018 values, fixed at build time and never configurable.
+ELECTRON_CHARGE = 1.602176634e-19        # C
+HBAR = 1.054571817e-34                   # J s
+VACUUM_PERMITTIVITY = 8.8541878128e-12   # F/m
+SPEED_OF_LIGHT = 299792458.0             # m/s
 
 
 def coupling_strength(
@@ -69,86 +58,24 @@ def coupling_strength(
         raise ValueError(f"mode_volume must be positive, got {mode_volume}")
     if dipole_moment < 0:
         raise ValueError(f"dipole_moment must be non-negative, got {dipole_moment}")
-    eps_b = background_index**2 * CONSTANTS.vacuum_permittivity
+    eps_b = background_index**2 * VACUUM_PERMITTIVITY
     rad_per_s = dipole_moment * math.sqrt(
-        photon_frequency / (2.0 * CONSTANTS.hbar * eps_b * mode_volume)
+        photon_frequency / (2.0 * HBAR * eps_b * mode_volume)
     )
     return rad_per_s * 1e-12
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
-    """Geometric inputs of the coupling computation.
-
-    The mode frequency is the angular frequency 2*pi*c/lambda of the
-    wavelength. scripts/reference_coupling.py prints, independently of the
-    package, the value the ordinary frequency c/lambda would give instead.
-    """
-
-    wavelength: float
-    background_index: float
-    mode_volume: float
-    dipole_length: float
-
-    def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if self.background_index < 1:
-            raise ValueError(
-                f"background_index must be >= 1, got {self.background_index}"
-            )
-        if self.mode_volume <= 0:
-            raise ValueError(f"mode_volume must be positive, got {self.mode_volume}")
-        if self.dipole_length < 0:
-            raise ValueError(
-                f"dipole_length must be non-negative, got {self.dipole_length}"
-            )
-
-    @classmethod
-    def cubic(
-        cls,
-        wavelength: float,
-        background_index: float,
-        dipole_length: float,
-    ) -> "CavityGeometry":
-        """Geometry of a (wavelength/index)^3 cavity."""
-        return cls(
-            wavelength=wavelength,
-            background_index=background_index,
-            mode_volume=mode_volume_cubic(wavelength, background_index),
-            dipole_length=dipole_length,
-        )
-
-    @property
-    def dipole_moment(self) -> float:
-        """Transition dipole e * dipole_length, in C m."""
-        return CONSTANTS.electron_charge * self.dipole_length
-
-    @property
-    def photon_frequency(self) -> float:
-        """Angular mode frequency 2*pi*c/wavelength, in rad/s."""
-        return 2.0 * math.pi * (CONSTANTS.speed_of_light / self.wavelength)
-
-    def coupling(self) -> float:
-        """Vacuum Rabi coupling of this geometry, in rad/ps."""
-        return coupling_strength(
-            self.dipole_moment,
-            self.photon_frequency,
-            self.background_index,
-            self.mode_volume,
-        )
-
-
-# Reference geometry: 920 nm mode in an index-3.5 host, cubic mode volume,
-# 0.5 nm dipole length.
-REFERENCE_GEOMETRY = CavityGeometry.cubic(
-    wavelength=920e-9, background_index=3.5, dipole_length=0.5e-9
+# Reference geometry: a 920 nm mode at angular frequency 2*pi*c/lambda in an
+# index-3.5 host, cubic mode volume (lambda/n)^3 and a 0.5 nm dipole length.
+# Divided by 2*pi the result lies within 15% of the conventional quoted scale
+# of 0.025 1/ps. scripts/reference_coupling.py recomputes it independently of
+# the package, and the test suite pins its frozen value.
+REFERENCE_COUPLING_RAD_PER_PS = coupling_strength(
+    ELECTRON_CHARGE * 0.5e-9,
+    2.0 * math.pi * (SPEED_OF_LIGHT / 920e-9),
+    3.5,
+    (920e-9 / 3.5) ** 3,
 )
-
-# Frozen regression value of REFERENCE_GEOMETRY.coupling(); the test suite
-# recomputes it independently. Divided by 2*pi it lies within 15% of the
-# conventional quoted scale of 0.025 1/ps.
-REFERENCE_COUPLING_RAD_PER_PS = REFERENCE_GEOMETRY.coupling()
 
 
 @dataclass(frozen=True)

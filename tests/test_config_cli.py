@@ -328,6 +328,16 @@ def test_cli_simulate_missing_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "oracle-compare"])
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe[model]\n")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:")
+
+
 def test_cli_simulate_not_converged(tmp_path, capsys):
     text = MINIMAL + "[integration]\nmax_time_ps = 1.0\n"
     path = config_file(tmp_path, text)
@@ -585,7 +595,20 @@ def test_cli_help_returns_0(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+@pytest.mark.parametrize("command, ignored", [
+    ("simulate", True),
+    ("sweep", False),
+    ("oracle-compare", True),
+])
+def test_cli_workers_help_says_where_it_is_ignored(capsys, command, ignored):
+    assert main([command, "--help"]) == 0
+    assert ("accepted and ignored" in capsys.readouterr().out) is ignored
+    assert cli.build_parser().parse_args(
+        [command, "--config", "x.cfg", "--workers", "8"]
+    ).workers == 8
+
+
+SRC =Path(__file__).resolve().parents[1] / "src"
 
 # Runs in a fresh interpreter: these tests import scipy themselves.
 _LEAN_CHILD = """\

@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdcavity import (
-    CavityGeometry,
     ModelParams,
     ReferenceRabi,
     ValidationError,
     coupling_strength,
     default_params,
-    mode_volume_cubic,
     validate,
 )
 from qdcavity.model import (
-    CONSTANTS,
     DEFAULT_GAMMA_DEPH,
     DEFAULT_GAMMA_NL,
     DEFAULT_GAMMA_NR,
+    ELECTRON_CHARGE,
+    HBAR,
     REFERENCE_COUPLING_RAD_PER_PS,
-    REFERENCE_GEOMETRY,
+    SPEED_OF_LIGHT,
+    VACUUM_PERMITTIVITY,
 )
 
 # Frozen regression values for the reference geometry (920 nm, index 3.5,
@@ -31,29 +31,10 @@ FROZEN_COUPLING = 0.17783269413294994
 
 
 def test_constants_are_codata_2018():
-    assert CONSTANTS.electron_charge == 1.602176634e-19
-    assert CONSTANTS.hbar == 1.054571817e-34
-    assert CONSTANTS.vacuum_permittivity == 8.8541878128e-12
-    assert CONSTANTS.speed_of_light == 299792458.0
-
-
-def test_mode_volume_reference_value():
-    volume = mode_volume_cubic(920e-9, 3.5)
-    assert volume == FROZEN_MODE_VOLUME
-    assert volume == (920e-9 / 3.5) ** 3
-
-
-def test_mode_volume_scales_with_wavelength_cubed():
-    small = mode_volume_cubic(920e-9, 3.5)
-    large = mode_volume_cubic(2 * 920e-9, 3.5)
-    assert large == pytest.approx(8.0 * small, rel=1e-15)
-
-
-def test_mode_volume_input_validation():
-    with pytest.raises(ValueError):
-        mode_volume_cubic(0.0, 3.5)
-    with pytest.raises(ValueError):
-        mode_volume_cubic(920e-9, 0.9)
+    assert ELECTRON_CHARGE == 1.602176634e-19
+    assert HBAR == 1.054571817e-34
+    assert VACUUM_PERMITTIVITY == 8.8541878128e-12
+    assert SPEED_OF_LIGHT == 299792458.0
 
 
 def test_coupling_zero_dipole_is_zero():
@@ -75,7 +56,7 @@ def test_coupling_input_validation():
 def test_coupling_power_of_two_scalings_are_exact():
     # Scalings by exact powers of two commute with IEEE rounding, so these
     # hold bitwise, not merely to tolerance.
-    dipole = CONSTANTS.electron_charge * 0.5e-9
+    dipole = ELECTRON_CHARGE * 0.5e-9
     nu = 2.0e15
     volume = FROZEN_MODE_VOLUME
     base = coupling_strength(dipole, nu, 3.5, volume)
@@ -103,7 +84,6 @@ def test_coupling_scaling_laws(dipole, nu, index, volume, factor):
 
 def test_reference_coupling_frozen_value():
     assert REFERENCE_COUPLING_RAD_PER_PS == FROZEN_COUPLING
-    assert REFERENCE_GEOMETRY.coupling() == FROZEN_COUPLING
 
 
 def test_reference_coupling_recomputed_from_first_principles():
@@ -125,26 +105,6 @@ def test_reference_coupling_near_quoted_scale():
     quoted = 0.025
     ratio = REFERENCE_COUPLING_RAD_PER_PS / (2.0 * math.pi) / quoted
     assert abs(ratio - 1.0) < 0.15
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        CavityGeometry(-1.0, 3.5, 1e-20, 0.5e-9)
-    with pytest.raises(ValueError):
-        CavityGeometry(920e-9, 0.5, 1e-20, 0.5e-9)
-    with pytest.raises(ValueError):
-        CavityGeometry(920e-9, 3.5, 0.0, 0.5e-9)
-    with pytest.raises(ValueError):
-        CavityGeometry(920e-9, 3.5, 1e-20, -0.5e-9)
-
-
-def test_geometry_derived_quantities():
-    geometry = REFERENCE_GEOMETRY
-    assert geometry.dipole_moment == CONSTANTS.electron_charge * 0.5e-9
-    assert geometry.photon_frequency == pytest.approx(
-        2.0 * math.pi * 299792458.0 / 920e-9, rel=1e-15
-    )
-    assert geometry.mode_volume == FROZEN_MODE_VOLUME
 
 
 def test_validate_returns_params_unchanged():
