@@ -8,16 +8,19 @@ e * 0.5 nm, wavelength 920 nm inside background index 3.5, mode volume
 may encounter. The package freezes the angular-frequency value as
 qdcavity.model.REFERENCE_COUPLING_RAD_PER_PS; this script is the
 independent route to that number, so it must not share code with the
-package. When qdcavity is importable the frozen constant is printed
-alongside, and the script exits 1 if the two differ by more than
+package. The frozen constant, imported from the checkout's src directory,
+is printed alongside, and the script exits 1 if the two differ by more than
 MAX_RELATIVE_DIFFERENCE: scipy's CODATA constants may be newer than the
 package's rounded CODATA 2018 values, which moves the result by about 1e-9.
+It also exits 1 when the constant cannot be imported, so that it never
+passes without comparing.
 
-Run from the repository root: PYTHONPATH=src python scripts/reference_coupling.py
+Run: python scripts/reference_coupling.py
 """
 
 import math
 import sys
+from pathlib import Path
 
 from scipy.constants import c, e, epsilon_0, hbar
 
@@ -26,6 +29,7 @@ BACKGROUND_INDEX = 3.5
 DIPOLE_LENGTH_M = 0.5e-9
 QUOTED_SCALE_PER_PS = 0.025
 MAX_RELATIVE_DIFFERENCE = 1e-8
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def main() -> int:
@@ -59,10 +63,13 @@ def main() -> int:
     print(f"conventional quoted scale    {QUOTED_SCALE_PER_PS} 1/ps")
     print(f"  (angular / 2 pi) / quoted  {ratio:.6f}")
 
+    sys.path.insert(0, str(SRC))
     try:
         from qdcavity.model import REFERENCE_COUPLING_RAD_PER_PS
-    except ImportError:
-        return 0
+    except ImportError as err:
+        print(f"cannot import the package constant from {SRC}: {err}",
+              file=sys.stderr)
+        return 1
     rel = abs(g_rad_per_ps - REFERENCE_COUPLING_RAD_PER_PS) \
         / REFERENCE_COUPLING_RAD_PER_PS
     print()

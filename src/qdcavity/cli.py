@@ -14,7 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .dynamics import ARRAY_FIELDS
 from .errors import (
     ConfigError,

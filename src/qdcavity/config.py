@@ -6,13 +6,22 @@ including validation failures discovered after parsing. Unit-bearing key
 names (gamma_c_per_ps, detuning_rad_per_ps) are deliberate; unit mistakes
 are the dominant failure mode of rate-equation tools.
 
-The [model] and [integration] keys are named once, in the field-to-key maps
-below; their defaults belong to ``default_params`` and ``IntegrationConfig``,
-which receive only the keys a file sets.
+Every key is named once, in ``_SECTIONS``, with the function that parses and
+checks its value; the scan calls it, so a malformed value fails at its own
+line. Checks that join several keys run after the scan: one coupling form,
+the required keys, the grid's axes and points, and the invariants of
+``default_params`` and ``IntegrationConfig``. So when a file has several
+errors, a per-value error is reported before a cross-key one. A [model] or
+[integration] key is the name of its field plus its unit; the defaults
+belong to ``default_params`` and ``IntegrationConfig``, which receive only
+the keys a file sets.
 
 Comments start at '#'; values therefore cannot contain that character.
 List-valued keys accept comma-separated numbers or the expressions
-geom(start, stop, count) and lin(start, stop, count).
+geom(start, stop, count) and lin(start, stop, count). A grid holds at most
+MAX_GRID_POINTS points: a larger geom() or lin() count is refused before
+its array is built, and a larger product of the axis lengths before the
+grid is built.
 """
 
 from __future__ import annotations
@@ -20,11 +29,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import CorrelationToggles
+from .dynamics import TOGGLE_VARIANTS, CorrelationToggles
 from .errors import ConfigError, ValidationError
 from .model import ModelParams, ReferenceRabi, default_params, validate
 from .oracle import DEFAULT_N_MAX, N_MAX_CAP
@@ -38,39 +47,10 @@ from .sweep import SweepGrid, point_params
 # nonlinear-loss covariance the factorization drops; band frozen at 0.25.
 DEFAULT_AGREEMENT_BAND = 0.25
 
-_MODEL_FIELD_KEYS = {
-    "g": "g_rad_per_ps",
-    "gamma_c": "gamma_c_per_ps",
-    "gamma_deph": "gamma_deph_per_ps",
-    "gamma_nr": "gamma_nr_per_ps",
-    "gamma_nl": "gamma_nl_per_ps",
-    "pump": "pump_per_ps",
-    "detuning": "detuning_rad_per_ps",
-}
-
-_INTEGRATION_KEYS = {
-    "rel_tol": "rel_tol",
-    "abs_tol": "abs_tol",
-    "max_time": "max_time_ps",
-    "initial_step": "initial_step_ps",
-    "steady_state_residual": "steady_state_residual",
-    "steady_window": "steady_window_ps",
-}
-
-_SECTIONS = {
-    "model": {
-        *_MODEL_FIELD_KEYS.values(),
-        "g_multiple_of_omega_r0", "coupling_scale_rad_per_ps",
-    },
-    "toggles": {"variant"},
-    "integration": set(_INTEGRATION_KEYS.values()),
-    "grid": {
-        "gamma_cav_per_ps", "cavity_lifetime_ps", "g_multiples",
-        "pump_per_ps", "variants",
-    },
-    "output": {"path", "format"},
-    "oracle": {"n_max", "agreement_band_rel"},
-}
+# Most points one grid may hold, and so the most values of one geom() or
+# lin() axis: far above the largest shipped sweep (fig2-fig5 hold 618
+# points together), low enough to refuse a mistyped count at once.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,119 +71,114 @@ class RunConfig:
     oracle_band: float
 
 
-class _Entries:
-    """Parsed (section, key) -> (raw value, line) map with typed takers."""
+# Value parsers: each takes the key and its raw text, and returns the
+# checked value or raises ValueError with the message to report.
 
-    def __init__(self):
-        self.values: Dict[Tuple[str, str], Tuple[str, int]] = {}
-        self.section_lines: Dict[str, int] = {}
-        self._consumed_lines: Dict[Tuple[str, str], int] = {}
-
-    def line_of(self, section: str, key: str) -> Optional[int]:
-        # Consumed entries keep their line on record: validation failures
-        # surface after parsing and must still point at the source line.
-        entry = self.values.get((section, key))
-        if entry is not None:
-            return entry[1]
-        line = self._consumed_lines.get((section, key))
-        if line is not None:
-            return line
-        return self.section_lines.get(section)
-
-    def raw(self, section, key):
-        entry = self.values.pop((section, key), None)
-        if entry is not None:
-            self._consumed_lines[(section, key)] = entry[1]
-        return entry
-
-    def take_float(self, section, key, default=None):
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        value, line = entry
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {value!r}", line)
-
-    def take_int(self, section, key, default=None):
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        value, line = entry
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: not an integer: {value!r}", line)
-
-    def take_str(self, section, key, default=None):
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        return entry[0]
-
-    def take_float_list(self, section, key):
-        entry = self.raw(section, key)
-        if entry is None:
-            return None
-        value, line = entry
-        return _parse_float_list(value, key, line)
-
-    def take_floats(self, section, field_keys):
-        """{field: value} for the keys of field_keys that are set."""
-        values = {}
-        for field, key in field_keys.items():
-            value = self.take_float(section, key)
-            if value is not None:
-                values[field] = value
-        return values
-
-    def finish(self):
-        if self.values:
-            (section, key), (_, line) = next(iter(self.values.items()))
-            raise ConfigError(f"unhandled key {key} in [{section}]", line)
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key}: not a number: {text!r}")
 
 
 _RANGE_RE = re.compile(r"^(geom|lin)\(([^)]*)\)$")
 
 
-def _parse_float_list(value: str, key: str, line: int) -> Tuple[float, ...]:
-    match = _RANGE_RE.match(value.strip())
-    if match:
-        kind, body = match.groups()
-        parts = [p.strip() for p in body.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(
-                f"{key}: {kind}() takes (start, stop, count), got {value!r}", line
-            )
-        try:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-        except ValueError:
-            raise ConfigError(f"{key}: bad {kind}() arguments in {value!r}", line)
-        if count < 1:
-            raise ConfigError(f"{key}: count must be >= 1, got {count}", line)
-        if kind == "geom":
-            if start <= 0 or stop <= 0:
-                raise ConfigError(
-                    f"{key}: geom() endpoints must be positive", line
-                )
-            values = np.geomspace(start, stop, count)
-        else:
-            values = np.linspace(start, stop, count)
-        return tuple(float(v) for v in values)
-    out = []
-    for part in value.split(","):
-        part = part.strip()
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {part!r}", line)
-    return tuple(out)
+def _number_list(key: str, text: str) -> Tuple[float, ...]:
+    match = _RANGE_RE.match(text)
+    if not match:
+        return tuple(_number(key, part.strip()) for part in text.split(","))
+    kind, body = match.groups()
+    parts = [p.strip() for p in body.split(",")]
+    if len(parts) != 3:
+        raise ValueError(
+            f"{key}: {kind}() takes (start, stop, count), got {text!r}"
+        )
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"{key}: bad {kind}() arguments in {text!r}")
+    if count < 1:
+        raise ValueError(f"{key}: count must be >= 1, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{key}: count must be <= {MAX_GRID_POINTS}, got {count}"
+        )
+    if kind == "lin":
+        return tuple(np.linspace(start, stop, count).tolist())
+    if start <= 0 or stop <= 0:
+        raise ValueError(f"{key}: geom() endpoints must be positive")
+    return tuple(np.geomspace(start, stop, count).tolist())
 
 
-def _scan(text: str) -> _Entries:
-    entries = _Entries()
+def _variant(key: str, text: str) -> CorrelationToggles:
+    return CorrelationToggles.from_name(text)
+
+
+def _variants(key: str, text: str) -> Tuple[CorrelationToggles, ...]:
+    return tuple(_variant(key, name.strip()) for name in text.split(","))
+
+
+def _format(key: str, text: str) -> str:
+    if text not in ("csv", "jsonl"):
+        raise ValueError(f"format must be csv or jsonl, got {text!r}")
+    return text
+
+
+def _n_max(key: str, text: str) -> int:
+    try:
+        n_max = int(text)
+    except ValueError:
+        raise ValueError(f"{key}: not an integer: {text!r}")
+    if not 1 <= n_max <= N_MAX_CAP:
+        raise ValueError(f"n_max must be in [1, {N_MAX_CAP}], got {n_max}")
+    return n_max
+
+
+def _band(key: str, text: str) -> float:
+    band = _number(key, text)
+    if not (band > 0) or not math.isfinite(band):
+        raise ValueError(f"agreement_band_rel must be positive, got {band}")
+    return band
+
+
+_SECTIONS = {
+    "model": {
+        **dict.fromkeys((
+            "g_rad_per_ps", "gamma_c_per_ps", "gamma_deph_per_ps",
+            "gamma_nr_per_ps", "gamma_nl_per_ps", "pump_per_ps",
+            "detuning_rad_per_ps", "g_multiple_of_omega_r0",
+        ), _number),
+        "coupling_scale_rad_per_ps": lambda key, text: ReferenceRabi(
+            coupling_scale=_number(key, text)
+        ),
+    },
+    "toggles": {"variant": _variant},
+    "integration": dict.fromkeys((
+        "rel_tol", "abs_tol", "max_time_ps", "initial_step_ps",
+        "steady_state_residual", "steady_window_ps",
+    ), _number),
+    "grid": {
+        **dict.fromkeys((
+            "gamma_cav_per_ps", "cavity_lifetime_ps", "g_multiples",
+            "pump_per_ps",
+        ), _number_list),
+        "variants": _variants,
+    },
+    "output": {"path": lambda key, text: text, "format": _format},
+    "oracle": {"n_max": _n_max, "agreement_band_rel": _band},
+}
+
+# The unit that a [model] or [integration] key adds to its field's name.
+_UNIT_RE = re.compile(r"(_rad)?(_per)?_ps$")
+
+
+def _scan(text: str):
+    """{(section, key): (checked value, line)} of the keys set, and
+    {section: line} of each section's first header."""
+    entries: Dict[Tuple[str, str], Tuple[Any, int]] = {}
+    headers: Dict[str, int] = {}
     section = None
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -218,7 +193,7 @@ def _scan(text: str) -> _Entries:
                 raise ConfigError(
                     f"unknown section [{section}] (known: {known})", number
                 )
-            entries.section_lines.setdefault(section, number)
+            headers.setdefault(section, number)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", number)
@@ -227,14 +202,34 @@ def _scan(text: str) -> _Entries:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SECTIONS[section]:
+        parse = _SECTIONS[section].get(key)
+        if parse is None:
             raise ConfigError(f"unknown key {key!r} in [{section}]", number)
-        if (section, key) in entries.values:
+        if (section, key) in entries:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", number)
         if not value:
             raise ConfigError(f"{key}: empty value", number)
-        entries.values[(section, key)] = (value, number)
-    return entries
+        try:
+            entries[(section, key)] = (parse(key, value), number)
+        except ValueError as err:
+            raise ConfigError(str(err), number)
+    return entries, headers
+
+
+def _fields(entries, section: str) -> Dict[str, Tuple[Any, int]]:
+    """{field: (value, line)} of a section's set keys."""
+    return {_UNIT_RE.sub("", key): entry
+            for (sect, key), entry in entries.items() if sect == section}
+
+
+def _build(make, fields: Dict[str, Tuple[Any, int]]):
+    """make(**values of fields), a ValidationError reported at the line of
+    the field its first problem names."""
+    try:
+        return make(**{field: value for field, (value, _) in fields.items()})
+    except ValidationError as err:
+        field = err.problems[0].split(":", 1)[0]
+        raise ConfigError(str(err), fields[field][1])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -243,71 +238,35 @@ def parse_config(text: str) -> RunConfig:
     Raises ConfigError carrying the offending line number for every parse
     and validation problem.
     """
-    entries = _scan(text)
+    entries, headers = _scan(text)
 
-    scale = entries.take_float("model", "coupling_scale_rad_per_ps")
-    try:
-        rabi = ReferenceRabi() if scale is None \
-            else ReferenceRabi(coupling_scale=scale)
-    except ValueError as err:
-        raise ConfigError(
-            str(err), entries.line_of("model", "coupling_scale_rad_per_ps")
-        )
+    def value(section: str, key: str, default=None):
+        return entries.get((section, key), (default,))[0]
 
-    model = entries.take_floats("model", _MODEL_FIELD_KEYS)
-    g_multiple = entries.take_float("model", "g_multiple_of_omega_r0")
+    model_line = headers.get("model")
+    model = _fields(entries, "model")
+    rabi = model.pop("coupling_scale", (ReferenceRabi(),))[0]
+    g_multiple = model.pop("g_multiple_of_omega_r0", (None,))[0]
     if ("g" in model) == (g_multiple is not None):
         raise ConfigError(
             "exactly one of g_rad_per_ps or g_multiple_of_omega_r0 must be set",
-            entries.section_lines.get("model"),
+            model_line,
         )
+    for key in ("gamma_c_per_ps", "pump_per_ps"):
+        if ("model", key) not in entries:
+            raise ConfigError(f"missing required key {key} in [model]", model_line)
     if g_multiple is not None:
-        model["g"] = rabi.coupling_for(g_multiple)
-    for field in ("gamma_c", "pump"):
-        if field not in model:
-            raise ConfigError(
-                f"missing required key {_MODEL_FIELD_KEYS[field]} in [model]",
-                entries.section_lines.get("model"),
-            )
-    try:
-        params = default_params(**model)
-    except ValidationError as err:
-        lines = []
-        for problem in err.problems:
-            field = problem.split(":", 1)[0]
-            key = _MODEL_FIELD_KEYS.get(field, field)
-            lines.append(entries.line_of("model", key))
-        first = next((l for l in lines if l is not None), None)
-        raise ConfigError("; ".join(err.problems), first)
-
-    variant = entries.take_str("toggles", "variant", "full")
-    try:
-        toggles = CorrelationToggles.from_name(variant)
-    except ValueError as err:
-        raise ConfigError(str(err), entries.line_of("toggles", "variant"))
-
-    try:
-        integration = IntegrationConfig(
-            **entries.take_floats("integration", _INTEGRATION_KEYS)
-        )
-    except ValueError as err:
-        field = str(err).split(" ", 1)[0]
-        raise ConfigError(
-            str(err),
-            entries.line_of("integration", _INTEGRATION_KEYS.get(field, field)),
-        )
+        model["g"] = (rabi.coupling_for(g_multiple), model_line)
+    params = _build(default_params, model)
+    toggles = value("toggles", "variant", TOGGLE_VARIANTS["full"])
+    integration = _build(IntegrationConfig, _fields(entries, "integration"))
 
     grid = None
-    grid_line = entries.section_lines.get("grid")
-    gamma_cav = entries.take_float_list("grid", "gamma_cav_per_ps")
-    lifetimes = entries.take_float_list("grid", "cavity_lifetime_ps")
-    g_multiples = entries.take_float_list("grid", "g_multiples")
-    grid_pumps = entries.take_float_list("grid", "pump_per_ps")
-    variant_entry = entries.raw("grid", "variants")
-    if grid_line is not None or any(
-        v is not None for v in (gamma_cav, lifetimes, g_multiples, grid_pumps,
-                                variant_entry)
-    ):
+    if "grid" in headers:
+        grid_line = headers["grid"]
+        gamma_cav = value("grid", "gamma_cav_per_ps")
+        lifetimes = value("grid", "cavity_lifetime_ps")
+        g_multiples = value("grid", "g_multiples")
         if (gamma_cav is None) == (lifetimes is None):
             raise ConfigError(
                 "grid needs exactly one of gamma_cav_per_ps or "
@@ -316,27 +275,21 @@ def parse_config(text: str) -> RunConfig:
             )
         if g_multiples is None:
             raise ConfigError("grid needs g_multiples", grid_line)
-        if grid_pumps is None:
-            grid_pumps = (params.pump,)
-        if variant_entry is None:
-            grid_variants = (toggles,)
-        else:
-            names, line = variant_entry
-            grid_variants = []
-            for name in names.split(","):
-                try:
-                    grid_variants.append(CorrelationToggles.from_name(name.strip()))
-                except ValueError as err:
-                    raise ConfigError(str(err), line)
+        axes = (
+            lifetimes if gamma_cav is None else gamma_cav,
+            g_multiples,
+            value("grid", "pump_per_ps", (params.pump,)),
+            value("grid", "variants", (toggles,)),
+        )
+        count = math.prod(map(len, axes))
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid has {count} points, more than {MAX_GRID_POINTS}",
+                grid_line,
+            )
         try:
-            if lifetimes is not None:
-                grid = SweepGrid.from_lifetimes(
-                    lifetimes, g_multiples, grid_pumps, grid_variants
-                )
-            else:
-                grid = SweepGrid(
-                    gamma_cav, g_multiples, grid_pumps, tuple(grid_variants)
-                )
+            grid = (SweepGrid(*axes) if gamma_cav is not None
+                    else SweepGrid.from_lifetimes(*axes))
         except ValueError as err:
             raise ConfigError(str(err), grid_line)
         # An axis value can be valid alone and still give an invalid point,
@@ -349,40 +302,16 @@ def parse_config(text: str) -> RunConfig:
                 "grid point: " + "; ".join(err.problems), grid_line
             )
 
-    output_path = entries.take_str("output", "path", "qdcavity_out.csv")
-    output_format = entries.take_str("output", "format", "csv")
-    if output_format not in ("csv", "jsonl"):
-        raise ConfigError(
-            f"format must be csv or jsonl, got {output_format!r}",
-            entries.line_of("output", "format"),
-        )
-
-    n_max = entries.take_int("oracle", "n_max", DEFAULT_N_MAX)
-    if not 1 <= n_max <= N_MAX_CAP:
-        raise ConfigError(
-            f"n_max must be in [1, {N_MAX_CAP}], got {n_max}",
-            entries.line_of("oracle", "n_max"),
-        )
-    band = entries.take_float(
-        "oracle", "agreement_band_rel", DEFAULT_AGREEMENT_BAND
-    )
-    if not (band > 0) or not math.isfinite(band):
-        raise ConfigError(
-            f"agreement_band_rel must be positive, got {band}",
-            entries.line_of("oracle", "agreement_band_rel"),
-        )
-
-    entries.finish()
     return RunConfig(
         params=params,
         rabi=rabi,
         toggles=toggles,
         integration=integration,
         grid=grid,
-        output_path=output_path,
-        output_format=output_format,
-        oracle_n_max=n_max,
-        oracle_band=band,
+        output_path=value("output", "path", "qdcavity_out.csv"),
+        output_format=value("output", "format", "csv"),
+        oracle_n_max=value("oracle", "n_max", DEFAULT_N_MAX),
+        oracle_band=value("oracle", "agreement_band_rel", DEFAULT_AGREEMENT_BAND),
     )
 
 

@@ -44,7 +44,13 @@ from .dynamics import (
     DynamicState,
     make_rhs,
 )
-from .errors import NonFiniteState, NotConverged, SolverError, StiffnessFailure
+from .errors import (
+    NonFiniteState,
+    NotConverged,
+    SolverError,
+    StiffnessFailure,
+    ValidationError,
+)
 from .model import ModelParams, validate
 
 
@@ -90,7 +96,8 @@ class IntegrationConfig:
 
     Defaults give at least six reliable digits in the observables, which the
     shallow correlation dip in g2(0) requires. Every field must be finite
-    and positive, rel_tol also below 1.
+    and positive, rel_tol also below 1; a ValidationError names each field
+    that is not.
 
     rel_tol, abs_tol: error tolerances of the Rosenbrock march, every one
         ``integrate`` runs: a direct call and the march to the settling
@@ -121,14 +128,17 @@ class IntegrationConfig:
     steady_window: float = 10.0
 
     def __post_init__(self):
+        problems = []
         for field in fields(self):
             value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{field.name} must be finite and > 0, got {value}"
+                problems.append(
+                    f"{field.name}: must be finite and > 0, got {value}"
                 )
-        if not self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+            elif field.name == "rel_tol" and not value < 1.0:
+                problems.append(f"rel_tol: must be in (0, 1), got {value}")
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,13 @@
 """Configuration parsing with line-numbered errors, and the CLI surface."""
 
+import dataclasses
 import functools
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli, oracle
 from qdcavity.cli import main
 from qdcavity.config import (
     DEFAULT_AGREEMENT_BAND,
+    MAX_GRID_POINTS,
+    RunConfig,
     load_config,
     parse_config,
 )
@@ -25,8 +29,9 @@ from qdcavity.errors import (
     SingularSteadyState,
     StiffnessFailure,
 )
-from qdcavity.model import default_params
+from qdcavity.model import ReferenceRabi, default_params
 from qdcavity.solver import IntegrationConfig, steady_state
+from qdcavity.sweep import SweepGrid
 
 MINIMAL = textwrap.dedent("""\
     [model]
@@ -121,6 +126,13 @@ def test_scan_errors_carry_line_numbers():
         ("pump_per_ps = 1\n", 1, "before any"),
         ("[model\n", 1, "unterminated"),
         ("[model]\njust words\n", 2, "key = value"),
+        # A typed value is checked as it is scanned: each of these files
+        # also lacks [model], a cross-key error found only after the scan.
+        ("[oracle]\nn_max = 65\n", 2, "n_max must be in [1, 64]"),
+        ("[output]\nformat = xml\n", 2, "format must be csv or jsonl"),
+        ("[grid]\nvariants = full, bogus\n", 2, "variant 'bogus'"),
+        ("[oracle]\nagreement_band_rel = -1\n", 2, "must be positive"),
+        ("[grid]\ng_multiples = lin(0.1, 1)\n", 2, "lin() takes"),
     )
     for text, line, fragment in cases:
         with pytest.raises(ConfigError) as info:
@@ -229,6 +241,26 @@ def test_grid_point_overflow_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid, line", [
+    # One axis count above the bound, refused before its array is built.
+    ("gamma_cav_per_ps = lin(0.1, 1, 10000000000000)\ng_multiples = 0.2\n", 6),
+    # Two valid axes whose product, 10^10 points, is above the bound.
+    ("gamma_cav_per_ps = lin(0.1, 1, 100000)\n"
+     "g_multiples = lin(0.1, 1, 100000)\n", 5),
+], ids=["axis", "product"])
+def test_oversized_grid_is_refused_at_once(tmp_path, capsys, grid, line):
+    assert MAX_GRID_POINTS == 10**6
+    path = config_file(tmp_path, MINIMAL + "[grid]\n" + grid)
+    start = time.perf_counter()
+    code = main(["sweep", "--config", path, "--out", str(tmp_path / "o.csv")])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: ")
+    assert err.count("\n") == 1
+    assert elapsed < 0.5
+
+
 def test_geom_expression_errors():
     bad_count = MINIMAL + "[grid]\ncavity_lifetime_ps = geom(1, 2)\ng_multiples = 0.2\n"
     with pytest.raises(ConfigError, match="geom"):
@@ -295,6 +327,88 @@ def test_shipped_configs_load_with_a_grid():
     assert SHIPPED_CONFIGS
     for path in SHIPPED_CONFIGS:
         assert load_config(path).grid is not None, path.name
+
+
+def _run_config(g_multiple, gamma_c, pump, variant="full", grid=None,
+                path="qdcavity_out.csv", n_max=8):
+    return RunConfig(
+        params=default_params(
+            g=g_multiple * REFERENCE_COUPLING_RAD_PER_PS, gamma_c=gamma_c,
+            pump=pump,
+        ),
+        rabi=ReferenceRabi(),
+        toggles=TOGGLE_VARIANTS[variant],
+        integration=IntegrationConfig(),
+        grid=grid,
+        output_path=path,
+        output_format="csv",
+        oracle_n_max=n_max,
+        oracle_band=0.25,
+    )
+
+
+def _variants(*names):
+    return tuple(TOGGLE_VARIANTS[name] for name in names)
+
+
+def _assert_fields_equal(got, want, name):
+    for field in dataclasses.fields(RunConfig):
+        assert getattr(got, field.name) == getattr(want, field.name), \
+            (name, field.name)
+
+
+def test_shipped_configs_parse_to_fixed_run_configs():
+    lifetimes = tuple(np.geomspace(0.2, 10, 50).tolist())
+    expected = {
+        "fig2.cfg": _run_config(0.2, 0.2, 1.0, grid=SweepGrid(
+            (0.3, 0.4, 2.2, 8.0), (0.2,),
+            tuple(np.geomspace(1e-2, 1e5, 36).tolist()), _variants("full"),
+        ), path="fig2_moments_vs_pump.csv"),
+        "fig3.cfg": _run_config(0.2, 0.5, 1e5, grid=SweepGrid.from_lifetimes(
+            lifetimes, (0.2,), (1e5,), _variants("full", "no_inversion"),
+        ), path="fig3_lifetime_scan_toggle.csv"),
+        "fig4.cfg": _run_config(0.2, 0.5, 1e5, grid=SweepGrid.from_lifetimes(
+            lifetimes, (0.1, 0.14, 0.18, 0.2), (1e5,), _variants("full"),
+        ), path="fig4_lifetime_vs_coupling.csv"),
+        "fig5.cfg": _run_config(0.2, 0.5, 1e5, grid=SweepGrid(
+            (0.3, 2.2, 8.0), tuple(np.linspace(0.02, 0.3, 29).tolist()), (1e5,),
+            _variants("full", "no_inversion"),
+        ), path="fig5_coupling_scan.csv"),
+    }
+    assert [path.name for path in SHIPPED_CONFIGS] == sorted(expected)
+    for path in SHIPPED_CONFIGS:
+        _assert_fields_equal(load_config(path), expected[path.name], path.name)
+
+
+def test_benchmark_configs_parse_to_fixed_run_configs():
+    # The config texts the benchmark sends in the first unit of each of its
+    # streams, checked against RunConfigs built from the pool entries.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import bench_workloads as bw
+    finally:
+        sys.path.pop(0)
+    (dip,) = bw.Stream("sweep_dip", 1).unit(0)
+    _assert_fields_equal(parse_config(dip.config_text), _run_config(
+        bw.DIP_G_MULTIPLE, 0.5, bw.DIP_PUMP, grid=SweepGrid.from_lifetimes(
+            [e["lifetime_ps"] for e in dip.expected["entries"]],
+            (bw.DIP_G_MULTIPLE,), (bw.DIP_PUMP,), _variants(*bw.DIP_VARIANTS),
+        )), dip.name)
+    (par,) = bw.Stream(bw.POOL_PROBE, 1).unit(0)
+    _assert_fields_equal(parse_config(par.config_text), _run_config(
+        bw.PAR_G_MULTIPLE, 0.2, 1.0, grid=SweepGrid(
+            bw.PAR_GAMMA_CAV, (bw.PAR_G_MULTIPLE,),
+            [e["pump_per_ps"] for e in par.expected["entries"]],
+            _variants("full"),
+        )), par.name)
+    requests = bw.Stream("single_point", 1).unit(0)
+    assert len(requests) == len(bw.CYCLE)
+    for request in requests:
+        entry = request.expected
+        _assert_fields_equal(parse_config(request.config_text), _run_config(
+            entry["g_multiple"], entry["gamma_c"], entry["pump"],
+            variant=entry["variant"], n_max=entry.get("n_max_start", 8),
+        ), request.name)
 
 
 def test_cli_simulate_prints_observables(tmp_path, capsys):

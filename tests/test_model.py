@@ -1,6 +1,10 @@
 """Parameter containers, validation, and the coupling-strength computation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +103,19 @@ def test_reference_coupling_recomputed_from_first_principles():
     dipole = 1.602176634e-19 * 0.5e-9
     g_rad_per_ps = dipole * e_vac / 1.054571817e-34 * 1e-12
     assert g_rad_per_ps == pytest.approx(FROZEN_COUPLING, rel=1e-12)
+
+
+def test_reference_coupling_script_finds_the_package_itself(tmp_path):
+    # An empty PYTHONPATH and a foreign working directory: the script must
+    # still import the frozen constant and compare against it.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reference_coupling.py"
+    run = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=""),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert f"package frozen value         {FROZEN_COUPLING!r}" in run.stdout
 
 
 def test_reference_coupling_near_quoted_scale():
