@@ -14,6 +14,8 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import load_config
 from .dynamics import ARRAY_FIELDS
 from .errors import (
@@ -253,11 +255,13 @@ def main(argv=None) -> int:
         # here, so usage problems map to the configuration-error code.
         code = exc.code or 0
         return 0 if code == 0 else 1
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return cmd_oracle_compare(args)
+    # No numpy overflow warning may join a failure's one stderr line.
+    with np.errstate(all="ignore"):
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        if args.command == "sweep":
+            return cmd_sweep(args)
+        return cmd_oracle_compare(args)
 
 
 if __name__ == "__main__":

@@ -9,19 +9,19 @@ are the dominant failure mode of rate-equation tools.
 Every key is named once, in ``_SECTIONS``, with the function that parses and
 checks its value; the scan calls it, so a malformed value fails at its own
 line. Checks that join several keys run after the scan: one coupling form,
-the required keys, the grid's axes and points, and the invariants of
-``default_params`` and ``IntegrationConfig``. So when a file has several
-errors, a per-value error is reported before a cross-key one. A [model] or
-[integration] key is the name of its field plus its unit; the defaults
-belong to ``default_params`` and ``IntegrationConfig``, which receive only
-the keys a file sets.
+the required keys, the grid, and the invariants of ``default_params`` and
+``IntegrationConfig``. So when a file has several errors, a per-value error
+is reported before a cross-key one. A [model] or [integration] key is the
+name of its field plus its unit; the defaults belong to ``default_params``
+and ``IntegrationConfig``, which receive only the keys a file sets.
 
 Comments start at '#'; values therefore cannot contain that character.
 List-valued keys accept comma-separated numbers or the expressions
-geom(start, stop, count) and lin(start, stop, count). A grid holds at most
-MAX_GRID_POINTS points: a larger geom() or lin() count is refused before
-its array is built, and a larger product of the axis lengths before the
-grid is built.
+geom(start, stop, count) and lin(start, stop, count). A geom() or lin()
+count above sweep.MAX_GRID_POINTS is refused before its array is built.
+The grid's own rules belong to ``SweepGrid``: its point bound and axis
+checks, and ``check_points``, which checks each axis value once against
+[model]. Their errors are reported at the [grid] header's line.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import numpy as np
 
 from .dynamics import TOGGLE_VARIANTS, CorrelationToggles
 from .errors import ConfigError, ValidationError
-from .model import ModelParams, ReferenceRabi, default_params, validate
+from .model import ModelParams, ReferenceRabi, default_params
 from .oracle import DEFAULT_N_MAX, N_MAX_CAP
 from .solver import IntegrationConfig
-from .sweep import SweepGrid, point_params
+from .sweep import MAX_GRID_POINTS, SweepGrid
 
 # Relative agreement band on the steady-state photon number between the
 # truncated hierarchy and the reference model in the weak-coupling regime
@@ -46,11 +46,6 @@ from .sweep import SweepGrid, point_params
 # difference with default background rates is 0.198, dominated by the
 # nonlinear-loss covariance the factorization drops; band frozen at 0.25.
 DEFAULT_AGREEMENT_BAND = 0.25
-
-# Most points one grid may hold, and so the most values of one geom() or
-# lin() axis: far above the largest shipped sweep (fig2-fig5 hold 618
-# points together), low enough to refuse a mistyped count at once.
-MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -281,12 +276,6 @@ def parse_config(text: str) -> RunConfig:
             value("grid", "pump_per_ps", (params.pump,)),
             value("grid", "variants", (toggles,)),
         )
-        count = math.prod(map(len, axes))
-        if count > MAX_GRID_POINTS:
-            raise ConfigError(
-                f"grid has {count} points, more than {MAX_GRID_POINTS}",
-                grid_line,
-            )
         try:
             grid = (SweepGrid(*axes) if gamma_cav is not None
                     else SweepGrid.from_lifetimes(*axes))
@@ -295,8 +284,7 @@ def parse_config(text: str) -> RunConfig:
         # An axis value can be valid alone and still give an invalid point,
         # such as a coupling multiple times the scale overflowing to inf.
         try:
-            for point, _ in point_params(grid, params, rabi):
-                validate(point)
+            grid.check_points(params, rabi)
         except ValidationError as err:
             raise ConfigError(
                 "grid point: " + "; ".join(err.problems), grid_line

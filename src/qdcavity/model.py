@@ -102,10 +102,6 @@ class ModelParams:
     pump: float
     detuning: float = 0.0
 
-    def cavity_lifetime(self) -> float:
-        """1 / (2 gamma_c), in ps. Derived, never stored."""
-        return 1.0 / (2.0 * self.gamma_c)
-
 
 def validate(params: ModelParams) -> ModelParams:
     """Check every ModelParams invariant, reporting all violations at once.

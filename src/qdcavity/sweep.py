@@ -4,16 +4,19 @@ Grid order and the emitted record schema are frozen (lexicographic in
 gamma_cav, then coupling multiple, then pump, then toggle variant) so that
 CSV diffs between runs are meaningful. Points are independent; they may run
 on any number of worker processes and the records come back in grid order
-regardless, byte-identical to a serial run.
+regardless, byte-identical to a serial run. SweepGrid owns every rule of a
+grid, its point bound included, and checks each axis value once, not each
+point.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import CorrelationToggles, DynamicState
@@ -21,6 +24,11 @@ from .errors import NotConverged
 from .model import ModelParams, ReferenceRabi, validate
 from .observables import Observables, observables_of
 from .solver import IntegrationConfig, steady_state
+
+# Most points one grid may hold, and so the most values of one geom() or
+# lin() axis: far above the largest shipped sweep (fig2-fig5 hold 618
+# points together), low enough to refuse a mistyped count at once.
+MAX_GRID_POINTS = 10**6
 
 CSV_COLUMNS = (
     "gamma_cav_per_ps",
@@ -51,18 +59,15 @@ class SweepGrid:
     toggle_variants: Tuple[CorrelationToggles, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "gamma_cav_values", tuple(self.gamma_cav_values)
-        )
-        object.__setattr__(self, "g_values", tuple(self.g_values))
-        object.__setattr__(self, "pump_values", tuple(self.pump_values))
-        object.__setattr__(
-            self, "toggle_variants", tuple(self.toggle_variants)
-        )
-        for name in ("gamma_cav_values", "g_values", "pump_values",
-                     "toggle_variants"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
+        for axis in fields(self):
+            object.__setattr__(self, axis.name, tuple(getattr(self, axis.name)))
+        if len(self) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {len(self)} points, more than {MAX_GRID_POINTS}"
+            )
+        for axis in fields(self):
+            if not getattr(self, axis.name):
+                raise ValueError(f"{axis.name} must be non-empty")
         for name in ("gamma_cav_values", "g_values", "pump_values"):
             for v in getattr(self, name):
                 if not (v > 0) or not math.isfinite(v):
@@ -80,20 +85,31 @@ class SweepGrid:
         for tau in lifetimes_ps:
             if not (tau > 0):
                 raise ValueError(f"lifetimes must be positive, got {tau}")
-        return cls(
-            gamma_cav_values=tuple(1.0 / tau for tau in lifetimes_ps),
-            g_values=tuple(g_values),
-            pump_values=tuple(pump_values),
-            toggle_variants=tuple(toggle_variants),
-        )
+        return cls((1.0 / tau for tau in lifetimes_ps), g_values,
+                   pump_values, toggle_variants)
+
+    def __len__(self) -> int:
+        """Number of points: the product of the axis lengths."""
+        return math.prod(len(getattr(self, a.name)) for a in fields(self))
+
+    def check_points(self, base: ModelParams, rabi: ReferenceRabi) -> None:
+        """Raise ValidationError, naming the first invalid axis value, unless
+        every point's params are valid. validate checks each field on its own
+        and each axis sets one field, so that holds exactly when the base and
+        each axis value on the base are valid.
+        """
+        validate(base)
+        for gamma_cav in self.gamma_cav_values:
+            validate(replace(base, gamma_c=0.5 * gamma_cav))
+        for g_multiple in self.g_values:
+            validate(replace(base, g=rabi.coupling_for(g_multiple)))
+        for pump in self.pump_values:
+            validate(replace(base, pump=pump))
 
     def points(self):
         """Lexicographic iteration over the Cartesian product."""
-        for gamma_cav in self.gamma_cav_values:
-            for g in self.g_values:
-                for pump in self.pump_values:
-                    for toggles in self.toggle_variants:
-                        yield gamma_cav, g, pump, toggles
+        return itertools.product(self.gamma_cav_values, self.g_values,
+                                 self.pump_values, self.toggle_variants)
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,9 @@ class SweepRecord:
 
 
 def _solve_point(task):
-    params, toggles, cfg, gamma_cav, g_multiple, pump = task
+    base, rabi, cfg, (gamma_cav, g_multiple, pump, toggles) = task
+    params = replace(base, g=rabi.coupling_for(g_multiple),
+                     gamma_c=0.5 * gamma_cav, pump=pump)
     try:
         state = steady_state(params, toggles, cfg)
         converged = True
@@ -131,19 +149,6 @@ def _solve_point(task):
     )
 
 
-def point_params(grid: SweepGrid, base: ModelParams, rabi: ReferenceRabi):
-    """Each grid point's params with the point itself, in grid order."""
-    for point in grid.points():
-        gamma_cav, g_multiple, pump, _ = point
-        params = replace(
-            base,
-            g=rabi.coupling_for(g_multiple),
-            gamma_c=0.5 * gamma_cav,
-            pump=pump,
-        )
-        yield params, point
-
-
 def run_sweep(
     grid: SweepGrid,
     base: ModelParams,
@@ -154,19 +159,17 @@ def run_sweep(
     """One steady-state solve per grid point, in frozen grid order.
 
     Raises ValidationError, before any point is solved, if the base or a
-    grid point's params are invalid. A point with no certified steady state
-    is recorded with converged False and the observables of the state
-    NotConverged carries; the sweep itself never aborts. Runs on at most
-    min(workers, points, CPUs) processes, serially when that is 1.
+    grid point's params are invalid (SweepGrid.check_points). A point with
+    no certified steady state is recorded with converged False and the
+    observables of the state NotConverged carries; the sweep itself never
+    aborts. Runs on at most min(workers, points, CPUs) processes, serially
+    when that is 1.
     """
-    validate(base)
-    tasks = [
-        (validate(params), toggles, cfg, gamma_cav, g_multiple, pump)
-        for params, (gamma_cav, g_multiple, pump, toggles)
-        in point_params(grid, base, rabi or ReferenceRabi())
-    ]
+    rabi = rabi or ReferenceRabi()
+    grid.check_points(base, rabi)
+    tasks = ((base, rabi, cfg, point) for point in grid.points())
     # The pool starts every worker at once: never more than points or CPUs.
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers <= 1:
         return [_solve_point(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

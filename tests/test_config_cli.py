@@ -241,6 +241,26 @@ def test_grid_point_overflow_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+def test_grid_point_subnormal_rate_is_a_config_error(tmp_path, capsys):
+    # 5e-324 is a positive axis value, but the point's gamma_c, half of it,
+    # rounds to 0.
+    text = MINIMAL + textwrap.dedent("""\
+        [grid]
+        gamma_cav_per_ps = 1.0, 5e-324
+        g_multiples = 0.2
+    """)
+    with pytest.raises(ConfigError, match="grid point: gamma_c: must be > 0"
+                       ) as info:
+        parse_config(text)
+    assert info.value.line == 5
+    path = config_file(tmp_path, text)
+    out = str(tmp_path / "out.csv")
+    assert main(["sweep", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 5: grid point: gamma_c: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("grid, line", [
     # One axis count above the bound, refused before its array is built.
     ("gamma_cav_per_ps = lin(0.1, 1, 10000000000000)\ng_multiples = 0.2\n", 6),
@@ -756,6 +776,27 @@ def _fresh_python(script, *args):
         [sys.executable, "-c", script, *args], env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("command, model", [
+    ("simulate", "g_rad_per_ps = 1e300\ngamma_c_per_ps = 0.5\npump_per_ps = 1\n"),
+    ("oracle-compare",
+     "g_rad_per_ps = 0.05\ngamma_c_per_ps = 0.5\npump_per_ps = 1e300\n"),
+], ids=["simulate", "oracle-compare"])
+def test_overflowing_input_exits_2_with_one_stderr_line(tmp_path, command,
+                                                        model):
+    # The solve overflows on the way to its verdict; numpy's warnings about
+    # it must not reach stderr next to the one-line message.
+    path = config_file(tmp_path, "[model]\n" + model)
+    result = subprocess.run(
+        [sys.executable, "-m", "qdcavity.cli", command, "--config", path,
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith("not converged")
 
 
 def test_simulate_and_sweep_never_import_scipy(tmp_path):

@@ -169,15 +169,6 @@ def test_validate_rejects_non_finite_values():
     assert "detuning" in text
 
 
-@given(gamma_c=st.floats(min_value=0.01, max_value=100.0))
-def test_cavity_lifetime_is_inverse_decay_rate(gamma_c):
-    params = ModelParams(
-        g=0.1, gamma_c=gamma_c, gamma_deph=0.01, gamma_nr=0.03,
-        gamma_nl=0.01, pump=0.5,
-    )
-    assert params.cavity_lifetime() == 1.0 / (2.0 * gamma_c)
-
-
 def test_reference_rabi_defaults():
     rabi = ReferenceRabi()
     assert rabi.coupling_scale == FROZEN_COUPLING

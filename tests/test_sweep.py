@@ -2,6 +2,7 @@
 
 import json
 import math
+import textwrap
 
 import pytest
 
@@ -18,7 +19,8 @@ from qdcavity import (
     run_sweep,
     steady_state,
 )
-from qdcavity import sweep
+from qdcavity import config, model, sweep
+from qdcavity.config import parse_config
 from qdcavity.dynamics import TOGGLE_VARIANTS
 from qdcavity.sweep import CSV_COLUMNS
 
@@ -53,6 +55,75 @@ def test_grid_validation():
     with pytest.raises(ValidationError, match="g: must be finite"):
         run_sweep(SweepGrid((1.0,), (10.0,), (1.0,), (FULL,)), BASE, CFG,
                   rabi=ReferenceRabi(coupling_scale=1e308))
+
+
+# A grid at the point bound: 1000 x 1000 points, 2001 axis values.
+BOUND_GRID = textwrap.dedent("""\
+    [model]
+    g_multiple_of_omega_r0 = 0.2
+    gamma_c_per_ps = 0.5
+    pump_per_ps = 1e5
+    [grid]
+    gamma_cav_per_ps = lin(0.1, 1, 1000)
+    g_multiples = lin(0.1, 1, 1000)
+""")
+
+
+def count_validate_calls(monkeypatch):
+    """A one-item list counting every validate call from here on, through
+    each module that binds the name."""
+    calls = [0]
+    original = model.validate
+
+    def counting(params):
+        calls[0] += 1
+        return original(params)
+
+    for module in (model, config, sweep):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+def axis_values(grid):
+    return (len(grid.gamma_cav_values) + len(grid.g_values)
+            + len(grid.pump_values))
+
+
+def test_parse_checks_each_axis_value_once(monkeypatch):
+    calls = count_validate_calls(monkeypatch)
+    grid = parse_config(BOUND_GRID).grid
+    assert calls[0] <= 2 + axis_values(grid)
+    assert len(grid) == sweep.MAX_GRID_POINTS
+
+
+def test_run_sweep_checks_each_axis_value_once(monkeypatch):
+    loaded = parse_config(BOUND_GRID)
+
+    class FirstSolve(Exception):
+        pass
+
+    def first_solve(*args, **kwargs):
+        raise FirstSolve
+
+    monkeypatch.setattr(sweep, "steady_state", first_solve)
+    calls = count_validate_calls(monkeypatch)
+    with pytest.raises(FirstSolve):
+        run_sweep(loaded.grid, loaded.params, loaded.integration,
+                  rabi=loaded.rabi)
+    assert calls[0] <= 2 + axis_values(loaded.grid)
+
+
+def test_invalid_last_axis_value_is_refused_before_any_solve(monkeypatch):
+    # Half of the smallest subnormal, the point's gamma_c, rounds to 0.
+    def solve(*args):
+        raise AssertionError("a point was solved before the grid check")
+
+    monkeypatch.setattr(sweep, "steady_state", solve)
+    grid = SweepGrid((1.0, 2.0, 5e-324), (0.1,), (1.0,), (FULL,))
+    with pytest.raises(ValidationError,
+                       match=r"^gamma_c: must be > 0, got 0\.0$"):
+        run_sweep(grid, BASE, CFG)
 
 
 def test_grid_points_lexicographic():
