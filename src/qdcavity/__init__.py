@@ -13,7 +13,6 @@ from .dynamics import (
     CorrelationToggles,
     DynamicState,
     make_rhs,
-    rhs,
     two_photon_expectation,
 )
 from .errors import (
@@ -98,7 +97,6 @@ __all__ = [
     "make_rhs",
     "observables_of",
     "oracle_steady_observables",
-    "rhs",
     "run_sweep",
     "steady_observables_auto",
     "steady_state",

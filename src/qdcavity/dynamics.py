@@ -247,14 +247,6 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
     return rhs, jacobian
 
 
-def rhs(
-    state: DynamicState, params: ModelParams, toggles: CorrelationToggles
-) -> DynamicState:
-    """Time derivative of every field, returned as a state-shaped record."""
-    f, _ = make_rhs(params, toggles)
-    return DynamicState.from_array(f(0.0, state.to_array()))
-
-
 def two_photon_expectation(state: DynamicState) -> float:
     """<a+ a+ a a> = 2 n_p^2 + d_photon2.
 

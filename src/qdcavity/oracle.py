@@ -39,24 +39,14 @@ diagonal in Q, in blocks of at most two states: |0,0,m> and |1,1,m-1> for
 Q = 2m, |1,0,m> and |0,1,m> for Q = 2m + 1, so the state is checked block
 by block and its populations are read straight off its diagonal entries.
 
-Each operator of the model sends one basis state to one basis state with a
-single weight, and the generator is linear in seven rates: detuning, g,
-2 gamma_c, pump, gamma_nr, gamma_nl and gamma_deph / 2. Its sparsity
-pattern on the sector, the union of every term's pattern, and an
-nnz x 7 table of each entry's coefficient per rate are therefore fixed by
-the cutoff alone; they are built once per HilbertSpace from those index
-maps and cached, and build_liouvillian forms the values as that table
-times the rate vector. A zero rate leaves explicit zeros, so the pattern
-never changes with the parameters. Entries are numbered in row-major
-(C-order) vectorization, i * dim + j for rho[i, j].
+The generator shifts Q by -2 to +1, so on the sector it couples only
+adjacent photon levels m = Q // 2: it is a stack of lower, diagonal and
+upper blocks. Each operator of the model sends one basis state to one with
+a single weight, so every block entry is linear in seven rates, with
+coefficients that depend on the cutoff alone and are cached per cutoff.
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
-
-scipy is imported inside the functions that call it: every simulate and
-sweep process imports this module (config reads its cutoff constants) but
-never runs the oracle, and a module-level scipy import would triple their
-start-up time.
 """
 
 from __future__ import annotations
@@ -80,6 +70,8 @@ DEFAULT_N_MAX = 8
 # of perfbench's single_point `cap` entries into 0 or 3, so it changes only
 # together with the benchmark's references.
 N_MAX_CAP = 64
+# Entries of a photon level above level 0 and below the top one.
+LEVEL_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -196,22 +188,15 @@ def charge_sector(space: HilbertSpace) -> np.ndarray:
 class _Generator(NamedTuple):
     """Parameter-free form of the sector generator; every array is read-only.
 
-    indices, indptr: CSR pattern of the generator on charge_sector, the
-        union of every term's pattern.
-    coefficients: nnz x 7 complex; the CSR values are coefficients @ rates
-        for the rate vector of build_liouvillian.
-    system_indices, system_indptr: CSC pattern of the generator with its
-        first row, rho[0, 0]'s, replaced by the trace row.
-    gather: the CSC values are concatenate(([1.0], values))[gather] for the
-        generator's CSR values; position 0 is the trace row's one.
+    coefficients: 7 x (3 levels LEVEL_WIDTH^2) complex; rates @ coefficients
+        are the blocks of build_liouvillian, flattened.
+    sizes: the number of entries of each photon level.
+    order: each charge_sector entry's place in the levels x LEVEL_WIDTH layout.
     """
 
-    indices: np.ndarray
-    indptr: np.ndarray
     coefficients: np.ndarray
-    system_indices: np.ndarray
-    system_indptr: np.ndarray
-    gather: np.ndarray
+    sizes: np.ndarray
+    order: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,59 +220,47 @@ def _generator(space: HilbertSpace) -> _Generator:
         terms.append((rows, cols, -0.5 * (weight[rows] ** 2 + weight[cols] ** 2)))
         columns += [column, column]
     to_row, to_col, coef = (np.concatenate(part) for part in zip(*terms))
-    column = np.repeat(columns, size)
-    source = np.tile(np.arange(size), len(terms))
     keep = (to_row >= 0) & (to_col >= 0) & (coef != 0.0)
+    column = np.repeat(columns, size)[keep]
+    source = np.tile(np.arange(size), len(terms))[keep]
     position = np.full(space.dim ** 2, -1)
     position[layout.entries] = np.arange(size)
     to = position[to_row[keep] * space.dim + to_col[keep]]
-    # Row-major keys of the union pattern: CSR order.
-    keys, slot = np.unique(to * size + source[keep], return_inverse=True)
-    coefficients = np.zeros((keys.size, 7), dtype=complex)
-    np.add.at(coefficients, (slot, column[keep]), coef[keep])
-    row, col = np.divmod(keys, size)
-    # The trace row replaces row 0; value 0 of the gathered array is its one.
-    first = np.count_nonzero(row == 0)
-    system_row = np.concatenate((np.zeros(layout.diagonal.size, int), row[first:]))
-    system_col = np.concatenate((layout.diagonal, col[first:]))
-    values = np.concatenate((np.zeros(layout.diagonal.size, int),
-                             np.arange(first, row.size) + 1))
-    order = np.lexsort((system_row, system_col))
-    table = _Generator(
-        col.astype(np.int32),
-        np.searchsorted(row, np.arange(size + 1)).astype(np.int32),
-        coefficients,
-        system_row[order].astype(np.int32),
-        np.searchsorted(system_col[order], np.arange(size + 1)).astype(np.int32),
-        values[order],
-    )
+    # Photon level Q // 2 of each entry, and its slot within its level in
+    # charge_sector order.
+    e, h, n = _occupations(space)
+    level = (2 * n + e + h)[rows] // 2
+    sizes = np.bincount(level)
+    rank = np.argsort(np.argsort(level, kind="stable"))
+    slot = rank - (np.cumsum(sizes) - sizes)[level]
+    coefficients = np.zeros((7, 3, sizes.size, LEVEL_WIDTH, LEVEL_WIDTH),
+                            dtype=complex)
+    np.add.at(coefficients, (column, level[source] - level[to] + 1,
+                             level[to], slot[to], slot[source]), coef[keep])
+    table = _Generator(coefficients.reshape(7, -1), sizes,
+                       level * LEVEL_WIDTH + slot)
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def build_liouvillian(params: ModelParams, space: HilbertSpace):
-    """Sparse (CSR) generator of d rho / dt on the charge sector.
+def build_liouvillian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
+    """Generator of d rho / dt on the charge sector, in photon-level blocks.
 
-    Rows and columns follow charge_sector(space). The values are the cached
-    per-cutoff coefficient table times the rate vector (detuning, g,
-    2 gamma_c, pump, gamma_nr, gamma_nl, gamma_deph / 2); the pattern, shared
-    by every call at the cutoff, keeps an explicit zero wherever only a zero
-    rate contributes. Rates are in 1/ps.
+    Returns blocks, 3 x levels x LEVEL_WIDTH x LEVEL_WIDTH: with x_m the
+    entries of level m (m = Q // 2, in charge_sector order, zero-padded to
+    LEVEL_WIDTH), d x_m / dt = blocks[0, m] x_{m-1} + blocks[1, m] x_m
+    + blocks[2, m] x_{m+1}. The values are the cached per-cutoff coefficient
+    table times the rate vector (detuning, g, 2 gamma_c, pump, gamma_nr,
+    gamma_nl, gamma_deph / 2). Rates are in 1/ps.
     """
-    from scipy import sparse
-
     validate(params)
-    table = _generator(space)
     rates = np.array((
         params.detuning, params.g, 2.0 * params.gamma_c, params.pump,
         params.gamma_nr, params.gamma_nl, 0.5 * params.gamma_deph,
     ))
-    size = table.indptr.size - 1
-    return sparse.csr_matrix(
-        (table.coefficients @ rates, table.indices, table.indptr),
-        shape=(size, size),
-    )
+    blocks = rates @ _generator(space).coefficients
+    return blocks.reshape(3, -1, LEVEL_WIDTH, LEVEL_WIDTH)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,47 +335,75 @@ class DensityMatrix:
 def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMatrix:
     """Unique stationary state of the generator within the charge sector.
 
-    The generator conserves Q - Q' (see the module docstring), so it maps
-    the Q-diagonal entries of rho (charge_sector) into themselves, and the
-    stationary state reached from any Q-diagonal state, vacuum included,
-    lies among them. Solves generator . rho = 0 on those 8 n_max + 6
-    entries by a sparse LU factorization, with the trace row substituted
-    for the row of rho[0, 0] (that row is linearly dependent on the other
-    diagonal rows by trace preservation, and every diagonal entry is in the
-    sector, so nothing is lost). The state stays as those entries; it is
-    made exactly Hermitian, normalized and validated there. Uniqueness is
-    checked within the sector: a null space of dimension above one there
-    leaves the substituted matrix singular and raises SingularSteadyState.
-    A solution that is not Hermitian to 1e-10, or fails validation, raises
-    MalformedSteadyState.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
+    Solves generator . rho = 0 on the level blocks A (lower), D and C
+    (upper) by Risken's matrix continued fraction: from the top down,
+    x_m = R_m x_{m-1} with R_m = -(D_m + C_m R_{m+1})^-1 A_m, each level to
+    full precision relative to the one below, and x_0 is the null vector of
+    D_0 + C_0 R_1. The descent stops at a level that loses nothing downwards
+    (a trap, as full inversion is under pump alone), and its rounding grows
+    where populations rise with m. The level whose null vector is taken,
+    the twist, is then the trap, or the level of largest entries below the
+    top if the residual is above 1e-8; the levels below the twist are
+    eliminated from level 0 up alike.
 
-    layout = _sector(space)
-    gen = build_liouvillian(params, space)
-    # The trace row, a one at each diagonal entry, replaces row 0, which is
-    # rho[0, 0]'s: the system's CSC pattern is cached with the generator's,
-    # and its values are gathered from gen's.
-    table = _generator(space)
-    system = sparse.csc_matrix(
-        (np.concatenate(([1.0], gen.data))[table.gather],
-         table.system_indices, table.system_indptr),
-        shape=gen.shape,
-    )
-    rhs = np.zeros(layout.entries.size, dtype=complex)
-    rhs[0] = 1.0
+    A failed level solve, two negligible singular values of the twist block
+    (no unique state in the sector) or a residual not below 1e-8 raise
+    SingularSteadyState; asymmetry above 1e-10 or a failed validate()
+    raises MalformedSteadyState.
+    """
+    lower, diagonal, upper = build_liouvillian(params, space)
+    layout, table = _sector(space), _generator(space)
+    sizes, top = table.sizes, table.sizes.size - 1
+    # x_m = above[m] x_{m-1} above the twist level, below[m] x_{m+1} below it.
+    above, below = {}, []
+
+    def reduced(m, twist):  # D_m with the eliminated levels next to it folded in
+        block = diagonal[m, :sizes[m], :sizes[m]]
+        if twist <= m < top:
+            block = block + upper[m, :sizes[m], :sizes[m + 1]] @ above[m + 1]
+        if 0 < m <= twist:
+            block = block + lower[m, :sizes[m], :sizes[m - 1]] @ below[m - 1]
+        return block
+
+    def solve(twist):
+        """Trace-normalized levels as rows 1 to top + 1, and their residual."""
+        for m in range(top, twist, -1):
+            if m not in above:
+                above[m] = -np.linalg.solve(
+                    reduced(m, twist), lower[m, :sizes[m], :sizes[m - 1]])
+        for m in range(len(below), twist):
+            below.append(-np.linalg.solve(
+                reduced(m, twist), upper[m, :sizes[m], :sizes[m + 1]]))
+        singular, null = np.linalg.svd(reduced(twist, twist))[1:]
+        if singular[-2] <= singular.size * np.finfo(float).eps * singular[0]:
+            raise SingularSteadyState(
+                f"stationary state is not unique: level {twist} has singular "
+                f"values {singular[-2:]} of {singular[0]}")
+        levels = np.zeros((top + 3, LEVEL_WIDTH), dtype=complex)
+        levels[twist + 1, :sizes[twist]] = null[-1].conj()
+        for m in range(twist + 1, top + 1):
+            levels[m + 1, :sizes[m]] = above[m] @ levels[m, :sizes[m - 1]]
+        for m in range(twist - 1, -1, -1):
+            levels[m + 1, :sizes[m]] = below[m] @ levels[m + 2, :sizes[m + 1]]
+        levels /= levels[1:-1].reshape(-1)[table.order[layout.diagonal]].sum()
+        flow = (lower @ levels[:-2, :, None] + diagonal @ levels[1:-1, :, None]
+                + upper @ levels[2:, :, None])
+        # Non-finite entries leave a non-finite residual.
+        return levels, float(np.max(np.abs(flow)))
+
     try:
-        x = splu(system).solve(rhs)
-    except RuntimeError as err:
-        raise SingularSteadyState(str(err)) from err
-    if not np.all(np.isfinite(x)):
-        raise SingularSteadyState("factorization returned non-finite entries")
-    residual = float(np.max(np.abs(gen @ x)))
-    if residual > 1e-8:
+        try:
+            levels, residual = solve(0)
+        except np.linalg.LinAlgError:  # a trap ends the descent: twist there
+            levels, residual = solve(min(above, default=top + 1) - 1)
+        if not residual <= 1e-8:  # rounding grew: twist at the heaviest level
+            levels, residual = solve(1 + np.abs(levels[2:-2]).sum(axis=1).argmax())
+    except np.linalg.LinAlgError as err:
+        raise SingularSteadyState(f"level solve failed: {err}") from err
+    if not residual <= 1e-8:
         raise SingularSteadyState(
-            f"stationarity residual {residual:.3e} exceeds 1e-8"
-        )
+            f"stationarity residual {residual:.3e} is not below 1e-8")
+    x = levels[1:-1].reshape(-1)[table.order]
     transpose = x[layout.partner].conj()
     asymmetry = float(np.max(np.abs(x - transpose)))
     if asymmetry > 1e-10:
@@ -412,13 +413,8 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
 
 
 def top_level_population(populations: np.ndarray, space: HilbertSpace) -> float:
-    """Total population of the highest retained Fock level, from the
-    populations rho[i, i] in basis order."""
-    total = 0.0
-    for n_e in (0, 1):
-        for n_h in (0, 1):
-            total += populations[state_index(space, n_e, n_h, space.n_max)]
-    return total
+    """Population of the top Fock level, from the rho[i, i] in basis order."""
+    return float(populations.reshape(4, space.n_max + 1)[:, -1].sum())
 
 
 def oracle_steady_observables(

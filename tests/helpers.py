@@ -10,8 +10,9 @@ two routes is a meaningful cross-check rather than a tautology.
 The flat-array references further down are the opposite: the package's own
 arithmetic, written as plain item stores into fresh arrays, against which
 the package's closures and RODAS4 step are compared byte for byte. The dense
-steady state after them is the oracle's charge-sector solve carried through
-a full density matrix, against which the block-kept state is compared.
+steady state after them solves the index-map generator below by sparse LU
+and carries the state through a full density matrix; the oracle's
+level-by-level solve and its block-kept state are compared against it.
 
 The dense reference model at the end restates the oracle's Lindblad
 generator on the whole density matrix: dense mode operators, the
@@ -27,7 +28,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qdcavity import DynamicState, ModelParams, validate
-from qdcavity.dynamics import TOGGLE_VARIANTS
+from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.oracle import state_index
 
 FIELDS = (
@@ -105,6 +106,12 @@ def reference_rhs(state, params, include_doublets=True,
         out["d_ce_phot"] = 0.0
         out["d_h_phot"] = 0.0
     return out
+
+
+def rhs(state, params, toggles):
+    """The package's time derivative of every field, as a DynamicState."""
+    f, _ = make_rhs(params, toggles)
+    return DynamicState.from_array(f(0.0, state.to_array()))
 
 
 def store_rhs_and_jacobian(params, toggles):
@@ -221,20 +228,21 @@ def reference_rodas_step(rhs, y, f, J, h, gamma, stages):
 
 
 def dense_steady_state(params, space):
-    """The oracle's stationary state as a dense dim x dim rho.
+    """The oracle's stationary state as a dense dim x dim rho, by an
+    independent route.
 
-    The same charge-sector solve as qdcavity.oracle.steady_state_density,
-    with the trace row stacked onto the generator by scipy, the solution
-    scattered into the full matrix, symmetrised and normalised there, and
-    positivity checked by one dense eigvalsh.
+    The charge-sector generator comes from index_map_liouvillian below; the
+    trace row replaces the row of rho[0, 0] and scipy's sparse LU solves the
+    system. The solution is scattered into the full matrix, symmetrised and
+    normalised there, and positivity is checked by one dense eigvalsh.
     """
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    from qdcavity.oracle import build_liouvillian, charge_sector
+    from qdcavity.oracle import charge_sector
 
     entries = charge_sector(space)
-    gen = build_liouvillian(params, space)
+    gen = index_map_liouvillian(params, space, entries)
     dim = space.dim
     rows, cols = np.divmod(entries, dim)
     trace_row = sparse.csr_matrix((rows == cols).astype(complex))
@@ -249,6 +257,31 @@ def dense_steady_state(params, space):
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
     return rho
+
+
+def sector_generator(params, space):
+    """The oracle's level blocks reassembled into one dense matrix on
+    charge_sector, in its order.
+
+    Asserts that the blocks' padding, the slots past each level's entries,
+    holds only zeros.
+    """
+    from qdcavity.oracle import LEVEL_WIDTH, _generator, build_liouvillian
+
+    blocks = build_liouvillian(params, space)
+    width = blocks.shape[1] * LEVEL_WIDTH
+    padded = np.zeros((width + 2 * LEVEL_WIDTH, width + 2 * LEVEL_WIDTH),
+                      dtype=complex)
+    for side, stack in enumerate(blocks):
+        for m, block in enumerate(stack):
+            row = (m + 1) * LEVEL_WIDTH
+            col = (m + side) * LEVEL_WIDTH
+            padded[row:row + LEVEL_WIDTH, col:col + LEVEL_WIDTH] = block
+    padded = padded[LEVEL_WIDTH:-LEVEL_WIDTH, LEVEL_WIDTH:-LEVEL_WIDTH]
+    order = _generator(space).order
+    outside = np.setdiff1d(np.arange(width), order)
+    assert not np.any(padded[outside]) and not np.any(padded[:, outside])
+    return padded[np.ix_(order, order)]
 
 
 def _axpy(state, deriv, h):

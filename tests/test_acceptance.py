@@ -41,11 +41,7 @@ from qdcavity.model import (
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
 )
-from qdcavity.oracle import (
-    build_liouvillian,
-    charge_sector,
-    steady_state_density,
-)
+from qdcavity.oracle import charge_sector, steady_state_density
 
 from helpers import (
     apply_liouvillian,
@@ -54,6 +50,7 @@ from helpers import (
     expectation,
     index_map_liouvillian,
     propagate,
+    sector_generator,
 )
 
 FULL = TOGGLE_VARIANTS["full"]
@@ -347,7 +344,7 @@ def test_criterion_08_oracle_integrity():
     # the full generator and by the oracle's own on the charge sector.
     space = HilbertSpace(16)
     gen = index_map_liouvillian(params, space)
-    sector_gen = build_liouvillian(params, space)
+    sector_gen = sector_generator(params, space)
     entries = charge_sector(space)
     rows, cols = np.divmod(entries, space.dim)
     rng = np.random.default_rng(3)

@@ -750,11 +750,12 @@ import json
 import sys
 import qdcavity
 from qdcavity import cli
-run, sweep, out = sys.argv[1:]
+run, sweep, oracle, out = sys.argv[1:]
 codes = [
     cli.main(["simulate", "--config", run]),
     cli.main(["simulate", "--config", run, "--trajectory", "--out", out]),
     cli.main(["sweep", "--config", sweep, "--out", out]),
+    cli.main(["oracle-compare", "--config", oracle]),
 ]
 loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": loaded}))
@@ -800,15 +801,16 @@ def test_overflowing_input_exits_2_with_one_stderr_line(tmp_path, command,
 
 
 def test_simulate_and_sweep_never_import_scipy(tmp_path):
+    # Nor does oracle-compare: the package runs on numpy alone.
     run = config_file(tmp_path, MINIMAL)
     sweep = config_file(tmp_path, SWEEP_TEXT, name="sweep.cfg")
-    lean = _fresh_python(_LEAN_CHILD, run, sweep, str(tmp_path / "out.csv"))
+    oracle = config_file(tmp_path, ORACLE_TEXT, name="oracle.cfg")
+    lean = _fresh_python(_LEAN_CHILD, run, sweep, oracle,
+                         str(tmp_path / "out.csv"))
     assert lean.returncode == 0, lean.stderr
     report = json.loads(lean.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0], "scipy": []}
-    # The oracle's function-local imports, and the tracer's solve_ivp hook,
-    # resolve in a clean process.
-    oracle = _fresh_python(_ORACLE_CHILD, config_file(tmp_path, ORACLE_TEXT,
-                                                      name="oracle.cfg"))
-    assert oracle.returncode == 0, oracle.stdout + oracle.stderr
-    assert "within_band=" in oracle.stdout
+    assert report == {"codes": [0, 0, 0, 0], "scipy": []}
+    # The tracer's solve_ivp hook resolves in a clean process.
+    hooked = _fresh_python(_ORACLE_CHILD, oracle)
+    assert hooked.returncode == 0, hooked.stdout + hooked.stderr
+    assert "within_band=" in hooked.stdout

@@ -10,7 +10,6 @@ from qdcavity.dynamics import (
     STATE_DIM,
     TOGGLE_VARIANTS,
     make_rhs,
-    rhs,
     two_photon_expectation,
 )
 
@@ -20,6 +19,7 @@ from helpers import (
     dict_to_state,
     params_strategy,
     reference_rhs,
+    rhs,
     rk4_step,
     state_to_dict,
     states_strategy,

@@ -44,6 +44,7 @@ from helpers import (
     expectation,
     index_map_liouvillian,
     propagate,
+    sector_generator,
 )
 
 FULL = TOGGLE_VARIANTS["full"]
@@ -203,12 +204,14 @@ def test_charge_sector_size():
 
 
 def assert_generator_close(ours, reference):
-    """max |ours - reference| <= 4 eps max |reference|, over the whole
-    matrix: the two builds sum an entry's terms in different orders, and
-    where a diagonal entry's terms cancel, a per-entry bound fails."""
+    """max |ours - reference| <= 4 eps max |reference| for a dense ours and
+    a sparse reference, over the whole matrix: the two builds sum an
+    entry's terms in different orders, and where a diagonal entry's terms
+    cancel, a per-entry bound fails."""
     eps = np.finfo(float).eps
-    scale = np.max(np.abs(reference.toarray()))
-    assert np.max(np.abs((ours - reference).toarray())) <= 4.0 * eps * scale
+    reference = reference.toarray()
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(ours - reference)) <= 4.0 * eps * scale
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
@@ -217,7 +220,7 @@ def test_sector_generator_is_the_restricted_full_generator(n_max):
     entries = charge_sector(space)
     full = index_map_liouvillian(GENERIC, space)
     restricted = full[entries][:, entries]
-    assert_generator_close(build_liouvillian(GENERIC, space), restricted)
+    assert_generator_close(sector_generator(GENERIC, space), restricted)
     # The full generator maps sector columns only into sector rows.
     outside = np.setdiff1d(np.arange(space.dim ** 2), entries)
     assert np.max(np.abs(full[outside][:, entries].toarray())) == 0.0
@@ -236,21 +239,33 @@ def linear_build_cases():
     return cases
 
 
+def rate_vector(params):
+    return np.array((
+        params.detuning, params.g, 2.0 * params.gamma_c, params.pump,
+        params.gamma_nr, params.gamma_nl, 0.5 * params.gamma_deph,
+    ))
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 8, 64])
 def test_linear_build_matches_the_index_map_build(n_max):
     space = HilbertSpace(n_max)
     entries = charge_sector(space)
     table = _generator(space)
+    # Photon levels of 5, 8, ..., 8 and 1 entries.
+    assert list(table.sizes) == [5] + [8] * n_max + [1]
+    assert np.array_equal(np.bincount(table.order // 8), table.sizes)
     for params in linear_build_cases():
-        gen = build_liouvillian(params, space)
+        # The blocks, reassembled on the sector, are the index-map
+        # generator, and their padding is zero.
         assert_generator_close(
-            gen, index_map_liouvillian(params, space, entries)
+            sector_generator(params, space),
+            index_map_liouvillian(params, space, entries),
         )
-        # One pattern per cutoff, whatever the rates: a zero rate leaves
-        # explicit zeros, and the index arrays are the cached ones.
-        assert np.shares_memory(gen.indices, table.indices)
-        assert np.shares_memory(gen.indptr, table.indptr)
-        assert gen.nnz == table.coefficients.shape[0]
+        # The values are the cached table times the rate vector.
+        blocks = build_liouvillian(params, space)
+        assert blocks.shape == (3, n_max + 2, 8, 8)
+        assert np.array_equal(blocks.reshape(-1),
+                              rate_vector(params) @ table.coefficients)
     assert _generator(HilbertSpace(n_max)) is table
     for array in table:
         assert not array.flags.writeable
@@ -289,10 +304,11 @@ def test_sector_state_matches_the_dense_path(n_max):
             g=ReferenceRabi().coupling_for(g_multiple), gamma_c=gamma_c,
             pump=pump,
         )
-        rho = dense_steady_state(params, space)
         state = steady_state_density(params, space)
-        # The same arithmetic in the same order: the same bits.
-        assert np.array_equal(state.elements, rho)
+        # The level recursion against sparse LU on the index-map generator.
+        reference = dense_steady_state(params, space)
+        assert np.max(np.abs(state.elements - reference)) <= 1e-14
+        rho = state.elements
         if sum(rho[k, k].real for k in top) >= TOP_LEVEL_LIMIT:
             with pytest.raises(TruncationTooSmall):
                 oracle_steady_observables(params, space)
@@ -305,6 +321,37 @@ def test_sector_state_matches_the_dense_path(n_max):
         assert_close(obs.two_photon, two, 1e-12, "<a+a+aa>")
         assert_close(obs.g2_zero, two / n_p ** 2, 1e-12, "g2")
     assert resolved == {16: 2, 32: 3, 64: 4}[n_max]
+
+
+@pytest.mark.parametrize("gamma_c", [1.0, 1.0 / 3.27, 0.1])
+def test_g2_at_saturating_pump_does_not_depend_on_the_cutoff(gamma_c):
+    # fig3's base point: populations fall by orders of magnitude per photon
+    # level, and g2(0) must come out the same at every cutoff.
+    params = default_params(g=ReferenceRabi().coupling_for(0.20),
+                            gamma_c=gamma_c, pump=1e5)
+    g2 = []
+    for n_max in (8, 16, 32):
+        obs = oracle_steady_observables(params, HilbertSpace(n_max))
+        assert obs.two_photon > 0.0
+        g2.append(obs.g2_zero)
+    assert max(g2) - min(g2) <= 1e-9
+
+
+def test_state_rising_to_the_cutoff_matches_the_dense_path():
+    # perfbench's first `cap` entry at n_max 32: a lasing state whose
+    # populations rise by a factor of about 5 per level up to the cutoff,
+    # where the descent from the top loses every digit and the state is
+    # taken at its heaviest level instead.
+    params = default_params(
+        g=ReferenceRabi().coupling_for(9.492753083193042),
+        gamma_c=0.05209222030615762, pump=10.815045094425688,
+    )
+    space = HilbertSpace(32)
+    state = steady_state_density(params, space)
+    reference = dense_steady_state(params, space)
+    assert np.max(np.abs(state.elements - reference)) <= 1e-14
+    with pytest.raises(TruncationTooSmall):
+        oracle_steady_observables(params, space)
 
 
 def test_photon_decay_through_propagate():
@@ -409,6 +456,17 @@ def test_degenerate_null_space_is_rejected():
 
 def test_degenerate_null_space_is_rejected_at_n_max_20():
     _assert_degenerate_null_space_rejected(20)
+
+
+def test_degenerate_null_space_at_level_zero_is_rejected():
+    # Joint recombination empties every level above 0, where each carrier
+    # state without photons, and their coherence, is stationary.
+    params = ModelParams(
+        g=0.0, gamma_c=1.0, gamma_deph=0.0, gamma_nr=0.0,
+        gamma_nl=0.3, pump=0.0,
+    )
+    with pytest.raises(SingularSteadyState, match="not unique"):
+        steady_state_density(params, HilbertSpace(4))
 
 
 def test_truncation_guard_and_auto_doubling(monkeypatch):

@@ -23,7 +23,6 @@ from qdcavity import (
     ValidationError,
     default_params,
     integrate,
-    rhs,
     steady_state,
 )
 from qdcavity import solver
