@@ -12,11 +12,12 @@ Steady states are solved for directly rather than marched to. Pseudo-
 transient continuation takes linearly implicit Euler steps on the analytic
 Jacobian, (I/h - J) dy = f(y), doubling the pseudo-time step h after every
 accepted iterate, so the iteration starts as a damped march and ends as
-Newton's method. A root is returned only once it is certified: residual
-below threshold, every Jacobian eigenvalue in the left half-plane (Newton
-can land on unstable roots, a time-march cannot), the linearised flow from
-the initial state settled within the time budget, and the residual staying
-below threshold over a window of the flow linearised at the root. Both flow
+Newton's method. Each root it reaches takes one more, full Newton step, and
+is returned only once it is certified: residual below threshold, every
+Jacobian eigenvalue in the left half-plane (Newton can land on unstable
+roots, a time-march cannot), the linearised flow from the initial state
+settled within the time budget, and the residual staying below threshold
+over a window of the flow linearised at the root. Both flow
 checks are evaluated in closed form on the eigen-decomposition of J, so a
 certified root costs no march step. Failing that, the continuation climbs
 in the pump from far below the lasing threshold (natural-parameter
@@ -318,13 +319,17 @@ def integrate(
     return Trajectory(np.array(times), states)
 
 
-def _continue_to_root(rhs, jac, y0, n, cfg):
+def _continue_to_root(rhs, jac, y0, n, cfg, polish_start=False):
     """Pseudo-transient continuation from y0 towards a root of rhs.
 
     Moves the first n components only. An iterate that at most doubles the
     scaled residual is accepted and the pseudo-time step doubles; otherwise
-    it is rejected and the step quartered. Returns the first iterate below
-    cfg.steady_state_residual, or None after MAX_CONTINUATION_STEPS.
+    it is rejected and the step quartered. The first iterate below
+    cfg.steady_state_residual is returned after one Newton step,
+    y[:n] -= J(y)^-1 f(y), on its own residual vector: the threshold alone
+    leaves moments far below the state norm loose. y0 itself, when it meets
+    the threshold, is returned unchanged unless polish_start. Returns None
+    after MAX_CONTINUATION_STEPS.
     """
     y = y0
     f = rhs(0.0, y)
@@ -334,7 +339,14 @@ def _continue_to_root(rhs, jac, y0, n, cfg):
     eye = np.eye(n)
     for _ in range(MAX_CONTINUATION_STEPS):
         if residual < cfg.steady_state_residual:
-            return y
+            if y is y0 and not polish_start:
+                return y
+            root = y.copy()
+            try:
+                root[:n] -= np.linalg.solve(jac(0.0, y)[:n, :n], f[:n])
+            except np.linalg.LinAlgError:
+                return y
+            return root
         if J is None:
             J = jac(0.0, y)[:n, :n]
         trial = y.copy()
@@ -380,10 +392,18 @@ def _window_holds(rhs, root, rates, modes, cfg):
     return True
 
 
-def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
-    """Yield the root that each pump ladder reaches at the target pump: the
-    target alone, on rhs and jac, then PUMP_RUNGS geometric rungs up from
+def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess=None):
+    """Yield the root that each path reaches at the target pump, on rhs and
+    jac: from the guess, if any, with the rest of its state y0's; from y0
+    at the target alone; then up PUMP_RUNGS geometric rungs from
     PUMP_START."""
+    if guess is not None:
+        warm = y0.copy()
+        warm[:n] = guess[:n]
+        root = _continue_to_root(rhs, jac, warm, n, replace(
+            cfg, initial_step=RUNG_STEP), polish_start=True)
+        if root is not None:
+            yield root
     root = _continue_to_root(rhs, jac, y0, n, cfg)
     if root is not None:
         yield root
@@ -432,6 +452,7 @@ def steady_state(
     cfg: IntegrationConfig,
     initial: Optional[DynamicState] = None,
     record: bool = False,
+    guess: Optional[np.ndarray] = None,
 ):
     """Solve for the steady state reached from vacuum (or ``initial``).
 
@@ -445,6 +466,17 @@ def steady_state(
     steady_window of the flow linearised at the root, solved in closed form.
     PhysicalRangeWarning is emitted if the root or that window leaves the
     physical range.
+
+    Every root the continuation reaches gets one Newton step before it is
+    certified; only the initial state, returned unchanged when it already
+    meets the threshold, is not stepped.
+
+    A guess, a state array such as a nearby point's certified root, is tried
+    first: continuation starts from its first n components (the rest are the
+    initial state's) with a first pseudo-time step of RUNG_STEP, and its
+    root, polished even if the guess already met the threshold, is
+    certified from the initial state like any other. When it does not
+    certify, the solve goes on as without a guess.
 
     Failing that, the continuation climbs a ladder of pumps from PUMP_START
     to the target, and its root is certified the same way. Raises
@@ -470,7 +502,7 @@ def steady_state(
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
 
     root = eigen = None
-    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess):
         eigen = _eigen(jac, y0, root, n)
         if eigen is not None and _certified(rhs, root, eigen, cfg):
             break

@@ -2,9 +2,11 @@
 
 Grid order and the emitted record schema are frozen (lexicographic in
 gamma_cav, then coupling multiple, then pump, then toggle variant) so that
-CSV diffs between runs are meaningful. Points are independent; they may run
-on any number of worker processes and the records come back in grid order
-regardless, byte-identical to a serial run. SweepGrid owns every rule of a
+CSV diffs between runs are meaningful. The variants of one point form a
+group, solved in order in one process so that each later variant starts
+from the previous one's root; groups are independent, may run on any number
+of worker processes, and the records come back in grid order regardless,
+byte-identical to a serial run. SweepGrid owns every rule of a
 grid, its point bound included, and checks each axis value once, not each
 point.
 """
@@ -129,24 +131,30 @@ class SweepRecord:
         return 1.0 / self.gamma_cav
 
 
-def _solve_point(task):
-    base, rabi, cfg, (gamma_cav, g_multiple, pump, toggles) = task
+def _solve_group(task):
+    """Solve one grid point's variants in grid order. Each later variant
+    starts from the previous variant's certified root, if it has one."""
+    base, rabi, cfg, (gamma_cav, g_multiple, pump), variants = task
     params = replace(base, g=rabi.coupling_for(g_multiple),
                      gamma_c=0.5 * gamma_cav, pump=pump)
-    try:
-        state = steady_state(params, toggles, cfg)
-        converged = True
-    except NotConverged as err:
-        state = err.last_state
-        converged = False
-    return SweepRecord(
-        gamma_cav=gamma_cav,
-        g_over_omega_r0=g_multiple,
-        pump=pump,
-        toggles=toggles,
-        observables=observables_of(state, params),
-        converged=converged,
-    )
+    records, guess = [], None
+    for toggles in variants:
+        try:
+            state = steady_state(params, toggles, cfg, guess=guess)
+            converged = True
+        except NotConverged as err:
+            state = err.last_state
+            converged = False
+        guess = state.to_array() if converged else None
+        records.append(SweepRecord(
+            gamma_cav=gamma_cav,
+            g_over_omega_r0=g_multiple,
+            pump=pump,
+            toggles=toggles,
+            observables=observables_of(state, params),
+            converged=converged,
+        ))
+    return records
 
 
 def run_sweep(
@@ -162,18 +170,24 @@ def run_sweep(
     grid point's params are invalid (SweepGrid.check_points). A point with
     no certified steady state is recorded with converged False and the
     observables of the state NotConverged carries; the sweep itself never
-    aborts. Runs on at most min(workers, points, CPUs) processes, serially
-    when that is 1.
+    aborts. A task is one group: the points that differ only in variant,
+    the innermost axis. Its first variant is solved from the initial state
+    alone, and each later one is guessed from the previous variant's
+    certified root (steady_state's guess). Groups are never split, so the
+    records do not depend on workers. Runs on at most
+    min(workers, groups, CPUs) processes, serially when that is 1.
     """
     rabi = rabi or ReferenceRabi()
     grid.check_points(base, rabi)
-    tasks = ((base, rabi, cfg, point) for point in grid.points())
-    # The pool starts every worker at once: never more than points or CPUs.
-    workers = min(workers, len(grid), os.cpu_count() or 1)
+    variants = grid.toggle_variants
+    tasks = ((base, rabi, cfg, point, variants) for point in itertools.product(
+        grid.gamma_cav_values, grid.g_values, grid.pump_values))
+    # The pool starts every worker at once: never more than groups or CPUs.
+    workers = min(workers, len(grid) // len(variants), os.cpu_count() or 1)
     if workers <= 1:
-        return [_solve_point(task) for task in tasks]
+        return [r for group in map(_solve_group, tasks) for r in group]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_solve_point, tasks))
+        return [r for group in pool.map(_solve_group, tasks) for r in group]
 
 
 def _values(r: SweepRecord) -> tuple:

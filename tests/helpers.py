@@ -367,6 +367,26 @@ def assert_close(actual, expected, rel, context=""):
     )
 
 
+def gate_scaled_difference(a, b):
+    """Largest observable difference, each on its natural scale.
+
+    n_p and the output rate relative to themselves, the two-photon
+    expectation relative to n_p^2 and g2(0) absolutely, because the last
+    two pass through zero inside the dip.
+    """
+    n_p = abs(b.photon_number)
+    diffs = [
+        abs(a.photon_number - b.photon_number) / n_p,
+        abs(a.output_rate - b.output_rate) / abs(b.output_rate),
+        abs(a.two_photon - b.two_photon) / max(abs(b.two_photon), n_p * n_p),
+    ]
+    if a.g2_zero is None or b.g2_zero is None:
+        assert a.g2_zero is b.g2_zero
+    else:
+        diffs.append(abs(a.g2_zero - b.g2_zero) / max(abs(b.g2_zero), 1.0))
+    return max(diffs)
+
+
 class Operators:
     """Dense matrices of the elementary mode operators on the product space."""
 

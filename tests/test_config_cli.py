@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdcavity import ConfigError, REFERENCE_COUPLING_RAD_PER_PS, cli, oracle
+from qdcavity import (
+    ConfigError,
+    REFERENCE_COUPLING_RAD_PER_PS,
+    cli,
+    oracle,
+    solver,
+)
 from qdcavity.cli import main
 from qdcavity.config import (
     DEFAULT_AGREEMENT_BAND,
@@ -288,6 +294,43 @@ def test_geom_expression_errors():
     bad_sign = MINIMAL + "[grid]\ncavity_lifetime_ps = geom(-1, 2, 3)\ng_multiples = 0.2\n"
     with pytest.raises(ConfigError, match="positive"):
         parse_config(bad_sign)
+
+
+@pytest.mark.parametrize("section", [
+    "[grid]\ncavity_lifetime_ps = lin(one, 2, 3)\ng_multiples = 0.2\n",
+    "[grid]\ngamma_cav_per_ps = geom(0.1, 2, 2.5)\ng_multiples = 0.2\n",
+    "[grid]\ncavity_lifetime_ps = lin(1, 2, 0)\ng_multiples = 0.2\n",
+    "[grid]\ngamma_cav_per_ps = geom(0.1, 2, 0)\ng_multiples = 0.2\n",
+    "[oracle]\nn_max = 8.5\n",
+], ids=["lin-word", "geom-fraction", "lin-count-0", "geom-count-0",
+        "n_max-fraction"])
+def test_cli_bad_value_is_a_one_line_config_error(tmp_path, capsys, section):
+    # The value on line 6 is refused at parse time: exit 1 and one stderr
+    # line naming it, never a traceback.
+    path = config_file(tmp_path, MINIMAL + section)
+    assert main(["simulate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: line 6: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_trajectory_past_the_step_budget_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    # The recorded march needs more than five steps; the budget ends it
+    # with exit 2 and one stderr line.
+    monkeypatch.setattr(solver, "MAX_MARCH_STEPS", 5)
+    path = config_file(tmp_path, MINIMAL)
+    out_file = tmp_path / "traj.csv"
+    code = main(["simulate", "--config", path, "--trajectory",
+                 "--out", str(out_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "after 5 steps" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 def test_unknown_toggle_variant_is_line_numbered():

@@ -2,12 +2,17 @@
 
 import json
 import math
+import re
 import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from qdcavity import (
+    DynamicState,
     IntegrationConfig,
+    NotConverged,
     Observables,
     ReferenceRabi,
     SweepGrid,
@@ -24,8 +29,11 @@ from qdcavity.config import parse_config
 from qdcavity.dynamics import TOGGLE_VARIANTS
 from qdcavity.sweep import CSV_COLUMNS
 
+from helpers import gate_scaled_difference
+
 FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
+NO_INVERSION = TOGGLE_VARIANTS["no_inversion"]
 
 BASE = default_params(g=0.1, gamma_c=0.5, pump=1.0)
 CFG = IntegrationConfig()
@@ -182,7 +190,9 @@ def test_sweep_rerun_is_identical():
 
 
 def test_worker_counts_give_identical_output():
-    grid = small_grid()
+    # Three variants, so that pool tasks hold groups with warm guesses.
+    grid = SweepGrid((1.0, 2.0, 4.0), (0.1,), (1.0,),
+                     (FULL, NO_INVERSION, FACTORIZED))
     serial = run_sweep(grid, BASE, CFG, workers=1)
     parallel = run_sweep(grid, BASE, CFG, workers=2)
     assert serial == parallel
@@ -219,6 +229,89 @@ def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
     records = run_sweep(grid, BASE, CFG, workers=10**6)
     assert started == pools
     assert records == run_sweep(grid, BASE, CFG, workers=1)
+
+
+def test_later_variants_are_guessed_from_the_previous_root(monkeypatch):
+    # A group's first variant starts cold; each later one is guessed from
+    # the previous variant's certified root, and starts cold again after a
+    # variant that was not certified (here full at gamma_cav 2.0, refused
+    # on purpose).
+    calls = []
+
+    def recording(params, toggles, cfg, guess=None):
+        if toggles == FULL and params.gamma_c == 1.0:
+            state = None
+        else:
+            state = steady_state(params, toggles, cfg, guess=guess)
+        calls.append((toggles, guess, state))
+        if state is None:
+            raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0)
+        return state
+
+    monkeypatch.setattr(sweep, "steady_state", recording)
+    grid = SweepGrid((1.0, 2.0), (0.1,), (1.0,),
+                     (FULL, NO_INVERSION, FACTORIZED))
+    records = run_sweep(grid, BASE, CFG)
+    assert [r.converged for r in records] == [True] * 3 + [False, True, True]
+    assert [toggles for toggles, _, _ in calls] == [
+        FULL, NO_INVERSION, FACTORIZED] * 2
+    for k, (_, guess, _) in enumerate(calls):
+        previous = calls[k - 1][2]
+        if k % 3 == 0 or previous is None:
+            assert guess is None
+        else:
+            assert guess.tobytes() == previous.to_array().tobytes()
+    assert sum(guess is not None for _, guess, _ in calls) == 3
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# CI's sweep across the lasing threshold.
+THRESHOLD_TEXT = textwrap.dedent("""\
+    [model]
+    g_multiple_of_omega_r0 = 0.20
+    gamma_c_per_ps = 0.05
+    pump_per_ps = 1e5
+    [grid]
+    cavity_lifetime_ps = 15.5, 16, 16.5, 17, 18, 20, 22, 25, 28, 30
+    g_multiples = 0.20
+""")
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
+def test_grouped_sweep_equals_cold_point_solves(name):
+    # Each later variant of a group starts from the previous variant's
+    # root; each must match its own solve from vacuum, converged flags
+    # and the states of refused points included.
+    text = (THRESHOLD_TEXT if name == "threshold"
+            else (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8"))
+    text = re.sub(r"(?m)^variants = .*\n", "", text).replace(
+        "[grid]\n", "[grid]\nvariants = full, no_inversion, factorized\n")
+    run = parse_config(text)
+    assert len(run.grid.toggle_variants) == 3
+    records = run_sweep(run.grid, run.params, run.integration, run.rabi)
+    refused = []
+    for record in records:
+        params = replace(run.params,
+                         g=run.rabi.coupling_for(record.g_over_omega_r0),
+                         gamma_c=0.5 * record.gamma_cav, pump=record.pump)
+        try:
+            state = steady_state(params, record.toggles, run.integration,
+                                 guess=None)
+            converged = True
+        except NotConverged as err:
+            state, converged = err.last_state, False
+            refused.append((round(record.cavity_lifetime, 9), record.toggles))
+        assert record.converged == converged
+        assert gate_scaled_difference(
+            record.observables, observables_of(state, params)) < 1e-12
+    if name == "threshold":
+        assert refused == [
+            (16.0, FULL), (16.0, FACTORIZED), (16.5, FULL),
+            (16.5, FACTORIZED), (20.0, NO_INVERSION),
+        ]
+    else:
+        assert not refused
 
 
 def test_non_convergence_is_captured_not_raised():
