@@ -37,7 +37,7 @@ class NotConverged(SolverError):
     Attributes:
         max_time: the time budget that was exhausted, in ps.
         last_state: the state that the flow linearised at the last root
-            found reaches at max_time, or the initial state if none was.
+            found reaches at max_time, or vacuum if none was.
         residual: the scaled residual at that state.
     """
 

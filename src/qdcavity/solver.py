@@ -15,15 +15,15 @@ accepted iterate, so the iteration starts as a damped march and ends as
 Newton's method. Each root it reaches takes one more, full Newton step, and
 is returned only once it is certified: residual below threshold, every
 Jacobian eigenvalue in the left half-plane (Newton can land on unstable
-roots, a time-march cannot), the linearised flow from the initial state
-settled within the time budget, and the residual staying below threshold
+roots, a time-march cannot), the linearised flow from vacuum settled
+within the time budget, and the residual staying below threshold
 over a window of the flow linearised at the root. Both flow
 checks are evaluated in closed form on the eigen-decomposition of J, so a
 certified root costs no march step. Failing that, the continuation climbs
 in the pump from far below the lasing threshold (natural-parameter
 continuation, Allgower & Georg, ch. 1-2); no steady-state solve marches. A
-recorded trajectory is one march from the initial state to the settling
-time of the flow linearised at the certified root, also read off that
+recorded trajectory is one march from vacuum to the settling time of the
+flow linearised at the certified root, also read off that
 eigen-decomposition; ``integrate`` is the only march.
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
@@ -59,7 +59,7 @@ def __getattr__(name):
     # Unused by the solver: solver.solve_ivp exists only because perfbench's
     # tracer reads and patches it. Imported on first access so that a solve
     # never loads scipy. Delete this hook once the tracer stops patching it
-    # (ROADMAP item 3).
+    # (ROADMAP item 2).
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 
@@ -107,11 +107,10 @@ class IntegrationConfig:
         at most 1. Finding and certifying a root, its steady window
         included, runs no march and does not read them. 10*rel_tol is also
         the allowance of the physical-range check.
-    max_time: default horizon of ``integrate``, in ps. For ``steady_state``
-        the time budget: a root is accepted only if the flow linearised at
-        it, started from the initial state, settles below
-        steady_state_residual by max_time, and a refused solve reports the
-        state that flow reaches at max_time.
+    max_time: the time budget of ``steady_state``, in ps: a root is
+        accepted only if the flow linearised at it, started from vacuum,
+        settles below steady_state_residual by max_time, and a refused solve
+        reports the state that flow reaches at max_time.
     initial_step: first march step, and the first pseudo-time step of the
         steady-state continuation, in ps.
     steady_state_residual: threshold on the scaled residual
@@ -249,9 +248,9 @@ def integrate(
     params: ModelParams,
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
-    t_end: Optional[float] = None,
+    t_end: float,
 ) -> Trajectory:
-    """Integrate from t = 0 to t_end (default cfg.max_time).
+    """Integrate from t = 0 to t_end.
 
     RODAS4 steps on the analytic Jacobian, the first of cfg.initial_step.
     A step is accepted when the RMS of its error estimate, scaled by
@@ -267,9 +266,8 @@ def integrate(
     validate(params)
     rhs, jac = make_rhs(params, toggles)
     y = initial.to_array()
-    horizon = cfg.max_time if t_end is None else t_end
-    if not (horizon > 0.0):
-        raise ValueError(f"t_end must be > 0, got {horizon}")
+    if not (t_end > 0.0):
+        raise ValueError(f"t_end must be > 0, got {t_end}")
     if not np.isfinite(y).all():
         raise NonFiniteState("non-finite state at t = 0 ps")
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
@@ -280,9 +278,9 @@ def integrate(
     h = cfg.initial_step
     rejected = False
     for _ in range(MAX_MARCH_STEPS):
-        last = t + h >= horizon
+        last = t + h >= t_end
         if last:
-            h = horizon - t
+            h = t_end - t
         y_new, error = _rodas_step(rhs, y, f, J, h)
         if not np.isfinite(y_new).all():
             raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
@@ -292,7 +290,7 @@ def integrate(
         # An exact step (err 0) grows the next one by the full factor 6.
         factor = min(6.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.25))
         if err <= 1.0:
-            t = horizon if last else t + h
+            t = t_end if last else t + h
             y, abs_y = y_new, abs_new
             times.append(t)
             ys.append(y)
@@ -312,35 +310,31 @@ def integrate(
     else:
         raise SolverError(
             f"march stopped after {MAX_MARCH_STEPS} steps at t = {t:.6g} "
-            f"of {horizon:g} ps"
+            f"of {t_end:g} ps"
         )
     states = np.array(ys)
     _check_ranges(times, states.T, cfg.rel_tol)
     return Trajectory(np.array(times), states)
 
 
-def _continue_to_root(rhs, jac, y0, n, cfg, polish_start=False):
+def _continue_to_root(rhs, jac, y0, n, cfg, h):
     """Pseudo-transient continuation from y0 towards a root of rhs.
 
-    Moves the first n components only. An iterate that at most doubles the
-    scaled residual is accepted and the pseudo-time step doubles; otherwise
-    it is rejected and the step quartered. The first iterate below
-    cfg.steady_state_residual is returned after one Newton step,
-    y[:n] -= J(y)^-1 f(y), on its own residual vector: the threshold alone
-    leaves moments far below the state norm loose. y0 itself, when it meets
-    the threshold, is returned unchanged unless polish_start. Returns None
-    after MAX_CONTINUATION_STEPS.
+    Moves the first n components only, from a first pseudo-time step h. An
+    iterate that at most doubles the scaled residual is accepted and the
+    step doubles; otherwise it is rejected and the step quartered. The
+    first iterate below cfg.steady_state_residual, y0 itself included, is
+    returned after one Newton step, y[:n] -= J(y)^-1 f(y), on its own
+    residual vector: the threshold alone leaves moments far below the state
+    norm loose. Returns None after MAX_CONTINUATION_STEPS.
     """
     y = y0
     f = rhs(0.0, y)
     residual = scaled_residual(f, y)
     J = None
-    h = cfg.initial_step
     eye = np.eye(n)
     for _ in range(MAX_CONTINUATION_STEPS):
         if residual < cfg.steady_state_residual:
-            if y is y0 and not polish_start:
-                return y
             root = y.copy()
             try:
                 root[:n] -= np.linalg.solve(jac(0.0, y)[:n, :n], f[:n])
@@ -392,31 +386,38 @@ def _window_holds(rhs, root, rates, modes, cfg):
     return True
 
 
-def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess=None):
-    """Yield the root that each path reaches at the target pump, on rhs and
-    jac: from the guess, if any, with the rest of its state y0's; from y0
-    at the target alone; then up PUMP_RUNGS geometric rungs from
-    PUMP_START."""
+def _paths(params, y0, n, guess):
+    """Yield each continuation path as (start state, pumps it climbs): the
+    guess, if any, with the rest of its state y0's, and y0, both at the
+    target pump alone; then y0 up PUMP_RUNGS geometric rungs from
+    PUMP_START, computed only once reached."""
     if guess is not None:
         warm = y0.copy()
         warm[:n] = guess[:n]
-        root = _continue_to_root(rhs, jac, warm, n, replace(
-            cfg, initial_step=RUNG_STEP), polish_start=True)
-        if root is not None:
-            yield root
-    root = _continue_to_root(rhs, jac, y0, n, cfg)
-    if root is not None:
-        yield root
-    if params.pump <= PUMP_START:
-        return
-    y, rung_cfg = y0, cfg
-    for pump in np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist():
-        rung = make_rhs(replace(params, pump=pump), toggles)
-        y = _continue_to_root(*rung, y, n, rung_cfg)
-        if y is None:
-            return
-        rung_cfg = replace(cfg, initial_step=RUNG_STEP)
-    yield y
+        yield warm, (params.pump,)
+    yield y0, (params.pump,)
+    if params.pump > PUMP_START:
+        yield y0, np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist()
+
+
+def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess=None):
+    """Yield the root that each of _paths reaches at the target pump.
+
+    A path from y0 takes cfg.initial_step as its first pseudo-time step,
+    every other continuation RUNG_STEP. The rung at the target pump runs on
+    rhs and jac themselves, the closures that certify its root.
+    """
+    for y, pumps in _paths(params, y0, n, guess):
+        h = cfg.initial_step if y is y0 else RUNG_STEP
+        for pump in pumps:
+            flow = (rhs, jac) if pump == params.pump else make_rhs(
+                replace(params, pump=pump), toggles)
+            y = _continue_to_root(*flow, y, n, cfg, h)
+            if y is None:
+                break
+            h = RUNG_STEP
+        else:
+            yield y
 
 
 def _eigen(jac, y0, root, n):
@@ -429,11 +430,11 @@ def _eigen(jac, y0, root, n):
 
 
 def _certified(rhs, root, eigen, cfg):
-    """Certify a root given its _eigen decomposition from the initial state.
+    """Certify a root given its _eigen decomposition from a start y0.
 
     The root must be linearly stable, the flow linearised at it must carry
-    the initial state below the residual threshold by cfg.max_time, and the
-    residual must hold over a steady window.
+    y0 below the residual threshold by cfg.max_time, and the residual must
+    hold over a steady window.
     """
     rates, modes, amplitudes = eigen
     if not np.all(rates.real < 0.0):
@@ -450,55 +451,51 @@ def steady_state(
     params: ModelParams,
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
-    initial: Optional[DynamicState] = None,
     record: bool = False,
     guess: Optional[np.ndarray] = None,
 ):
-    """Solve for the steady state reached from vacuum (or ``initial``).
+    """Solve for the steady state reached from vacuum.
 
     Pseudo-transient continuation on the analytic Jacobian, over all ten
     components or the five singlet ones for the factorized variant, finds a
     root of the equations of motion. It is returned once certified: scaled
     residual ||rhs|| / max(||state||, 1) below cfg.steady_state_residual,
     every eigenvalue of the Jacobian with negative real part, the flow
-    linearised at the root carrying the initial state below that threshold
-    within cfg.max_time, and the residual staying below it over a further
+    linearised at the root carrying vacuum below that threshold within
+    cfg.max_time, and the residual staying below it over a further
     steady_window of the flow linearised at the root, solved in closed form.
     PhysicalRangeWarning is emitted if the root or that window leaves the
     physical range.
 
-    Every root the continuation reaches gets one Newton step before it is
-    certified; only the initial state, returned unchanged when it already
-    meets the threshold, is not stepped.
+    Every root the continuation reaches, its start included when that
+    already meets the threshold, gets one Newton step before it is
+    certified.
 
     A guess, a state array such as a nearby point's certified root, is tried
-    first: continuation starts from its first n components (the rest are the
-    initial state's) with a first pseudo-time step of RUNG_STEP, and its
-    root, polished even if the guess already met the threshold, is
-    certified from the initial state like any other. When it does not
-    certify, the solve goes on as without a guess.
+    first: continuation starts from its first n components (the rest are
+    vacuum's) with a first pseudo-time step of RUNG_STEP, and its root is
+    certified from vacuum like any other. When it does not certify, the
+    solve goes on as without a guess.
 
     Failing that, the continuation climbs a ladder of pumps from PUMP_START
     to the target, and its root is certified the same way. Raises
     NotConverged otherwise, carrying the state that the flow linearised at
-    the last root found reaches at max_time (the initial state if none) and
-    its residual.
+    the last root found reaches at max_time (vacuum if none) and its
+    residual.
 
     With record=True, returns (state, Trajectory): the trajectory collects
-    every accepted step of one march from the initial state to the
-    settling time of the flow linearised at the certified root, its last
-    row overwritten with that root, so the row and the state are bitwise
-    the one the bare call returns. The settling time, from the eigen-
-    decomposition J = V diag(rates) V^-1 at the root, is the time by which
-    each of the n modes carries its share of the residual below
-    threshold / n, clipped to [initial_step, max_time]; a warm start on the
-    root gives two rows. Past the lasing threshold that march can use up
-    MAX_MARCH_STEPS (SolverError).
+    every accepted step of one march from vacuum to the settling time of
+    the flow linearised at the certified root, its last row overwritten
+    with that root, so the row and the state are bitwise the one the bare
+    call returns. The settling time, from the eigen-decomposition
+    J = V diag(rates) V^-1 at the root, is the time by which each of the n
+    modes carries its share of the residual below threshold / n, clipped to
+    [initial_step, max_time]. Past the lasing threshold that march can use
+    up MAX_MARCH_STEPS (SolverError).
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
-    start = initial or DynamicState.vacuum()
-    y0 = start.to_array()
+    y0 = DynamicState.vacuum().to_array()
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
 
     root = eigen = None
@@ -521,7 +518,9 @@ def steady_state(
 
     # Linearised at the root, the residual is a sum of n modes of size
     # |rates_i a_i| e^{Re rates_i t} with a = V^-1 (y0 - root); a mode with
-    # no amplitude, as at a warm start on the root, gives log(0) = -inf.
+    # no amplitude gives log(0) = -inf. From vacuum the imaginary parts,
+    # decoupled at zero detuning, stay 0 at the root, so their modes have
+    # none.
     rates, modes, amplitudes = eigen
     share = np.abs(rates * amplitudes) * n / (
         cfg.steady_state_residual * max(math.sqrt(float(root @ root)), 1.0)
@@ -529,7 +528,7 @@ def steady_state(
     with np.errstate(divide="ignore"):
         settle = float(np.max(np.log(share) / -rates.real))
     march = integrate(
-        start, params, toggles, cfg,
+        DynamicState.vacuum(), params, toggles, cfg,
         t_end=min(max(settle, cfg.initial_step), cfg.max_time),
     )
     march.states[-1] = root

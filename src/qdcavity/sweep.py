@@ -108,11 +108,6 @@ class SweepGrid:
         for pump in self.pump_values:
             validate(replace(base, pump=pump))
 
-    def points(self):
-        """Lexicographic iteration over the Cartesian product."""
-        return itertools.product(self.gamma_cav_values, self.g_values,
-                                 self.pump_values, self.toggle_variants)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -171,10 +166,10 @@ def run_sweep(
     no certified steady state is recorded with converged False and the
     observables of the state NotConverged carries; the sweep itself never
     aborts. A task is one group: the points that differ only in variant,
-    the innermost axis. Its first variant is solved from the initial state
-    alone, and each later one is guessed from the previous variant's
-    certified root (steady_state's guess). Groups are never split, so the
-    records do not depend on workers. Runs on at most
+    the innermost axis. Its first variant is solved from vacuum alone, and
+    each later one is guessed from the previous variant's certified root
+    (steady_state's guess). Groups are never split, so the records do not
+    depend on workers. Runs on at most
     min(workers, groups, CPUs) processes, serially when that is 1.
     """
     rabi = rabi or ReferenceRabi()

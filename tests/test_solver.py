@@ -134,7 +134,7 @@ def test_integrate_rejects_invalid_params_and_horizon():
             DynamicState.vacuum(),
             ModelParams(g=0.1, gamma_c=0.0, gamma_deph=0.0, gamma_nr=0.0,
                         gamma_nl=0.0, pump=0.0),
-            FULL, CFG,
+            FULL, CFG, t_end=1.0,
         )
     with pytest.raises(ValueError):
         integrate(
@@ -273,7 +273,8 @@ def test_window_catches_transient_growth():
     # A stable but non-normal linear flow f(y) = J y: its residual evolves
     # as f(t) = e^{J t} f(0), and started along the second axis it first
     # grows about 350-fold (peak near t = 1 ps) before it decays. A state
-    # whose residual starts below threshold must still be rejected.
+    # whose residual starts below threshold must still be rejected. Either
+    # state, meeting the threshold, is polished onto the flow's root 0.
     J = np.array([[-1.0, 1e3, 0.0], [0.0, -1.1, 0.0], [0.0, 0.0, -2.0]])
 
     def f(t, y):
@@ -286,14 +287,16 @@ def test_window_catches_transient_growth():
     growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
     assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
     assert not _window_holds(f, growing, rates, modes, CFG)
-    assert _continue_to_root(f, jac, growing, 3, CFG) is growing
+    root = _continue_to_root(f, jac, growing, 3, CFG, CFG.initial_step)
+    assert root.tolist() == [0.0, 0.0, 0.0]
     assert not _certified(f, growing, _eigen(jac, growing, growing, 3), CFG)
     # Started along the first axis the residual only decays, so a state
     # just under the threshold holds; stepping the flow backwards would
     # double its residual instead.
     decaying = np.linalg.solve(J, [0.8 * CFG.steady_state_residual, 0.0, 0.0])
     assert _window_holds(f, decaying, rates, modes, CFG)
-    assert _continue_to_root(f, jac, decaying, 3, CFG) is decaying
+    root = _continue_to_root(f, jac, decaying, 3, CFG, CFG.initial_step)
+    assert root.tolist() == [0.0, 0.0, 0.0]
     assert _certified(f, decaying, _eigen(jac, decaying, decaying, 3), CFG)
 
 
@@ -354,7 +357,7 @@ def test_pump_continuation_past_threshold():
             )
             warm = _continue_to_root(
                 *make_rhs(params, toggles), neighbour.to_array(), STATE_DIM,
-                replace(cfg, initial_step=RUNG_STEP),
+                cfg, RUNG_STEP,
             )
             pairs.append((state.to_array().tolist(), warm.tolist()))
         print(json.dumps(pairs))
@@ -437,16 +440,6 @@ def test_recorded_trajectory_reaches_the_threshold(variant, pump):
     assert scaled_residual(f(0.0, end), end) < CFG.steady_state_residual
 
 
-def test_recorded_trajectory_from_the_root():
-    params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
-    state = steady_state(params, FULL, CFG)
-    again, traj = steady_state(params, FULL, CFG, initial=state, record=True)
-    assert len(traj.times) >= 2
-    assert traj.times[0] == 0.0
-    assert traj.states[-1].tobytes() == state.to_array().tobytes()
-    assert again == state
-
-
 def test_steady_state_not_converged_carries_last_state():
     # Carriers relax at rate P + gamma_nr = 2/ps; after max_time = 1 ps the
     # flow is far from stalled, so the solver must refuse and report the
@@ -496,7 +489,7 @@ def test_factorized_variant_keeps_correlations_at_zero():
 def test_steady_state_accepts_initial_guess():
     params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     reference = steady_state(params, FULL, CFG)
-    warm = steady_state(params, FULL, CFG, initial=reference)
+    warm = steady_state(params, FULL, CFG, guess=reference.to_array())
     assert warm.n_p == pytest.approx(reference.n_p, rel=1e-9)
 
 
@@ -511,9 +504,8 @@ def test_newton_polish_pins_moments_below_the_state_norm():
     near = steady_state(replace(params, gamma_c=0.2), FULL, CFG)
     rhs, jac = make_rhs(params, FULL)
     vacuum = DynamicState.vacuum().to_array()
-    warm = _continue_to_root(rhs, jac, near.to_array(), STATE_DIM,
-                             replace(CFG, initial_step=RUNG_STEP),
-                             polish_start=True)
+    warm = _continue_to_root(rhs, jac, near.to_array(), STATE_DIM, CFG,
+                             RUNG_STEP)
     assert _certified(rhs, warm, _eigen(jac, vacuum, warm, STATE_DIM), CFG)
     guessed = steady_state(params, FULL, CFG, guess=near.to_array())
     assert guessed.to_array().tobytes() == warm.tobytes()
@@ -521,6 +513,26 @@ def test_newton_polish_pins_moments_below_the_state_norm():
     assert two_photon < 1e-10
     assert observables_of(guessed, params).two_photon == pytest.approx(
         two_photon, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("variant", sorted(TOGGLE_VARIANTS))
+def test_vacuum_meeting_the_threshold_is_polished(variant):
+    # Below a pump of about 7e-11/ps vacuum itself meets the residual
+    # threshold (sqrt(2) P < 1e-10). Returned unchanged it read n_e = 0;
+    # polished, it is the carrier balance n_e = n_h = P / (P + gamma_nr).
+    toggles = TOGGLE_VARIANTS[variant]
+    params = default_params(g=0.2, gamma_c=0.5, pump=1e-12)
+    vacuum = DynamicState.vacuum().to_array()
+    f, _ = make_rhs(params, toggles)
+    assert scaled_residual(f(0.0, vacuum), vacuum) < CFG.steady_state_residual
+    state = steady_state(params, toggles, CFG)
+    balance = params.pump / (params.pump + params.gamma_nr)
+    assert state.n_e == pytest.approx(balance, rel=1e-12, abs=0.0)
+    assert state.n_h == pytest.approx(balance, rel=1e-12, abs=0.0)
+    # Without pump vacuum is the root, +0.0 in every component: no -0.0
+    # reaches a CSV.
+    unpumped = steady_state(replace(params, pump=0.0), toggles, CFG)
+    assert unpumped.to_array().tobytes() == vacuum.tobytes()
 
 
 def test_guess_meeting_the_threshold_is_polished():
@@ -564,7 +576,8 @@ def test_uncertified_guess_falls_back_to_the_cold_path():
     params = saturated_params(30.0)
     f, jac = make_rhs(params, FACTORIZED)
     unstable = _continue_to_root(
-        f, jac, DynamicState.vacuum().to_array(), SINGLET_DIM, CFG
+        f, jac, DynamicState.vacuum().to_array(), SINGLET_DIM, CFG,
+        CFG.initial_step,
     )
     assert unstable[2] < 0.0
     cold = steady_state(params, FACTORIZED, CFG)
@@ -587,7 +600,8 @@ def test_singular_continuation_step_is_retried_smaller():
         return jac(t, y)
 
     vacuum = DynamicState.vacuum().to_array()
-    root = _continue_to_root(rhs, singular_first, vacuum, STATE_DIM, CFG)
+    root = _continue_to_root(rhs, singular_first, vacuum, STATE_DIM, CFG,
+                             CFG.initial_step)
     assert len(calls) > 2
     assert _certified(rhs, root, _eigen(jac, vacuum, root, STATE_DIM), CFG)
     cold = steady_state(params, FULL, CFG)
@@ -616,7 +630,8 @@ def test_rejected_continuation_iterates_are_retried_smaller():
         return f
 
     vacuum = DynamicState.vacuum().to_array()
-    root = _continue_to_root(observed, jac, vacuum, STATE_DIM, CFG)
+    root = _continue_to_root(observed, jac, vacuum, STATE_DIM, CFG,
+                             CFG.initial_step)
     assert len(rejected) > 0
     assert root[2] > 1e5
     assert _certified(rhs, root, _eigen(jac, vacuum, root, STATE_DIM), CFG)
@@ -633,7 +648,8 @@ def test_unstable_root_falls_back_to_pump_ladder(monkeypatch):
     singlet_root = G_DIP**2 / (gc * (gc + params.gamma_deph) - G_DIP**2)
     f, jac = make_rhs(params, FACTORIZED)
     landed = _continue_to_root(
-        f, jac, DynamicState.vacuum().to_array(), SINGLET_DIM, CFG
+        f, jac, DynamicState.vacuum().to_array(), SINGLET_DIM, CFG,
+        CFG.initial_step,
     )
     assert landed[2] == pytest.approx(singlet_root, rel=1e-3)
     assert landed[2] == pytest.approx(-1.54, abs=0.01)

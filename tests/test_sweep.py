@@ -134,14 +134,17 @@ def test_invalid_last_axis_value_is_refused_before_any_solve(monkeypatch):
         run_sweep(grid, BASE, CFG)
 
 
-def test_grid_points_lexicographic():
+def test_grid_points_lexicographic(monkeypatch):
+    monkeypatch.setattr(sweep, "steady_state",
+                        lambda *args, **kwargs: DynamicState.vacuum())
     grid = SweepGrid(
         gamma_cav_values=(1.0, 2.0),
         g_values=(0.1, 0.2),
         pump_values=(3.0,),
         toggle_variants=(FULL, FACTORIZED),
     )
-    points = list(grid.points())
+    points = [(r.gamma_cav, r.g_over_omega_r0, r.pump, r.toggles)
+              for r in run_sweep(grid, BASE, CFG)]
     assert len(points) == 8
     assert points[0] == (1.0, 0.1, 3.0, FULL)
     assert points[1] == (1.0, 0.1, 3.0, FACTORIZED)
