@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="override the configured output path")
         sub.add_argument(
             "--workers", type=int, default=1,
-            help="worker processes, at most one per grid point and CPU"
+            help="worker processes, at most one per grid line and CPU"
                  if name == "sweep"
                  else "accepted and ignored; only sweep runs worker processes",
         )

@@ -2,13 +2,13 @@
 
 Grid order and the emitted record schema are frozen (lexicographic in
 gamma_cav, then coupling multiple, then pump, then toggle variant) so that
-CSV diffs between runs are meaningful. The variants of one point form a
-group, solved in order in one process so that each later variant starts
-from the previous one's root; groups are independent, may run on any number
-of worker processes, and the records come back in grid order regardless,
-byte-identical to a serial run. SweepGrid owns every rule of a
-grid, its point bound included, and checks each axis value once, not each
-point.
+CSV diffs between runs are meaningful. The points that share coupling
+multiple and pump form a line, solved in one process in ascending gamma_cav
+so that each solve starts from its neighbour's root; lines are independent,
+may run on any number of worker processes, and the records come back in
+grid order regardless, byte-identical to a serial run and to a run with the
+gamma_cav axis listed in any order. SweepGrid owns every rule of a grid,
+its point bound included, and checks each axis value once, not each point.
 """
 
 from __future__ import annotations
@@ -126,30 +126,34 @@ class SweepRecord:
         return 1.0 / self.gamma_cav
 
 
-def _solve_group(task):
-    """Solve one grid point's variants in grid order. Each later variant
-    starts from the previous variant's certified root, if it has one."""
-    base, rabi, cfg, (gamma_cav, g_multiple, pump), variants = task
-    params = replace(base, g=rabi.coupling_for(g_multiple),
-                     gamma_c=0.5 * gamma_cav, pump=pump)
-    records, guess = [], None
-    for toggles in variants:
-        try:
-            state = steady_state(params, toggles, cfg, guess=guess)
-            converged = True
-        except NotConverged as err:
-            state = err.last_state
-            converged = False
-        guess = state.to_array() if converged else None
-        records.append(SweepRecord(
-            gamma_cav=gamma_cav,
-            g_over_omega_r0=g_multiple,
-            pump=pump,
-            toggles=toggles,
-            observables=observables_of(state, params),
-            converged=converged,
-        ))
-    return records
+def _solve_line(task):
+    """Solve one line, the points that share (g multiple, pump), in ascending
+    gamma_cav and each point's variants in grid order. Every solve is guessed
+    from the previous solve's certified root, and starts cold after a solve
+    that was refused. Returns the records keyed by gamma_cav."""
+    base, rabi, cfg, (g_multiple, pump), gamma_cavs, variants = task
+    line, guess = {}, None
+    for gamma_cav in gamma_cavs:
+        params = replace(base, g=rabi.coupling_for(g_multiple),
+                         gamma_c=0.5 * gamma_cav, pump=pump)
+        records = line[gamma_cav] = []
+        for toggles in variants:
+            try:
+                state = steady_state(params, toggles, cfg, guess=guess)
+                converged = True
+            except NotConverged as err:
+                state = err.last_state
+                converged = False
+            guess = state.to_array() if converged else None
+            records.append(SweepRecord(
+                gamma_cav=gamma_cav,
+                g_over_omega_r0=g_multiple,
+                pump=pump,
+                toggles=toggles,
+                observables=observables_of(state, params),
+                converged=converged,
+            ))
+    return line
 
 
 def run_sweep(
@@ -165,24 +169,30 @@ def run_sweep(
     grid point's params are invalid (SweepGrid.check_points). A point with
     no certified steady state is recorded with converged False and the
     observables of the state NotConverged carries; the sweep itself never
-    aborts. A task is one group: the points that differ only in variant,
-    the innermost axis. Its first variant is solved from vacuum alone, and
-    each later one is guessed from the previous variant's certified root
-    (steady_state's guess). Groups are never split, so the records do not
-    depend on workers. Runs on at most
-    min(workers, groups, CPUs) processes, serially when that is 1.
+    aborts. A task is one line: the points that share coupling multiple and
+    pump. It solves its distinct gamma_cav values in ascending order, each
+    point's variants in grid order, and guesses every solve from the
+    previous solve's certified root (steady_state's guess); its first solve,
+    and each one after a refused solve, starts cold. Lines are never split
+    and their order does not follow the listing of the gamma_cav axis, so a
+    point's record depends neither on workers nor on that listing. Runs on
+    at most min(workers, lines, CPUs) processes, serially when that is 1.
     """
     rabi = rabi or ReferenceRabi()
     grid.check_points(base, rabi)
-    variants = grid.toggle_variants
-    tasks = ((base, rabi, cfg, point, variants) for point in itertools.product(
-        grid.gamma_cav_values, grid.g_values, grid.pump_values))
-    # The pool starts every worker at once: never more than groups or CPUs.
-    workers = min(workers, len(grid) // len(variants), os.cpu_count() or 1)
+    gamma_cavs = sorted(set(grid.gamma_cav_values))
+    tasks = ((base, rabi, cfg, line, gamma_cavs, grid.toggle_variants)
+             for line in itertools.product(grid.g_values, grid.pump_values))
+    # The pool starts every worker at once: never more than lines or CPUs.
+    workers = min(workers, len(grid.g_values) * len(grid.pump_values),
+                  os.cpu_count() or 1)
     if workers <= 1:
-        return [r for group in map(_solve_group, tasks) for r in group]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for group in pool.map(_solve_group, tasks) for r in group]
+        lines = list(map(_solve_line, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            lines = list(pool.map(_solve_line, tasks))
+    return [r for gamma_cav in grid.gamma_cav_values
+            for line in lines for r in line[gamma_cav]]
 
 
 def _values(r: SweepRecord) -> tuple:

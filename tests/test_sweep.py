@@ -209,8 +209,8 @@ def test_worker_counts_give_identical_output():
 ])
 def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
     # The executor starts every worker it is asked for at once, so an
-    # oversized --workers must not reach it. The fake pool records its size
-    # and maps in this process.
+    # oversized --workers must not reach it, nor more workers than lines.
+    # The fake pool records its size and maps in this process.
     started = []
 
     class SerialPool:
@@ -228,43 +228,72 @@ def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    grid = SweepGrid((1.0, 2.0, 4.0), (0.1,), (1.0,), (FULL,))
+    # Six points on three lines: a task is a line, so at most three workers.
+    grid = SweepGrid((1.0, 2.0), (0.1,), (1.0, 2.0, 3.0), (FULL,))
     records = run_sweep(grid, BASE, CFG, workers=10**6)
     assert started == pools
     assert records == run_sweep(grid, BASE, CFG, workers=1)
 
 
-def test_later_variants_are_guessed_from_the_previous_root(monkeypatch):
-    # A group's first variant starts cold; each later one is guessed from
-    # the previous variant's certified root, and starts cold again after a
-    # variant that was not certified (here full at gamma_cav 2.0, refused
-    # on purpose).
+def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
+    # Each line (here g 0.1 and g 0.2) is solved in ascending gamma_cav,
+    # whatever the axis listing, each point's variants in grid order. Its
+    # first solve starts cold; every later one is guessed from the previous
+    # solve's certified root, and starts cold again after a refused solve
+    # (here full at gamma_cav 1.0 on the g 0.1 line, refused on purpose).
+    rabi = ReferenceRabi()
+    refused_g = rabi.coupling_for(0.1)
     calls = []
 
     def recording(params, toggles, cfg, guess=None):
-        if toggles == FULL and params.gamma_c == 1.0:
+        if toggles == FULL and params.gamma_c == 0.5 and params.g == refused_g:
             state = None
         else:
             state = steady_state(params, toggles, cfg, guess=guess)
-        calls.append((toggles, guess, state))
+        calls.append((params.g, 2 * params.gamma_c, guess, state))
         if state is None:
             raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0)
         return state
 
     monkeypatch.setattr(sweep, "steady_state", recording)
-    grid = SweepGrid((1.0, 2.0), (0.1,), (1.0,),
-                     (FULL, NO_INVERSION, FACTORIZED))
-    records = run_sweep(grid, BASE, CFG)
-    assert [r.converged for r in records] == [True] * 3 + [False, True, True]
-    assert [toggles for toggles, _, _ in calls] == [
-        FULL, NO_INVERSION, FACTORIZED] * 2
-    for k, (_, guess, _) in enumerate(calls):
-        previous = calls[k - 1][2]
-        if k % 3 == 0 or previous is None:
-            assert guess is None
-        else:
-            assert guess.tobytes() == previous.to_array().tobytes()
-    assert sum(guess is not None for _, guess, _ in calls) == 3
+    grid = SweepGrid((2.0, 0.5, 1.0), (0.1, 0.2), (1.0,),
+                     (FULL, NO_INVERSION))
+    records = run_sweep(grid, BASE, CFG, rabi=rabi)
+    assert [r.gamma_cav for r in records] == [2.0] * 4 + [0.5] * 4 + [1.0] * 4
+    assert [r.converged for r in records] == [True] * 8 + [False] + [True] * 3
+    lines = [calls[:6], calls[6:]]
+    for line, g_multiple in zip(lines, (0.1, 0.2)):
+        assert {g for g, _, _, _ in line} == {rabi.coupling_for(g_multiple)}
+        assert [gamma_cav for _, gamma_cav, _, _ in line] == [
+            0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
+        assert line[0][2] is None
+        for (_, _, _, previous), (_, _, guess, _) in zip(line, line[1:]):
+            if previous is None:
+                assert guess is None
+            else:
+                assert guess.tobytes() == previous.to_array().tobytes()
+    assert [guess is None for _, _, guess, _ in calls] == [
+        True, False, False, True, False, False,
+        True, False, False, False, False, False]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gamma_cav_listing_does_not_change_the_records(workers):
+    # Lines are solved in ascending gamma_cav, not in listed order, so a
+    # point's record is bitwise the same whichever way the axis is listed;
+    # solved in listed order, 9 of this grid's 12 points differ.
+    lifetimes, g_values = (0.2, 1.0, 10.0), (0.15, 0.2)
+    variants = (FULL, NO_INVERSION)
+    base = default_params(g=0.1, gamma_c=0.5, pump=1e5)
+
+    def by_point(listed):
+        grid = SweepGrid.from_lifetimes(listed, g_values, (1e5,), variants)
+        return {(r.gamma_cav, r.g_over_omega_r0, r.toggles): r
+                for r in run_sweep(grid, base, CFG, workers=workers)}
+
+    forward, backward = by_point(lifetimes), by_point(lifetimes[::-1])
+    assert len(forward) == 12
+    assert forward == backward
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -282,10 +311,10 @@ THRESHOLD_TEXT = textwrap.dedent("""\
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
-def test_grouped_sweep_equals_cold_point_solves(name):
-    # Each later variant of a group starts from the previous variant's
-    # root; each must match its own solve from vacuum, converged flags
-    # and the states of refused points included.
+def test_line_sweep_equals_cold_point_solves(name):
+    # Each solve of a line after its first starts from the previous solve's
+    # root; each must match its own solve from vacuum, converged flags and
+    # the states of refused points included.
     text = (THRESHOLD_TEXT if name == "threshold"
             else (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8"))
     text = re.sub(r"(?m)^variants = .*\n", "", text).replace(
