@@ -25,12 +25,22 @@ continuation, Allgower & Georg, ch. 1-2); no steady-state solve marches. A
 recorded trajectory is one march from vacuum to the settling time of the
 flow linearised at the certified root, also read off that
 eigen-decomposition; ``integrate`` is the only march.
+
+Certification takes a stack of roots that move the same components: one
+eigen-decomposition of their stacked Jacobians, stacked solves for the mode
+amplitudes and one closed-form window over the stack; only the residuals go
+through each root's own equations. A single solve certifies a stack of one.
+Along a sweep's grid line, ``continue_line`` continues from each root to the
+next point's, exactly as a guessed solve does, certifies the whole chain in
+one stack per moving dimension and returns its longest certified prefix.
+
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -176,23 +186,25 @@ def scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
 
 
 def _check_ranges(times, ys, rel_tol):
+    """Warn once, at the worst excess, if states leave the physical range.
+
+    ys holds the states as columns at times (k,), in an array of shape
+    (..., STATE_DIM, k): one trajectory or a stack of windows. Of equal
+    excesses the first in n_e, n_h, n_p order, then in time, is named.
+    """
     eps = 10.0 * rel_tol
-    worst = None
-    for name, idx, low, high in (
-        ("n_e", 0, -eps, 1.0 + eps),
-        ("n_h", 1, -eps, 1.0 + eps),
-        ("n_p", 2, -eps, math.inf),
-    ):
-        values = ys[idx]
-        excess = np.maximum(low - values, values - high)
-        k = int(np.argmax(excess))
-        if excess[k] > 0 and (worst is None or excess[k] > worst[0]):
-            worst = (float(excess[k]), name, float(values[k]), float(times[k]))
-    if worst is not None:
-        excess, name, value, t = worst
+    values = ys[..., :3, :]
+    if values.min() >= -eps and values[..., :2, :].max() <= 1.0 + eps:
+        return
+    values = np.moveaxis(values, -2, 0).reshape(3, -1)
+    excess = np.maximum(-eps - values,
+                        values - np.array([[1.0 + eps], [1.0 + eps], [math.inf]]))
+    row, k = divmod(int(np.argmax(excess)), values.shape[1])
+    if excess[row, k] > 0:
         warnings.warn(
-            f"{name} = {value:.6g} at t = {t:.6g} ps leaves the physical "
-            f"range by {excess:.3g} (allowance {eps:.3g})",
+            f"{('n_e', 'n_h', 'n_p')[row]} = {values[row, k]:.6g} at t = "
+            f"{times[k % len(times)]:.6g} ps leaves the physical range by "
+            f"{excess[row, k]:.3g} (allowance {eps:.3g})",
             PhysicalRangeWarning,
             stacklevel=3,
         )
@@ -359,33 +371,6 @@ def _continue_to_root(rhs, jac, y0, n, cfg, h):
     return None
 
 
-def _window_holds(rhs, root, rates, modes, cfg):
-    """Check the residual stays below threshold for a full steady_window.
-
-    Samples the flow linearised at root, with Jacobian eigenvalues rates and
-    eigenvectors modes over its first rates.size components, in closed form,
-    y(t) = root + J^-1 (e^{J t} - I) rhs(root), at nine evenly spaced times,
-    and evaluates the full nonlinear residual at each. Emits
-    PhysicalRangeWarning if the samples, the first of them root itself,
-    leave the physical range; their times count from root.
-    """
-    n = rates.size
-    times = np.linspace(0.0, cfg.steady_window, 9)
-    try:
-        amplitudes = np.linalg.solve(modes, rhs(0.0, root)[:n])
-    except np.linalg.LinAlgError:
-        return False
-    growth = np.expm1(np.outer(rates, times)) / rates[:, None]
-    ys = np.repeat(root[:, None], times.size, axis=1)
-    ys[:n] += (modes @ (growth * amplitudes[:, None])).real
-    for k in range(times.size):
-        if not scaled_residual(rhs(times[k], ys[:, k]), ys[:, k]) \
-                < cfg.steady_state_residual:
-            return False
-    _check_ranges(times, ys, cfg.rel_tol)
-    return True
-
-
 def _paths(params, y0, n, guess):
     """Yield each continuation path as (start state, pumps it climbs): the
     guess, if any, with the rest of its state y0's, and y0, both at the
@@ -420,31 +405,78 @@ def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess=None):
             yield y
 
 
-def _eigen(jac, y0, root, n):
-    """J = V diag(rates) V^-1 at root: (rates, V, V^-1 (y0 - root)) or None."""
-    rates, modes = np.linalg.eig(jac(0.0, root)[:n, :n])
-    try:
-        return rates, modes, np.linalg.solve(modes, (y0 - root)[:n])
-    except np.linalg.LinAlgError:
-        return None
+@functools.lru_cache
+def _window_times(length):
+    """The nine evenly spaced times, from 0 to length, of a steady window."""
+    times = np.linspace(0.0, length, 9)
+    times.flags.writeable = False
+    return times
 
 
-def _certified(rhs, root, eigen, cfg):
-    """Certify a root given its _eigen decomposition from a start y0.
+def _certify(flows, y0, roots, n, cfg):
+    """Certify a stack of m roots that move the same first n components.
 
-    The root must be linearly stable, the flow linearised at it must carry
-    y0 below the residual threshold by cfg.max_time, and the residual must
-    hold over a steady window.
+    roots is an (m, STATE_DIM) array, flows[i] the (rhs, jac) pair of
+    roots[i], and y0 the start every root is certified from. A root is
+    certified when it is linearly stable, the flow linearised at it carries
+    y0 below the residual threshold by cfg.max_time, and the residual stays
+    below threshold over a steady window of that flow, sampled at nine
+    evenly spaced times, y(t) = root + J^-1 (e^{J t} - I) rhs(root). The
+    matrix work is stacked: one eigen-decomposition J = V diag(rates) V^-1
+    of the m Jacobians, one solve for the flow's mode amplitudes and one
+    for the windows', and one expm1 over the windows. Only the residuals go
+    through each root's own rhs, at most ten calls per root, and none for a
+    root that already failed. A root whose V is singular fails alone.
+    Emits PhysicalRangeWarning if the certified roots' windows, the first
+    sample of each the root itself, leave the physical range; their times
+    count from the root.
+
+    Returns (certified, (rates, modes, amplitudes)): a boolean array of
+    shape (m,), and the stacked decomposition with amplitudes
+    V^-1 (y0 - root) over the first n components, NaN where V is singular.
     """
-    rates, modes, amplitudes = eigen
-    if not np.all(rates.real < 0.0):
-        return False
-    # Linearised about the root, y(t) - root = exp(J t) (y0 - root), so the
+    m = len(roots)
+    rates, modes = np.linalg.eig(np.array(
+        [jac(0.0, root)[:n, :n] for (_, jac), root in zip(flows, roots)]))
+    try:
+        amplitudes = np.linalg.solve(modes, (y0 - roots)[:, :n, None])
+    except np.linalg.LinAlgError:
+        amplitudes = np.full((m, n, 1), np.nan, dtype=modes.dtype)
+        for i, (v, root) in enumerate(zip(modes, roots)):
+            try:
+                amplitudes[i] = np.linalg.solve(v, (y0 - root)[:n, None])
+            except np.linalg.LinAlgError:
+                pass
+    eigen = rates, modes, amplitudes[..., 0]
+    certified = np.zeros(m, dtype=bool)
+    stable = (rates.real < 0.0).all(axis=1)
+    # Linearised about a root, y(t) - root = exp(J t) (y0 - root), so the
     # residual there is J exp(J t) (y0 - root), summed here over the modes.
-    flow = modes @ (rates * np.exp(rates * cfg.max_time) * amplitudes)
-    if not scaled_residual(flow.real, root) < cfg.steady_state_residual:
-        return False
-    return _window_holds(rhs, root, rates, modes, cfg)
+    # An unstable root's flow overflows, and is never read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = (modes @ ((rates * np.exp(rates * cfg.max_time))[..., None]
+                         * amplitudes)).real
+    held = [i for i in range(m) if stable[i] and scaled_residual(
+        flow[i, :, 0], roots[i]) < cfg.steady_state_residual]
+    if not held:
+        return certified, eigen
+    # The window y(t) = root + J^-1 (e^{J t} - I) rhs(root) of each held
+    # root; a slice, not a copy, when every root is held.
+    keep = held if len(held) < m else slice(None)
+    rates, modes = rates[keep, :, None], modes[keep]
+    times = _window_times(cfg.steady_window)
+    amplitudes = np.linalg.solve(modes, np.array(
+        [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
+    growth = np.expm1(rates * times) / rates
+    ys = np.repeat(roots[keep, :, None], times.size, axis=2)
+    ys[:, :n] += (modes @ (growth * amplitudes)).real
+    holds = [all(scaled_residual(flows[i][0](t, y), y)
+                 < cfg.steady_state_residual for t, y in zip(times, window.T))
+             for i, window in zip(held, ys)]
+    certified[held] = holds
+    if any(holds):
+        _check_ranges(times, ys[holds], cfg.rel_tol)
+    return certified, eigen
 
 
 def steady_state(
@@ -500,14 +532,14 @@ def steady_state(
 
     root = eigen = None
     for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess):
-        eigen = _eigen(jac, y0, root, n)
-        if eigen is not None and _certified(rhs, root, eigen, cfg):
+        [certified], eigen = _certify(((rhs, jac),), y0, root[None], n, cfg)
+        if certified:
             break
     else:
         # The state that the flow linearised at the last root reaches.
         y = y0
-        if eigen is not None:
-            rates, modes, amplitudes = eigen
+        if eigen is not None and not np.isnan(eigen[2]).any():
+            rates, modes, amplitudes = (a[0] for a in eigen)
             y = root.copy()
             y[:n] += (modes @ (np.exp(rates * cfg.max_time) * amplitudes)).real
         raise NotConverged(cfg.max_time, DynamicState.from_array(y),
@@ -521,7 +553,7 @@ def steady_state(
     # no amplitude gives log(0) = -inf. From vacuum the imaginary parts,
     # decoupled at zero detuning, stay 0 at the root, so their modes have
     # none.
-    rates, modes, amplitudes = eigen
+    rates, modes, amplitudes = (a[0] for a in eigen)
     share = np.abs(rates * amplitudes) * n / (
         cfg.steady_state_residual * max(math.sqrt(float(root @ root)), 1.0)
     )
@@ -533,3 +565,45 @@ def steady_state(
     )
     march.states[-1] = root
     return state, march
+
+
+def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
+    """Continue a root along a line of points, each from the one before.
+
+    points is a sequence of valid (params, toggles) pairs. Each point's
+    candidate root is reached by exactly steady_state's guess path:
+    continuation from the guess's first n components, the rest vacuum's,
+    with a first pseudo-time step of RUNG_STEP, the guess being guess for
+    the first point and the previous candidate after it. The chain stops at
+    a point whose continuation reaches no root. Its candidates are then
+    certified from vacuum together, one _certify stack for each moving
+    dimension n among them.
+
+    Returns the candidates before the first one that is not certified, as
+    root arrays, each bitwise the state that steady_state(params, toggles,
+    cfg, guess=the previous root) returns. The point after them is left to
+    steady_state with the same guess, which repeats the guess path and then
+    takes the cold paths.
+    """
+    y0 = DynamicState.vacuum().to_array()
+    flows, roots, dims = [], [], []
+    for params, toggles in points:
+        n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+        rhs, jac = make_rhs(params, toggles)
+        warm = y0.copy()
+        warm[:n] = guess[:n]
+        guess = _continue_to_root(rhs, jac, warm, n, cfg, RUNG_STEP)
+        if guess is None:
+            break
+        flows.append((rhs, jac))
+        roots.append(guess)
+        dims.append(n)
+    certified = np.zeros(len(roots), dtype=bool)
+    for n in set(dims):
+        at = [i for i, dim in enumerate(dims) if dim == n]
+        certified[at] = _certify([flows[i] for i in at], y0,
+                                 np.array([roots[i] for i in at]), n, cfg)[0]
+    for k, holds in enumerate(certified):
+        if not holds:
+            return roots[:k]
+    return roots

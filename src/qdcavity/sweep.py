@@ -25,7 +25,7 @@ from .dynamics import CorrelationToggles, DynamicState
 from .errors import NotConverged
 from .model import ModelParams, ReferenceRabi, validate
 from .observables import Observables, observables_of
-from .solver import IntegrationConfig, steady_state
+from .solver import IntegrationConfig, continue_line, steady_state
 
 # Most points one grid may hold, and so the most values of one geom() or
 # lin() axis: far above the largest shipped sweep (fig2-fig5 hold 618
@@ -130,29 +130,44 @@ def _solve_line(task):
     """Solve one line, the points that share (g multiple, pump), in ascending
     gamma_cav and each point's variants in grid order. Every solve is guessed
     from the previous solve's certified root, and starts cold after a solve
-    that was refused. Returns the records keyed by gamma_cav."""
+    that was refused: a cold solve is steady_state's, and the guessed solves
+    after it are one continue_line chain, up to the first point it does not
+    certify. steady_state solves that point with the same guess. Returns the
+    records keyed by gamma_cav."""
     base, rabi, cfg, (g_multiple, pump), gamma_cavs, variants = task
-    line, guess = {}, None
-    for gamma_cav in gamma_cavs:
-        params = replace(base, g=rabi.coupling_for(g_multiple),
-                         gamma_c=0.5 * gamma_cav, pump=pump)
-        records = line[gamma_cav] = []
-        for toggles in variants:
-            try:
-                state = steady_state(params, toggles, cfg, guess=guess)
-                converged = True
-            except NotConverged as err:
-                state = err.last_state
-                converged = False
-            guess = state.to_array() if converged else None
-            records.append(SweepRecord(
-                gamma_cav=gamma_cav,
-                g_over_omega_r0=g_multiple,
-                pump=pump,
-                toggles=toggles,
-                observables=observables_of(state, params),
-                converged=converged,
-            ))
+    g = rabi.coupling_for(g_multiple)
+    keys = list(itertools.product(gamma_cavs, variants))
+    points = [(replace(base, g=g, gamma_c=0.5 * gamma_cav, pump=pump), toggles)
+              for gamma_cav, toggles in keys]
+    solved, guess = [], None
+    while len(solved) < len(points):
+        if guess is not None:
+            roots = continue_line(points[len(solved):], cfg, guess)
+            solved += [(DynamicState.from_array(root), True) for root in roots]
+            if roots:
+                guess = roots[-1]
+            if len(solved) == len(points):
+                break
+        params, toggles = points[len(solved)]
+        try:
+            state = steady_state(params, toggles, cfg, guess=guess)
+            converged = True
+        except NotConverged as err:
+            state = err.last_state
+            converged = False
+        solved.append((state, converged))
+        guess = state.to_array() if converged else None
+    line = {gamma_cav: [] for gamma_cav in gamma_cavs}
+    for (gamma_cav, toggles), (params, _), (state, converged) in zip(
+            keys, points, solved):
+        line[gamma_cav].append(SweepRecord(
+            gamma_cav=gamma_cav,
+            g_over_omega_r0=g_multiple,
+            pump=pump,
+            toggles=toggles,
+            observables=observables_of(state, params),
+            converged=converged,
+        ))
     return line
 
 
@@ -173,10 +188,17 @@ def run_sweep(
     pump. It solves its distinct gamma_cav values in ascending order, each
     point's variants in grid order, and guesses every solve from the
     previous solve's certified root (steady_state's guess); its first solve,
-    and each one after a refused solve, starts cold. Lines are never split
-    and their order does not follow the listing of the gamma_cav axis, so a
-    point's record depends neither on workers nor on that listing. Runs on
-    at most min(workers, lines, CPUs) processes, serially when that is 1.
+    and each one after a refused solve, starts cold. The guessed solves
+    after a cold one run as one solver.continue_line chain: each point's
+    root is continued from the previous one, and the chain is certified in
+    one stacked check, so a line of certified points costs two
+    eigen-decompositions, not one per point. The chain ends at the first
+    point it does not certify, which steady_state solves with the same
+    guess. Every record is bitwise the one that point-by-point guessed
+    solves give. Lines are never split and their order does not follow the
+    listing of the gamma_cav axis, so a point's record depends neither on
+    workers nor on that listing. Runs on at most min(workers, lines, CPUs)
+    processes, serially when that is 1.
     """
     rabi = rabi or ReferenceRabi()
     grid.check_points(base, rabi)

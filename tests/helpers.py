@@ -20,14 +20,28 @@ Hamiltonian, and the generator assembled term by term from basis-index maps
 on any closed set of entries, with propagation by expm_multiply. The
 package keeps only the charge-sector generator, built as a cached linear
 map of its rates, and is checked against this one.
+
+The point-by-point sweep solves each grid line with one steady_state call
+per point; the sweep's chained line solve is compared against it bit for
+bit.
 """
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qdcavity import DynamicState, ModelParams, validate
+from qdcavity import (
+    DynamicState,
+    ModelParams,
+    NotConverged,
+    SweepRecord,
+    observables_of,
+    steady_state,
+    validate,
+)
 from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.oracle import state_index
 
@@ -553,3 +567,43 @@ def propagate(rho0, params, space, times):
         out[k] = vec.reshape(dim, dim)
         t_prev = float(t)
     return out
+
+
+def point_by_point_sweep(grid, base, cfg, rabi):
+    """run_sweep's records, each line solved one steady_state call at a time.
+
+    A line, the points that share coupling multiple and pump, is solved in
+    ascending gamma_cav and each point's variants in grid order; every solve
+    is guessed from the previous solve's certified root, and starts cold
+    after a refused one. Returns (records in grid order, solved states in
+    line order), the states of refused points their NotConverged states.
+    """
+    gamma_cavs = sorted(set(grid.gamma_cav_values))
+    lines, states = [], []
+    for g_multiple, pump in itertools.product(grid.g_values, grid.pump_values):
+        line, guess = {}, None
+        for gamma_cav in gamma_cavs:
+            params = replace(base, g=rabi.coupling_for(g_multiple),
+                             gamma_c=0.5 * gamma_cav, pump=pump)
+            records = line[gamma_cav] = []
+            for toggles in grid.toggle_variants:
+                try:
+                    state = steady_state(params, toggles, cfg, guess=guess)
+                    converged = True
+                except NotConverged as err:
+                    state = err.last_state
+                    converged = False
+                guess = state.to_array() if converged else None
+                states.append(state)
+                records.append(SweepRecord(
+                    gamma_cav=gamma_cav,
+                    g_over_omega_r0=g_multiple,
+                    pump=pump,
+                    toggles=toggles,
+                    observables=observables_of(state, params),
+                    converged=converged,
+                ))
+        lines.append(line)
+    records = [r for gamma_cav in grid.gamma_cav_values
+               for line in lines for r in line[gamma_cav]]
+    return records, states

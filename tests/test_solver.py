@@ -34,11 +34,9 @@ from qdcavity.observables import observables_of
 from qdcavity.solver import (
     RUNG_STEP,
     PhysicalRangeWarning,
-    _certified,
+    _certify,
     _continue_to_root,
-    _eigen,
     _rodas_step,
-    _window_holds,
     scaled_residual,
 )
 
@@ -51,6 +49,7 @@ from helpers import (
 
 FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
+NO_INVERSION = TOGGLE_VARIANTS["no_inversion"]
 
 CFG = IntegrationConfig()
 
@@ -61,6 +60,12 @@ G_DIP = ReferenceRabi().coupling_for(0.20)
 def saturated_params(lifetime_ps, pump=1e5):
     """Default rates at coupling 0.20, photon lifetime as the sweeps set it."""
     return default_params(g=G_DIP, gamma_c=0.5 * (1.0 / lifetime_ps), pump=pump)
+
+
+def certified_alone(rhs, jac, y0, root, n):
+    """The verdict on root certified from y0 as a stack of one."""
+    [certified], _ = _certify(((rhs, jac),), y0, root[None], n, CFG)
+    return certified
 
 
 def decay_only_params(gamma_c):
@@ -283,21 +288,71 @@ def test_window_catches_transient_growth():
     def jac(t, y):
         return J
 
-    rates, modes = np.linalg.eig(J)
+    # Certified from itself, a state has no flow to settle: only its window
+    # decides.
     growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
     assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
-    assert not _window_holds(f, growing, rates, modes, CFG)
+    assert not certified_alone(f, jac, growing, growing, 3)
     root = _continue_to_root(f, jac, growing, 3, CFG, CFG.initial_step)
     assert root.tolist() == [0.0, 0.0, 0.0]
-    assert not _certified(f, growing, _eigen(jac, growing, growing, 3), CFG)
     # Started along the first axis the residual only decays, so a state
     # just under the threshold holds; stepping the flow backwards would
     # double its residual instead.
     decaying = np.linalg.solve(J, [0.8 * CFG.steady_state_residual, 0.0, 0.0])
-    assert _window_holds(f, decaying, rates, modes, CFG)
+    assert certified_alone(f, jac, decaying, decaying, 3)
     root = _continue_to_root(f, jac, decaying, 3, CFG, CFG.initial_step)
     assert root.tolist() == [0.0, 0.0, 0.0]
-    assert _certified(f, decaying, _eigen(jac, decaying, decaying, 3), CFG)
+
+
+def test_stacked_certification_gives_each_root_its_own_verdict():
+    # One stack over the five singlet components mixes a certified root,
+    # the transiently growing state above (embedded with its rates), the
+    # unstable factorized root past the lasing threshold, and a root whose
+    # eigenvector matrix is exactly singular: a Jordan block whose second
+    # eigenvector underflows onto the first. Each verdict is the one the
+    # root gets alone, and only the singular root's amplitudes are NaN.
+    vacuum = DynamicState.vacuum().to_array()
+    stable = default_params(g=0.2, gamma_c=0.5, pump=1.0)
+    certified_root = steady_state(stable, FACTORIZED, CFG).to_array()
+
+    def linear(block):
+        J = -np.eye(STATE_DIM)
+        J[:len(block), :len(block)] = block
+        return (lambda t, y: J @ y), (lambda t, y: J)
+
+    growing_J = np.array([[-1.0, 1e3, 0.0], [0.0, -1.1, 0.0], [0.0, 0.0, -2.0]])
+    growing = np.zeros(STATE_DIM)
+    growing[:3] = np.linalg.solve(growing_J, [0.0, 5e-12, 0.0])
+    unstable = make_rhs(saturated_params(30.0), FACTORIZED)
+    landed = _continue_to_root(*unstable, vacuum, SINGLET_DIM, CFG,
+                               CFG.initial_step)
+    flows = [make_rhs(stable, FACTORIZED), linear(growing_J), unstable,
+             linear(np.array([[-1e-20, 1e300], [0.0, -1e-20]]))]
+    roots = np.array([certified_root, growing, landed, np.zeros(STATE_DIM)])
+    certified, (_, _, amplitudes) = _certify(flows, vacuum, roots,
+                                             SINGLET_DIM, CFG)
+    assert certified.tolist() == [True, False, False, False]
+    assert np.isfinite(amplitudes).all(axis=1).tolist() == [
+        True, True, True, False]
+    for (rhs, jac), root, verdict in zip(flows, roots, certified):
+        assert certified_alone(rhs, jac, vacuum, root, SINGLET_DIM) == verdict
+
+
+def test_line_continuation_returns_the_guessed_roots():
+    # Each root of a chain along gamma_cav is bitwise the state steady_state
+    # returns for that point guessed from the root before; the chain
+    # certifies both variants' roots in one stack.
+    g_pump = dict(g=G_DIP, pump=1e5)
+    points = [(default_params(gamma_c=0.5 / tau, **g_pump), toggles)
+              for tau in (2.0, 2.5, 3.0) for toggles in (FULL, NO_INVERSION)]
+    first = steady_state(*points[0], CFG).to_array()
+    roots = solver.continue_line(points[1:], CFG, first)
+    assert len(roots) == 5
+    guess = first
+    for (params, toggles), root in zip(points[1:], roots):
+        state = steady_state(params, toggles, CFG, guess=guess)
+        assert root.tobytes() == state.to_array().tobytes()
+        guess = root
 
 
 def test_lasing_roots_past_threshold():
@@ -506,7 +561,7 @@ def test_newton_polish_pins_moments_below_the_state_norm():
     vacuum = DynamicState.vacuum().to_array()
     warm = _continue_to_root(rhs, jac, near.to_array(), STATE_DIM, CFG,
                              RUNG_STEP)
-    assert _certified(rhs, warm, _eigen(jac, vacuum, warm, STATE_DIM), CFG)
+    assert certified_alone(rhs, jac, vacuum, warm, STATE_DIM)
     guessed = steady_state(params, FULL, CFG, guess=near.to_array())
     assert guessed.to_array().tobytes() == warm.tobytes()
     two_photon = observables_of(cold, params).two_photon
@@ -603,7 +658,7 @@ def test_singular_continuation_step_is_retried_smaller():
     root = _continue_to_root(rhs, singular_first, vacuum, STATE_DIM, CFG,
                              CFG.initial_step)
     assert len(calls) > 2
-    assert _certified(rhs, root, _eigen(jac, vacuum, root, STATE_DIM), CFG)
+    assert certified_alone(rhs, jac, vacuum, root, STATE_DIM)
     cold = steady_state(params, FULL, CFG)
     assert gate_scaled_difference(
         observables_of(DynamicState.from_array(root), params),
@@ -634,7 +689,7 @@ def test_rejected_continuation_iterates_are_retried_smaller():
                              CFG.initial_step)
     assert len(rejected) > 0
     assert root[2] > 1e5
-    assert _certified(rhs, root, _eigen(jac, vacuum, root, STATE_DIM), CFG)
+    assert certified_alone(rhs, jac, vacuum, root, STATE_DIM)
 
 
 def test_unstable_root_falls_back_to_pump_ladder(monkeypatch):

@@ -7,6 +7,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdcavity import (
@@ -27,9 +28,10 @@ from qdcavity import (
 from qdcavity import config, model, sweep
 from qdcavity.config import parse_config
 from qdcavity.dynamics import TOGGLE_VARIANTS
+from qdcavity.solver import continue_line
 from qdcavity.sweep import CSV_COLUMNS
 
-from helpers import gate_scaled_difference
+from helpers import gate_scaled_difference, point_by_point_sweep
 
 FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
@@ -238,24 +240,38 @@ def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
 def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
     # Each line (here g 0.1 and g 0.2) is solved in ascending gamma_cav,
     # whatever the axis listing, each point's variants in grid order. Its
-    # first solve starts cold; every later one is guessed from the previous
-    # solve's certified root, and starts cold again after a refused solve
-    # (here full at gamma_cav 1.0 on the g 0.1 line, refused on purpose).
+    # first solve is steady_state's, cold; the guessed solves after it are
+    # one continue_line chain, each from the previous certified root. Where
+    # the chain stops (here at full, gamma_cav 1.0 on the g 0.1 line, refused
+    # on purpose), steady_state solves that point with the same guess, and
+    # the solve after a refused one starts cold.
     rabi = ReferenceRabi()
     refused_g = rabi.coupling_for(0.1)
     calls = []
 
-    def recording(params, toggles, cfg, guess=None):
-        if toggles == FULL and params.gamma_c == 0.5 and params.g == refused_g:
-            state = None
-        else:
-            state = steady_state(params, toggles, cfg, guess=guess)
-        calls.append((params.g, 2 * params.gamma_c, guess, state))
+    def refused(params, toggles):
+        return toggles == FULL and params.gamma_c == 0.5 and params.g == refused_g
+
+    def chain(points, cfg, guess):
+        cut = next((k for k, point in enumerate(points) if refused(*point)),
+                   len(points))
+        roots = continue_line(points[:cut], cfg, guess)
+        for (params, _), root in zip(points, roots):
+            calls.append(("chain", params.g, 2 * params.gamma_c, guess, root))
+            guess = root
+        return roots
+
+    def solve(params, toggles, cfg, guess=None):
+        state = (None if refused(params, toggles)
+                 else steady_state(params, toggles, cfg, guess=guess))
+        calls.append(("steady_state", params.g, 2 * params.gamma_c, guess,
+                      None if state is None else state.to_array()))
         if state is None:
             raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0)
         return state
 
-    monkeypatch.setattr(sweep, "steady_state", recording)
+    monkeypatch.setattr(sweep, "continue_line", chain)
+    monkeypatch.setattr(sweep, "steady_state", solve)
     grid = SweepGrid((2.0, 0.5, 1.0), (0.1, 0.2), (1.0,),
                      (FULL, NO_INVERSION))
     records = run_sweep(grid, BASE, CFG, rabi=rabi)
@@ -263,18 +279,42 @@ def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
     assert [r.converged for r in records] == [True] * 8 + [False] + [True] * 3
     lines = [calls[:6], calls[6:]]
     for line, g_multiple in zip(lines, (0.1, 0.2)):
-        assert {g for g, _, _, _ in line} == {rabi.coupling_for(g_multiple)}
-        assert [gamma_cav for _, gamma_cav, _, _ in line] == [
+        assert {g for _, g, _, _, _ in line} == {rabi.coupling_for(g_multiple)}
+        assert [gamma_cav for _, _, gamma_cav, _, _ in line] == [
             0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
-        assert line[0][2] is None
-        for (_, _, _, previous), (_, _, guess, _) in zip(line, line[1:]):
+        assert line[0][0] == "steady_state" and line[0][3] is None
+        for (*_, previous), (_, _, _, guess, _) in zip(line, line[1:]):
             if previous is None:
                 assert guess is None
             else:
-                assert guess.tobytes() == previous.to_array().tobytes()
-    assert [guess is None for _, _, guess, _ in calls] == [
+                assert guess.tobytes() == previous.tobytes()
+    assert [seam for seam, *_ in calls] == [
+        "steady_state", "chain", "steady_state", "steady_state", "chain",
+        "chain", "steady_state"] + ["chain"] * 5
+    assert [guess is None for _, _, _, guess, _ in calls] == [
         True, False, False, True, False, False,
         True, False, False, False, False, False]
+
+
+def test_a_certified_line_takes_two_eigen_decompositions(monkeypatch):
+    # A sweep_dip-shaped line, 8 lifetimes x 2 variants: the cold first solve
+    # certifies its root alone and the chain certifies the other 15 in one
+    # stack.
+    shapes = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    grid = SweepGrid.from_lifetimes(np.geomspace(0.2, 10.0, 8).tolist(),
+                                    (0.2,), (1e5,), (FULL, NO_INVERSION))
+    records = run_sweep(grid, default_params(g=0.1, gamma_c=0.5, pump=1e5),
+                        CFG)
+    assert len(records) == 16
+    assert all(r.converged for r in records)
+    assert shapes == [(1, 10, 10), (15, 10, 10)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -310,17 +350,24 @@ THRESHOLD_TEXT = textwrap.dedent("""\
 """)
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
-def test_line_sweep_equals_cold_point_solves(name):
-    # Each solve of a line after its first starts from the previous solve's
-    # root; each must match its own solve from vacuum, converged flags and
-    # the states of refused points included.
+def three_variant_run(name):
+    """A shipped figure config, or the CI threshold grid, with all three
+    variants."""
     text = (THRESHOLD_TEXT if name == "threshold"
             else (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8"))
     text = re.sub(r"(?m)^variants = .*\n", "", text).replace(
         "[grid]\n", "[grid]\nvariants = full, no_inversion, factorized\n")
     run = parse_config(text)
     assert len(run.grid.toggle_variants) == 3
+    return run
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
+def test_line_sweep_equals_cold_point_solves(name):
+    # Each solve of a line after its first starts from the previous solve's
+    # root; each must match its own solve from vacuum, converged flags and
+    # the states of refused points included.
+    run = three_variant_run(name)
     records = run_sweep(run.grid, run.params, run.integration, run.rabi)
     refused = []
     for record in records:
@@ -344,6 +391,48 @@ def test_line_sweep_equals_cold_point_solves(name):
         ]
     else:
         assert not refused
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
+def test_line_chain_equals_point_by_point_solves(name, monkeypatch):
+    # A line's guessed solves are one continue_line chain, certified in
+    # stacks; every record and every solved state, refused points' included,
+    # is bitwise what one steady_state call per point gives. Where the chain
+    # stops, at a guessed root that is not certified, steady_state solves
+    # that point with the same guess; on the shipped figures it never stops.
+    run = three_variant_run(name)
+    expected, expected_states = point_by_point_sweep(
+        run.grid, run.params, run.integration, run.rabi)
+    states, handed_over = [], []
+
+    def recording(state, params):
+        states.append(state)
+        return observables_of(state, params)
+
+    def solve(params, toggles, cfg, guess=None):
+        if guess is not None:
+            handed_over.append((round(0.5 / params.gamma_c, 9), toggles))
+        return steady_state(params, toggles, cfg, guess=guess)
+
+    monkeypatch.setattr(sweep, "observables_of", recording)
+    monkeypatch.setattr(sweep, "steady_state", solve)
+    records = run_sweep(run.grid, run.params, run.integration, run.rabi)
+    assert SweepTable(records).csv_rows() == SweepTable(expected).csv_rows()
+    assert [r.converged for r in records] == [r.converged for r in expected]
+    assert [s.to_array().tobytes() for s in states] == [
+        s.to_array().tobytes() for s in expected_states]
+    if name == "threshold":
+        # The guessed factorized roots at 22, 18 and 17 ps are not
+        # certified, and steady_state certifies those points on its cold
+        # paths; the other four are refused, as is full at 16 ps, which
+        # starts cold after the refusal at 16.5 ps.
+        assert handed_over == [
+            (22.0, FACTORIZED), (20.0, NO_INVERSION), (18.0, FACTORIZED),
+            (17.0, FACTORIZED), (16.5, FULL), (16.5, FACTORIZED),
+            (16.0, FACTORIZED),
+        ]
+    else:
+        assert not handed_over
 
 
 def test_non_convergence_is_captured_not_raised():
