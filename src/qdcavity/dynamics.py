@@ -148,68 +148,84 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
     det = params.detuning
     doublets = toggles.include_doublets
     inversion = toggles.include_inversion_term
+    # The rate products, formed once per closure. Python groups a * b * x
+    # as (a * b) * x, so each product below, and each one that two entries
+    # share, is bitwise the written-out a * b * x.
+    two_g = 2.0 * g
+    minus_two_g = -2.0 * g
+    four_g = 4.0 * g
+    minus_four_g = -4.0 * g
+    two_gc = 2.0 * gc
+    minus_four_gc = -4.0 * gc
+    pol_decay = -(gam + gc)
+    pair_decay = -(gam + 3.0 * gc)
+    assist_decay = -(gnr + 2.0 * gc)
+    carrier_decay = -P - gnr
+    minus_gnl = -gnl
 
     def rhs(t, y):
         ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
         # The -+2 g Re p exchange terms cancel between the carrier and photon
         # equations, so d(n_e + n_p)/dt is pump and loss only.
-        f0 = -2.0 * g * pr + P * (1.0 - ne) - gnr * ne - gnl * ne * nh
-        f1 = -2.0 * g * pr + P * (1.0 - nh) - gnr * nh - gnl * ne * nh
-        f2 = 2.0 * g * pr - 2.0 * gc * nph
-        f3 = (
-            -(gam + gc) * pr + det * pi
-            + g * ne * nh + g * (ne + nh - 1.0) * nph
-        )
-        f4 = -(gam + gc) * pi - det * pr
+        exchange = minus_two_g * pr
+        loss = gnl * ne * nh
+        inv = ne + nh - 1.0
+        f0 = exchange + P * (1.0 - ne) - gnr * ne - loss
+        f1 = exchange + P * (1.0 - nh) - gnr * nh - loss
+        f2 = two_g * pr - two_gc * nph
+        f3 = pol_decay * pr + det * pi + g * ne * nh + g * inv * nph
+        f4 = pol_decay * pi - det * pr
         if not doublets:
             return np.array((f0, f1, f2, f3, f4, 0.0, 0.0, 0.0, 0.0, 0.0))
         f3 += g * (de + dh)
-        f5 = -4.0 * gc * d2 + 4.0 * g * dTr
+        ne_p = ne + nph
+        nh_p = nh + nph
+        f5 = minus_four_gc * d2 + four_g * dTr
         f6 = (
-            -(gam + 3.0 * gc) * dTr - det * dTi
-            + 2.0 * g * (nh + nph) * de + 2.0 * g * (ne + nph) * dh
-            - 2.0 * g * (pr * pr - pi * pi)
+            pair_decay * dTr - det * dTi
+            + two_g * nh_p * de + two_g * ne_p * dh
+            - two_g * (pr * pr - pi * pi)
         )
         if inversion:
-            f6 += g * (ne + nh - 1.0) * d2
-        f7 = -(gam + 3.0 * gc) * dTi + det * dTr - 4.0 * g * pr * pi
-        f8 = -(gnr + 2.0 * gc) * de - 2.0 * g * (pr * (ne + nph) + dTr)
-        f9 = -(gnr + 2.0 * gc) * dh - 2.0 * g * (pr * (nh + nph) + dTr)
+            f6 += g * inv * d2
+        f7 = pair_decay * dTi + det * dTr + minus_four_g * pr * pi
+        f8 = assist_decay * de - two_g * (pr * ne_p + dTr)
+        f9 = assist_decay * dh - two_g * (pr * nh_p + dTr)
         return np.array((f0, f1, f2, f3, f4, f5, f6, f7, f8, f9))
 
     # The state-independent entries of the Jacobian; each call copies this
     # template and stores the state-dependent ones.
     template = np.zeros((STATE_DIM, STATE_DIM))
-    template[0, 3] = -2.0 * g
-    template[1, 3] = -2.0 * g
-    template[2, 2] = -2.0 * gc
-    template[2, 3] = 2.0 * g
-    template[3, 3] = -(gam + gc)
+    template[0, 3] = minus_two_g
+    template[1, 3] = minus_two_g
+    template[2, 2] = -two_gc
+    template[2, 3] = two_g
+    template[3, 3] = pol_decay
     template[3, 4] = det
     template[4, 3] = -det
-    template[4, 4] = -(gam + gc)
+    template[4, 4] = pol_decay
     if doublets:
         template[3, 8] = g
         template[3, 9] = g
-        template[5, 5] = -4.0 * gc
-        template[5, 6] = 4.0 * g
-        template[6, 6] = -(gam + 3.0 * gc)
+        template[5, 5] = minus_four_gc
+        template[5, 6] = four_g
+        template[6, 6] = pair_decay
         template[6, 7] = -det
         template[7, 6] = det
-        template[7, 7] = -(gam + 3.0 * gc)
-        template[8, 6] = -2.0 * g
-        template[8, 8] = -(gnr + 2.0 * gc)
-        template[9, 6] = -2.0 * g
-        template[9, 9] = -(gnr + 2.0 * gc)
+        template[7, 7] = pair_decay
+        template[8, 6] = minus_two_g
+        template[8, 8] = assist_decay
+        template[9, 6] = minus_two_g
+        template[9, 9] = assist_decay
 
     def jacobian(t, y):
         ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = y.tolist()
         J = template.copy()
         singlet = (
-            -P - gnr - gnl * nh,        # [0, 0]
-            -gnl * ne,                  # [0, 1]
-            -gnl * nh,                  # [1, 0]
-            -P - gnr - gnl * ne,        # [1, 1]
+            carrier_decay - gnl * nh,   # [0, 0]
+            minus_gnl * ne,             # [0, 1]
+            minus_gnl * nh,             # [1, 0]
+            carrier_decay - gnl * ne,   # [1, 1]
             g * nh + g * nph,           # [3, 0]
             g * ne + g * nph,           # [3, 1]
             g * (ne + nh - 1.0),        # [3, 2]
@@ -217,8 +233,8 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
         if not doublets:
             J.put(_SINGLET_ENTRIES, singlet)
             return J
-        j60 = 2.0 * g * dh
-        j61 = 2.0 * g * de
+        j60 = two_g * dh
+        j61 = two_g * de
         j65 = 0.0
         if inversion:
             j60 += g * d2
@@ -227,20 +243,20 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
         J.put(_DOUBLET_ENTRIES, singlet + (
             j60,                        # [6, 0]
             j61,                        # [6, 1]
-            2.0 * g * (de + dh),        # [6, 2]
-            -4.0 * g * pr,              # [6, 3]
-            4.0 * g * pi,               # [6, 4]
+            two_g * (de + dh),          # [6, 2]
+            minus_four_g * pr,          # [6, 3]
+            four_g * pi,                # [6, 4]
             j65,                        # [6, 5]
-            2.0 * g * (nh + nph),       # [6, 8]
-            2.0 * g * (ne + nph),       # [6, 9]
-            -4.0 * g * pi,              # [7, 3]
-            -4.0 * g * pr,              # [7, 4]
-            -2.0 * g * pr,              # [8, 0]
-            -2.0 * g * pr,              # [8, 2]
-            -2.0 * g * (ne + nph),      # [8, 3]
-            -2.0 * g * pr,              # [9, 1]
-            -2.0 * g * pr,              # [9, 2]
-            -2.0 * g * (nh + nph),      # [9, 3]
+            two_g * (nh + nph),         # [6, 8]
+            two_g * (ne + nph),         # [6, 9]
+            minus_four_g * pi,          # [7, 3]
+            minus_four_g * pr,          # [7, 4]
+            minus_two_g * pr,           # [8, 0]
+            minus_two_g * pr,           # [8, 2]
+            minus_two_g * (ne + nph),   # [8, 3]
+            minus_two_g * pr,           # [9, 1]
+            minus_two_g * pr,           # [9, 2]
+            minus_two_g * (nh + nph),   # [9, 3]
         ))
         return J
 

@@ -3,9 +3,10 @@
 The pump rate can exceed every other rate by five orders of magnitude,
 making the equations stiff. Integration therefore uses RODAS4, an L-stable
 Rosenbrock method of order 4 with an embedded third-order error estimate
-(Hairer & Wanner, Solving ODEs II, section IV.7): each step inverts
-W = I/(h gamma) - J once, on the exact analytic Jacobian, and its six
-stages share that inverse. The march is our own loop, bounded by
+(Hairer & Wanner, Solving ODEs II, section IV.7): each step forms the
+inverse of W = I/(h gamma) - J once, on the exact analytic Jacobian, as one
+LAPACK solve against the identity, and its six stages share that inverse,
+each stage product written in place. The march is our own loop, bounded by
 MAX_MARCH_STEPS steps, so that no march can run without end.
 
 Steady states are solved for directly rather than marched to. Pseudo-
@@ -243,15 +244,20 @@ def _rodas_step(rhs, y, f, J, h):
     The six stages share one inverse of W = I/(h gamma) - J: k_1 = W^-1 f(y)
     and k_i = W^-1 (f(y + sum_j a_ij k_j) + sum_j c_ij k_j / h).
     Returns the new state y + sum_j a_5j k_j + k_5 + k_6 and the error
-    estimate k_6.
+    estimate k_6. Each stage adds to the array rhs returns, which must be
+    its own.
     """
-    w_inv = np.linalg.inv(_EYE / (h * _RODAS_GAMMA) - J)
+    # solve(W, I) runs the same LAPACK gesv on the same identity as
+    # np.linalg.inv, bit for bit, without inv's wrapper.
+    w_inv = np.linalg.solve(_EYE / (h * _RODAS_GAMMA) - J, _EYE)
     ks = np.empty((6, STATE_DIM))
-    ks[0] = w_inv @ f
+    np.dot(w_inv, f, out=ks[0])
     for i, coefficients in enumerate(_RODAS_STAGES, start=1):
         sums = np.dot(coefficients, ks[:i])
         stage = y + sums[0]
-        ks[i] = w_inv @ (rhs(0.0, stage) + sums[1] / h)
+        v = rhs(0.0, stage)
+        v += sums[1] / h
+        np.dot(w_inv, v, out=ks[i])
     return stage + ks[5], ks[5]
 
 
@@ -294,10 +300,15 @@ def integrate(
         if last:
             h = t_end - t
         y_new, error = _rodas_step(rhs, y, f, J, h)
-        if not np.isfinite(y_new).all():
-            raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
         abs_new = np.abs(y_new)
-        ratio = error / (abs_tol + rel_tol * np.maximum(abs_y, abs_new))
+        # abs_y is finite, and NaN and inf pass through maximum and max, so
+        # this is a finiteness test on y_new.
+        scale = np.maximum(abs_y, abs_new)
+        if not math.isfinite(scale.max()):
+            raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
+        scale *= rel_tol
+        scale += abs_tol
+        ratio = error / scale
         err = math.sqrt(float(ratio @ ratio) / STATE_DIM)
         # An exact step (err 0) grows the next one by the full factor 6.
         factor = min(6.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.25))
@@ -423,13 +434,16 @@ def _certify(flows, y0, roots, n, cfg):
     below threshold over a steady window of that flow, sampled at nine
     evenly spaced times, y(t) = root + J^-1 (e^{J t} - I) rhs(root). The
     matrix work is stacked: one eigen-decomposition J = V diag(rates) V^-1
-    of the m Jacobians, one solve for the flow's mode amplitudes and one
-    for the windows', and one expm1 over the windows. Only the residuals go
-    through each root's own rhs, at most ten calls per root, and none for a
-    root that already failed. A root whose V is singular fails alone.
-    Emits PhysicalRangeWarning if the certified roots' windows, the first
-    sample of each the root itself, leave the physical range; their times
-    count from the root.
+    of the m Jacobians, then, for the roots with real spectra and for those
+    with complex ones apart, one solve for the flow's mode amplitudes, one
+    for the windows' and one expm1 over the windows. np.linalg.eig makes
+    every spectrum of a stack complex when one is, and the split keeps each
+    root's numbers bitwise those it gets in a stack of one. Only the
+    residuals go through each root's own rhs, at most ten calls per root,
+    and none for a root that already failed. A root whose V is singular
+    fails alone. Emits PhysicalRangeWarning if the certified roots'
+    windows, the first sample of each the root itself, leave the physical
+    range; their times count from the root.
 
     Returns (certified, (rates, modes, amplitudes)): a boolean array of
     shape (m,), and the stacked decomposition with amplitudes
@@ -438,6 +452,34 @@ def _certify(flows, y0, roots, n, cfg):
     m = len(roots)
     rates, modes = np.linalg.eig(np.array(
         [jac(0.0, root)[:n, :n] for (_, jac), root in zip(flows, roots)]))
+    real = (rates.imag == 0.0).all(axis=1)
+    if not (np.iscomplexobj(rates) and real.any()):
+        certified, amplitudes, windows = _certify_spectra(
+            flows, y0, roots, rates, modes, n, cfg)
+    else:
+        certified = np.zeros(m, dtype=bool)
+        amplitudes = np.empty((m, n), dtype=rates.dtype)
+        windows = []
+        for at, part_rates, part_modes in (
+                (real, rates[real].real, modes[real].real),
+                (~real, rates[~real], modes[~real])):
+            certified[at], amplitudes[at], window = _certify_spectra(
+                [flows[i] for i in np.flatnonzero(at)], y0, roots[at],
+                part_rates, part_modes, n, cfg)
+            windows.append(window)
+        windows = np.concatenate(windows)
+    if certified.any():
+        _check_ranges(_window_times(cfg.steady_window), windows, cfg.rel_tol)
+    return certified, (rates, modes, amplitudes)
+
+
+def _certify_spectra(flows, y0, roots, rates, modes, n, cfg):
+    """_certify's checks on a stack decomposed as rates and modes.
+
+    Returns the verdicts, the flow's mode amplitudes and the windows of the
+    certified roots, an array of shape (k, STATE_DIM, 9).
+    """
+    m = len(roots)
     try:
         amplitudes = np.linalg.solve(modes, (y0 - roots)[:, :n, None])
     except np.linalg.LinAlgError:
@@ -447,7 +489,6 @@ def _certify(flows, y0, roots, n, cfg):
                 amplitudes[i] = np.linalg.solve(v, (y0 - root)[:n, None])
             except np.linalg.LinAlgError:
                 pass
-    eigen = rates, modes, amplitudes[..., 0]
     certified = np.zeros(m, dtype=bool)
     stable = (rates.real < 0.0).all(axis=1)
     # Linearised about a root, y(t) - root = exp(J t) (y0 - root), so the
@@ -458,25 +499,24 @@ def _certify(flows, y0, roots, n, cfg):
                          * amplitudes)).real
     held = [i for i in range(m) if stable[i] and scaled_residual(
         flow[i, :, 0], roots[i]) < cfg.steady_state_residual]
+    times = _window_times(cfg.steady_window)
     if not held:
-        return certified, eigen
+        return certified, amplitudes[..., 0], np.empty((0, STATE_DIM,
+                                                        times.size))
     # The window y(t) = root + J^-1 (e^{J t} - I) rhs(root) of each held
     # root; a slice, not a copy, when every root is held.
     keep = held if len(held) < m else slice(None)
     rates, modes = rates[keep, :, None], modes[keep]
-    times = _window_times(cfg.steady_window)
-    amplitudes = np.linalg.solve(modes, np.array(
+    window_amplitudes = np.linalg.solve(modes, np.array(
         [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
     growth = np.expm1(rates * times) / rates
     ys = np.repeat(roots[keep, :, None], times.size, axis=2)
-    ys[:, :n] += (modes @ (growth * amplitudes)).real
+    ys[:, :n] += (modes @ (growth * window_amplitudes)).real
     holds = [all(scaled_residual(flows[i][0](t, y), y)
                  < cfg.steady_state_residual for t, y in zip(times, window.T))
              for i, window in zip(held, ys)]
     certified[held] = holds
-    if any(holds):
-        _check_ranges(times, ys[holds], cfg.rel_tol)
-    return certified, eigen
+    return certified, amplitudes[..., 0], ys[holds]
 
 
 def steady_state(

@@ -9,10 +9,11 @@ two routes is a meaningful cross-check rather than a tautology.
 
 The flat-array references further down are the opposite: the package's own
 arithmetic, written as plain item stores into fresh arrays, against which
-the package's closures and RODAS4 step are compared byte for byte. The dense
-steady state after them solves the index-map generator below by sparse LU
-and carries the state through a full density matrix; the oracle's
-level-by-level solve and its block-kept state are compared against it.
+the package's closures, RODAS4 step and whole march are compared byte for
+byte. The dense steady state after them solves the index-map generator
+below by sparse LU and carries the state through a full density matrix;
+the oracle's level-by-level solve and its block-kept state are compared
+against it.
 
 The dense reference model at the end restates the oracle's Lindblad
 generator on the whole density matrix: dense mode operators, the
@@ -43,6 +44,7 @@ from qdcavity import (
     validate,
 )
 from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
+from qdcavity.errors import NonFiniteState
 from qdcavity.oracle import state_index
 
 FIELDS = (
@@ -239,6 +241,46 @@ def reference_rodas_step(rhs, y, f, J, h, gamma, stages):
         stage = y + a_sum
         ks[i] = w_inv @ (rhs(0.0, stage) + c_sum / h)
     return stage + ks[5], ks[5]
+
+
+def reference_march(initial, params, toggles, cfg, t_end, gamma, stages):
+    """qdcavity.solver.integrate's march, written plainly: every step
+    through reference_rodas_step, an np.isfinite check on each new state,
+    and the error scale abs_tol + rel_tol * max(|y|, |y_new|) formed in one
+    expression. Returns (times, states) arrays that integrate must match to
+    the byte.
+    """
+    f, jac = make_rhs(params, toggles)
+    y = initial.to_array()
+    t, h, rejected = 0.0, cfg.initial_step, False
+    times, ys = [t], [y]
+    fy, J = f(t, y), jac(t, y)
+    for _ in range(30000):
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        y_new, error = reference_rodas_step(f, y, fy, J, h, gamma, stages)
+        if not np.isfinite(y_new).all():
+            raise NonFiniteState(f"non-finite state at t = {t + h:.6g} ps")
+        ratio = error / (cfg.abs_tol + cfg.rel_tol
+                         * np.maximum(np.abs(y), np.abs(y_new)))
+        err = math.sqrt(float(ratio @ ratio) / y.size)
+        factor = min(6.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.25))
+        if err <= 1.0:
+            t = t_end if last else t + h
+            y = y_new
+            times.append(t)
+            ys.append(y)
+            if last:
+                return np.array(times), np.array(ys)
+            fy, J = f(t, y), jac(t, y)
+            if rejected:
+                factor = min(factor, 1.0)
+            rejected = False
+        else:
+            rejected = True
+        h *= factor
+    raise AssertionError(f"reference march unfinished at t = {t:g} ps")
 
 
 def dense_steady_state(params, space):

@@ -42,6 +42,7 @@ from qdcavity.solver import (
 
 from helpers import (
     gate_scaled_difference,
+    reference_march,
     reference_rodas_step,
     rk4_integrate,
     state_to_dict,
@@ -66,6 +67,13 @@ def certified_alone(rhs, jac, y0, root, n):
     """The verdict on root certified from y0 as a stack of one."""
     [certified], _ = _certify(((rhs, jac),), y0, root[None], n, CFG)
     return certified
+
+
+def linear_flow(block):
+    """(rhs, jac) of y' = J y, J the block padded with -1 on the diagonal."""
+    J = -np.eye(STATE_DIM)
+    J[:len(block), :len(block)] = block
+    return (lambda t, y: J @ y), (lambda t, y: J)
 
 
 def decay_only_params(gamma_c):
@@ -156,6 +164,17 @@ def test_integrate_rejects_non_finite_initial_state():
         )
 
 
+@pytest.mark.parametrize("magnitude, t", [(1e100, "8e-06"), (1e200, "0.001")])
+def test_integrate_rejects_a_state_that_overflows_mid_march(magnitude, t):
+    # Finite at t = 0, the start overflows in a step's stages: the first
+    # after three rejected tries, or the first try.
+    params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
+    start = DynamicState(n_p=magnitude, p=magnitude)
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteState, match=f"^non-finite state at t = {t} ps$"):
+        integrate(start, params, FACTORIZED, CFG, t_end=1.0)
+
+
 def test_trajectory_matches_independent_rk4():
     # Full coupled system against the independently coded reference pushed
     # through fixed-step RK4: two routes, one curve.
@@ -210,6 +229,23 @@ def test_rodas_step_bytes_match_reference_step(variant, pump):
                 *args, solver._RODAS_GAMMA, solver._RODAS_STAGES)
             for a, b in zip(ours, reference):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(TOGGLE_VARIANTS))
+@pytest.mark.parametrize("pump", [1e-2, 1.0, 1e5])
+def test_march_bytes_match_reference_march(variant, pump):
+    # The whole march to a recorded trajectory's horizon, step control,
+    # acceptance and error norm included.
+    params = saturated_params(3.0, pump=pump)
+    toggles = TOGGLE_VARIANTS[variant]
+    _, recorded = steady_state(params, toggles, CFG, record=True)
+    vacuum = DynamicState.vacuum()
+    march = integrate(vacuum, params, toggles, CFG, recorded.times[-1])
+    times, states = reference_march(vacuum, params, toggles, CFG,
+                                    recorded.times[-1], solver._RODAS_GAMMA,
+                                    solver._RODAS_STAGES)
+    assert march.times.tobytes() == times.tobytes()
+    assert march.states.tobytes() == states.tobytes()
 
 
 def test_march_stops_at_the_step_budget(monkeypatch):
@@ -315,19 +351,14 @@ def test_stacked_certification_gives_each_root_its_own_verdict():
     stable = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     certified_root = steady_state(stable, FACTORIZED, CFG).to_array()
 
-    def linear(block):
-        J = -np.eye(STATE_DIM)
-        J[:len(block), :len(block)] = block
-        return (lambda t, y: J @ y), (lambda t, y: J)
-
     growing_J = np.array([[-1.0, 1e3, 0.0], [0.0, -1.1, 0.0], [0.0, 0.0, -2.0]])
     growing = np.zeros(STATE_DIM)
     growing[:3] = np.linalg.solve(growing_J, [0.0, 5e-12, 0.0])
     unstable = make_rhs(saturated_params(30.0), FACTORIZED)
     landed = _continue_to_root(*unstable, vacuum, SINGLET_DIM, CFG,
                                CFG.initial_step)
-    flows = [make_rhs(stable, FACTORIZED), linear(growing_J), unstable,
-             linear(np.array([[-1e-20, 1e300], [0.0, -1e-20]]))]
+    flows = [make_rhs(stable, FACTORIZED), linear_flow(growing_J), unstable,
+             linear_flow(np.array([[-1e-20, 1e300], [0.0, -1e-20]]))]
     roots = np.array([certified_root, growing, landed, np.zeros(STATE_DIM)])
     certified, (_, _, amplitudes) = _certify(flows, vacuum, roots,
                                              SINGLET_DIM, CFG)
@@ -336,6 +367,41 @@ def test_stacked_certification_gives_each_root_its_own_verdict():
         True, True, True, False]
     for (rhs, jac), root, verdict in zip(flows, roots, certified):
         assert certified_alone(rhs, jac, vacuum, root, SINGLET_DIM) == verdict
+
+
+def test_mixed_spectra_stack_gives_each_root_its_stack_of_one_numbers():
+    # np.linalg.eig makes a stack's spectra complex when one is. Each root's
+    # amplitudes and verdict must still be bitwise those it gets alone: the
+    # full variant's dip roots, two with real spectra and two with complex
+    # ones, and beside a rotation the Jordan block [[-1, 1e300], [0, -1]]
+    # padded with -1, whose eigenvector matrix has a subnormal pivot. In
+    # complex arithmetic that pivot gave the Jordan root NaN amplitudes and
+    # refused it.
+    vacuum = DynamicState.vacuum().to_array()
+
+    dip = [saturated_params(lifetime) for lifetime in (0.2, 1.0, 3.0, 10.0)]
+    stacks = [
+        ([make_rhs(params, FULL) for params in dip],
+         [steady_state(params, FULL, CFG).to_array() for params in dip],
+         STATE_DIM),
+        ([linear_flow(np.array([[-1.0, 2.0], [-2.0, -1.0]])),
+          linear_flow(np.array([[-1.0, 1e300], [0.0, -1.0]]))],
+         [np.zeros(STATE_DIM)] * 2, SINGLET_DIM),
+    ]
+    for flows, roots, n in stacks:
+        certified, (rates, _, amplitudes) = _certify(
+            flows, vacuum, np.array(roots), n, CFG)
+        real = [not np.iscomplexobj(np.linalg.eigvals(jac(0.0, root)[:n, :n]))
+                for (_, jac), root in zip(flows, roots)]
+        assert np.iscomplexobj(rates) and any(real)
+        assert certified.all()
+        for i, ((rhs, jac), root) in enumerate(zip(flows, roots)):
+            [alone], (_, _, [own]) = _certify(((rhs, jac),), vacuum,
+                                              root[None], n, CFG)
+            assert certified[i] == alone
+            assert np.isrealobj(own) == real[i]
+            assert amplitudes[i].real.tobytes() == own.real.tobytes()
+            assert amplitudes[i].imag.tobytes() == np.imag(own).tobytes()
 
 
 def test_line_continuation_returns_the_guessed_roots():
