@@ -3,8 +3,8 @@
 
 Each config in configs/ is passed through the sweep subcommand; results and
 the generated gnuplot templates land in the chosen output directory. The
-618 grid points of the shipped configs take 0.50 s with one worker and
-0.44 s with two (whole process, median of 5, 2-vCPU x86-64 VM): a sweep's
+618 grid points of the shipped configs take 0.33 s with one worker and
+0.40 s with two (whole process, median of 7, 2-vCPU x86-64 VM): a sweep's
 task is one grid line, and fig3 is a single line.
 """
 

@@ -29,8 +29,10 @@ eigen-decomposition; ``integrate`` is the only march.
 
 Certification takes a stack of roots that move the same components: one
 eigen-decomposition of their stacked Jacobians, stacked solves for the mode
-amplitudes and one closed-form window over the stack; only the residuals go
-through each root's own equations. A single solve certifies a stack of one.
+amplitudes and one closed-form window over the stack. Only the rhs values
+at the window samples go through each root's own equations; their residual
+norms and verdicts are one array pass over the stack, bitwise
+scaled_residual's. A single solve certifies a stack of one.
 Along a sweep's grid line, ``continue_line`` continues from each root to the
 next point's, exactly as a guessed solve does, certifies the whole chain in
 one stack per moving dimension and returns its longest certified prefix.
@@ -186,6 +188,20 @@ def scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(float(f @ f)) / max(math.sqrt(float(y @ y)), 1.0)
 
 
+def _scaled_residuals(f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """scaled_residual over the last axis of stacks f and y, bit for bit.
+
+    A row times a column through np.matmul runs the same dot loop as f @ f,
+    so each norm adds in the same order. Rows of NaN or inf give NaN or
+    inf, as scaled_residual does, without a warning.
+    """
+    def squares(v):
+        return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(squares(f)) / np.maximum(np.sqrt(squares(y)), 1.0)
+
+
 def _check_ranges(times, ys, rel_tol):
     """Warn once, at the worst excess, if states leave the physical range.
 
@@ -276,10 +292,10 @@ def integrate(
     next step is the last one times min(6, max(0.2, 0.9 err^-1/4)), and
     does not grow right after a rejection. Returns the accepted steps as a
     Trajectory of arrays. Raises NonFiniteState on a non-finite state,
-    StiffnessFailure when the step falls below the representable floor and
-    SolverError after MAX_MARCH_STEPS steps, accepted or rejected; emits
-    PhysicalRangeWarning when accepted states leave the physical simplex
-    beyond 10*rel_tol.
+    StiffnessFailure when the step falls below the representable floor, and
+    SolverError on a singular step matrix W or after MAX_MARCH_STEPS steps,
+    accepted or rejected; emits PhysicalRangeWarning when accepted states
+    leave the physical simplex beyond 10*rel_tol.
     """
     validate(params)
     rhs, jac = make_rhs(params, toggles)
@@ -299,7 +315,11 @@ def integrate(
         last = t + h >= t_end
         if last:
             h = t_end - t
-        y_new, error = _rodas_step(rhs, y, f, J, h)
+        try:
+            y_new, error = _rodas_step(rhs, y, f, J, h)
+        except np.linalg.LinAlgError:
+            raise SolverError(
+                f"singular step matrix at t = {t:.6g} ps") from None
         abs_new = np.abs(y_new)
         # abs_y is finite, and NaN and inf pass through maximum and max, so
         # this is a finiteness test on y_new.
@@ -438,12 +458,13 @@ def _certify(flows, y0, roots, n, cfg):
     with complex ones apart, one solve for the flow's mode amplitudes, one
     for the windows' and one expm1 over the windows. np.linalg.eig makes
     every spectrum of a stack complex when one is, and the split keeps each
-    root's numbers bitwise those it gets in a stack of one. Only the
-    residuals go through each root's own rhs, at most ten calls per root,
-    and none for a root that already failed. A root whose V is singular
-    fails alone. Emits PhysicalRangeWarning if the certified roots'
-    windows, the first sample of each the root itself, leave the physical
-    range; their times count from the root.
+    root's numbers bitwise those it gets in a stack of one. Each root's own
+    rhs is called ten times if the root passes the stability and flow
+    checks, rhs(root) and all nine window samples, and not at all
+    otherwise; the residual norms and verdicts are one stacked pass. A root
+    whose V is singular fails alone. Emits PhysicalRangeWarning if the
+    certified roots' windows, the first sample of each the root itself,
+    leave the physical range; their times count from the root.
 
     Returns (certified, (rates, modes, amplitudes)): a boolean array of
     shape (m,), and the stacked decomposition with amplitudes
@@ -490,31 +511,34 @@ def _certify_spectra(flows, y0, roots, rates, modes, n, cfg):
             except np.linalg.LinAlgError:
                 pass
     certified = np.zeros(m, dtype=bool)
-    stable = (rates.real < 0.0).all(axis=1)
     # Linearised about a root, y(t) - root = exp(J t) (y0 - root), so the
     # residual there is J exp(J t) (y0 - root), summed here over the modes.
-    # An unstable root's flow overflows, and is never read.
+    # An unstable root's flow overflows, and its stability check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         flow = (modes @ ((rates * np.exp(rates * cfg.max_time))[..., None]
                          * amplitudes)).real
-    held = [i for i in range(m) if stable[i] and scaled_residual(
-        flow[i, :, 0], roots[i]) < cfg.steady_state_residual]
+    held = np.flatnonzero((rates.real < 0.0).all(axis=1) & (
+        _scaled_residuals(flow[..., 0], roots) < cfg.steady_state_residual))
     times = _window_times(cfg.steady_window)
-    if not held:
+    if not held.size:
         return certified, amplitudes[..., 0], np.empty((0, STATE_DIM,
                                                         times.size))
     # The window y(t) = root + J^-1 (e^{J t} - I) rhs(root) of each held
     # root; a slice, not a copy, when every root is held.
-    keep = held if len(held) < m else slice(None)
+    keep = held if held.size < m else slice(None)
     rates, modes = rates[keep, :, None], modes[keep]
     window_amplitudes = np.linalg.solve(modes, np.array(
         [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
     growth = np.expm1(rates * times) / rates
     ys = np.repeat(roots[keep, :, None], times.size, axis=2)
     ys[:, :n] += (modes @ (growth * window_amplitudes)).real
-    holds = [all(scaled_residual(flows[i][0](t, y), y)
-                 < cfg.steady_state_residual for t, y in zip(times, window.T))
-             for i, window in zip(held, ys)]
+    # Each held root's own rhs at its nine samples, then every residual in
+    # one pass.
+    samples = ys.transpose(0, 2, 1)
+    holds = (_scaled_residuals(
+        np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
+                  for i, window in zip(held, samples)]), samples)
+             < cfg.steady_state_residual).all(axis=1)
     certified[held] = holds
     return certified, amplitudes[..., 0], ys[holds]
 

@@ -10,10 +10,11 @@ two routes is a meaningful cross-check rather than a tautology.
 The flat-array references further down are the opposite: the package's own
 arithmetic, written as plain item stores into fresh arrays, against which
 the package's closures, RODAS4 step and whole march are compared byte for
-byte. The dense steady state after them solves the index-map generator
-below by sparse LU and carries the state through a full density matrix;
-the oracle's level-by-level solve and its block-kept state are compared
-against it.
+byte. Beside them, the per-sample verdict loop that the stacked
+certification's verdicts must equal. The dense steady state after them
+solves the index-map generator below by sparse LU and carries the state
+through a full density matrix; the oracle's level-by-level solve and its
+block-kept state are compared against it.
 
 The dense reference model at the end restates the oracle's Lindblad
 generator on the whole density matrix: dense mode operators, the
@@ -46,6 +47,7 @@ from qdcavity import (
 from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
 from qdcavity.oracle import state_index
+from qdcavity.solver import scaled_residual
 
 FIELDS = (
     "n_e", "n_h", "n_p", "p", "d_photon2", "d_bc_aaa", "d_ce_phot", "d_h_phot",
@@ -281,6 +283,39 @@ def reference_march(initial, params, toggles, cfg, t_end, gamma, stages):
             rejected = True
         h *= factor
     raise AssertionError(f"reference march unfinished at t = {t:g} ps")
+
+
+def reference_verdicts(flows, y0, roots, n, cfg):
+    """qdcavity.solver._certify's verdicts, one root at a time as a stack of
+    one: the flow residual and every window sample judged by its own
+    scaled_residual call, a window stopping at its first failed sample.
+    Returns a list of booleans that _certify's must equal.
+    """
+    threshold = cfg.steady_state_residual
+    times = np.linspace(0.0, cfg.steady_window, 9)
+    verdicts = []
+    for (rhs, jac), root in zip(flows, roots):
+        rates, modes = np.linalg.eig(jac(0.0, root)[None, :n, :n])
+        try:
+            amplitudes = np.linalg.solve(modes, (y0 - root)[None, :n, None])
+        except np.linalg.LinAlgError:
+            verdicts.append(False)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            flow = (modes @ ((rates * np.exp(rates * cfg.max_time))[..., None]
+                             * amplitudes)).real
+        if not ((rates.real < 0.0).all()
+                and scaled_residual(flow[0, :, 0], root) < threshold):
+            verdicts.append(False)
+            continue
+        window_amplitudes = np.linalg.solve(modes, rhs(0.0, root)[None, :n,
+                                                                  None])
+        growth = np.expm1(rates[..., None] * times) / rates[..., None]
+        window = np.repeat(root[:, None], times.size, axis=1)
+        window[:n] += (modes @ (growth * window_amplitudes)).real[0]
+        verdicts.append(all(scaled_residual(rhs(t, y), y) < threshold
+                            for t, y in zip(times, window.T)))
+    return verdicts
 
 
 def dense_steady_state(params, space):

@@ -37,6 +37,7 @@ from qdcavity.solver import (
     _certify,
     _continue_to_root,
     _rodas_step,
+    _scaled_residuals,
     scaled_residual,
 )
 
@@ -44,6 +45,7 @@ from helpers import (
     gate_scaled_difference,
     reference_march,
     reference_rodas_step,
+    reference_verdicts,
     rk4_integrate,
     state_to_dict,
 )
@@ -175,6 +177,19 @@ def test_integrate_rejects_a_state_that_overflows_mid_march(magnitude, t):
         integrate(start, params, FACTORIZED, CFG, t_end=1.0)
 
 
+@pytest.mark.parametrize("variant", ["full", "no_inversion"])
+@pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
+def test_huge_start_ends_in_solver_error(variant, size):
+    # From n_p = Re p = size the first step's W = I/(h gamma) - J is
+    # singular to working precision; the march reports it as the documented
+    # SolverError, which simulate turns into exit code 2.
+    params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
+    start = DynamicState(n_p=size, p=size)
+    with pytest.raises(SolverError,
+                       match="^singular step matrix at t = 0 ps$"):
+        integrate(start, params, TOGGLE_VARIANTS[variant], CFG, t_end=1.0)
+
+
 def test_trajectory_matches_independent_rk4():
     # Full coupled system against the independently coded reference pushed
     # through fixed-step RK4: two routes, one curve.
@@ -286,6 +301,34 @@ def test_scaled_residual_definition():
     assert scaled_residual(f, np.array([0.0, 2.0])) == 5.0 / 2.0
 
 
+def test_stacked_residuals_equal_scaled_residual_bitwise():
+    # _certify judges a stack's residuals in one pass. Each must be the
+    # scaled_residual of its own row to the bit: contiguous stacks, the
+    # strided (m, 9, 10) views of (m, 10, 9) windows, the real part of a
+    # complex flow against (m, 10) roots, norms below 1, zero rows and rows
+    # holding inf or NaN.
+    rng = np.random.default_rng(27)
+    for m in range(1, 17):
+        f = rng.standard_normal((m, 9, STATE_DIM)) * 10.0 ** rng.uniform(
+            -20.0, 0.0, (m, 9, 1))
+        windows = rng.standard_normal((m, STATE_DIM, 9)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, (m, 1, 1))
+        f[0, 0] = 0.0
+        windows[0, :, 1] = 0.0
+        f[-1, 2, 3], f[-1, 4, 0], windows[-1, 5, 4] = np.inf, np.nan, np.nan
+        f[-1, 6, 1] = windows[-1, 0, 6] = windows[-1, 0, 7] = -np.inf
+        flow = (rng.standard_normal((m, SINGLET_DIM))
+                + 1j * rng.standard_normal((m, SINGLET_DIM))).real * 1e-11
+        samples = windows.transpose(0, 2, 1)
+        for f_stack, y_stack in ((f, samples), (f, samples.copy()),
+                                 (flow, windows[..., 0])):
+            stacked = _scaled_residuals(f_stack, y_stack)
+            assert stacked.shape == f_stack.shape[:-1]
+            for at in np.ndindex(stacked.shape):
+                alone = scaled_residual(f_stack[at], y_stack[at])
+                assert stacked[at].tobytes() == np.float64(alone).tobytes()
+
+
 def test_steady_state_carrier_balance():
     # g = 0: the carrier steady state is the quadratic root and the cavity
     # empties.
@@ -329,6 +372,8 @@ def test_window_catches_transient_growth():
     growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
     assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
     assert not certified_alone(f, jac, growing, growing, 3)
+    assert reference_verdicts(((f, jac),), growing, [growing], 3,
+                              CFG) == [False]
     root = _continue_to_root(f, jac, growing, 3, CFG, CFG.initial_step)
     assert root.tolist() == [0.0, 0.0, 0.0]
     # Started along the first axis the residual only decays, so a state
@@ -340,13 +385,33 @@ def test_window_catches_transient_growth():
     assert root.tolist() == [0.0, 0.0, 0.0]
 
 
+def test_window_failing_at_its_last_sample_is_refused():
+    # A slower non-normal flow whose residual grows until t = 19 ps: started
+    # along the second axis at threshold / 5.75, it stays below
+    # threshold at 8.75 ps and is above it at 10 ps, the window's last
+    # sample. The stacked verdicts, like the per-sample loop, refuse it, and
+    # the same state holds over a window that ends at 8.75 ps.
+    J = np.array([[-0.05, 1.0], [0.0, -0.055]])
+    rhs, jac = linear_flow(J)
+    late = np.zeros(STATE_DIM)
+    late[:2] = np.linalg.solve(J, [0.0, CFG.steady_state_residual / 5.75])
+    short = replace(CFG, steady_window=8.75)
+    for cfg, verdict in ((CFG, False), (short, True)):
+        [certified], _ = _certify(((rhs, jac),), late, late[None], 2, cfg)
+        assert certified == verdict
+        assert reference_verdicts(((rhs, jac),), late, [late], 2,
+                                  cfg) == [verdict]
+
+
 def test_stacked_certification_gives_each_root_its_own_verdict():
     # One stack over the five singlet components mixes a certified root,
     # the transiently growing state above (embedded with its rates), the
     # unstable factorized root past the lasing threshold, and a root whose
     # eigenvector matrix is exactly singular: a Jordan block whose second
     # eigenvector underflows onto the first. Each verdict is the one the
-    # root gets alone, and only the singular root's amplitudes are NaN.
+    # root gets alone, and only the singular root's amplitudes are NaN. The
+    # unstable root's flow overflows, and the stacked residuals read it
+    # without a RuntimeWarning.
     vacuum = DynamicState.vacuum().to_array()
     stable = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     certified_root = steady_state(stable, FACTORIZED, CFG).to_array()
@@ -360,8 +425,10 @@ def test_stacked_certification_gives_each_root_its_own_verdict():
     flows = [make_rhs(stable, FACTORIZED), linear_flow(growing_J), unstable,
              linear_flow(np.array([[-1e-20, 1e300], [0.0, -1e-20]]))]
     roots = np.array([certified_root, growing, landed, np.zeros(STATE_DIM)])
-    certified, (_, _, amplitudes) = _certify(flows, vacuum, roots,
-                                             SINGLET_DIM, CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        certified, (_, _, amplitudes) = _certify(flows, vacuum, roots,
+                                                 SINGLET_DIM, CFG)
     assert certified.tolist() == [True, False, False, False]
     assert np.isfinite(amplitudes).all(axis=1).tolist() == [
         True, True, True, False]

@@ -25,13 +25,17 @@ from qdcavity import (
     run_sweep,
     steady_state,
 )
-from qdcavity import config, model, sweep
+from qdcavity import config, model, solver, sweep
 from qdcavity.config import parse_config
 from qdcavity.dynamics import TOGGLE_VARIANTS
 from qdcavity.solver import continue_line
 from qdcavity.sweep import CSV_COLUMNS
 
-from helpers import gate_scaled_difference, point_by_point_sweep
+from helpers import (
+    gate_scaled_difference,
+    point_by_point_sweep,
+    reference_verdicts,
+)
 
 FULL = TOGGLE_VARIANTS["full"]
 FACTORIZED = TOGGLE_VARIANTS["factorized"]
@@ -360,6 +364,30 @@ def three_variant_run(name):
     run = parse_config(text)
     assert len(run.grid.toggle_variants) == 3
     return run
+
+
+@pytest.mark.parametrize("name", ["fig3", "threshold"])
+def test_stacked_verdicts_equal_the_per_sample_loop(name, monkeypatch):
+    # Every stack the sweep certifies, a cold solve's stack of one or a
+    # line's chain, gets the verdicts that judging each root alone, one
+    # window sample at a time, gives.
+    stacks = []
+    certify = solver._certify
+
+    def recording(flows, y0, roots, n, cfg):
+        certified, eigen = certify(flows, y0, roots, n, cfg)
+        stacks.append((flows, y0, roots.copy(), n, cfg, certified.tolist()))
+        return certified, eigen
+
+    monkeypatch.setattr(solver, "_certify", recording)
+    run = three_variant_run(name)
+    run_sweep(run.grid, run.params, run.integration, run.rabi)
+    assert max(len(roots) for _, _, roots, *_ in stacks) > 1
+    verdicts = []
+    for flows, y0, roots, n, cfg, certified in stacks:
+        assert certified == reference_verdicts(flows, y0, roots, n, cfg)
+        verdicts += certified
+    assert all(verdicts) == (name == "fig3")
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
