@@ -33,9 +33,10 @@ amplitudes and one closed-form window over the stack. Only the rhs values
 at the window samples go through each root's own equations; their residual
 norms and verdicts are one array pass over the stack, bitwise
 scaled_residual's. A single solve certifies a stack of one.
-Along a sweep's grid line, ``continue_line`` continues from each root to the
-next point's, exactly as a guessed solve does, certifies the whole chain in
-one stack per moving dimension and returns its longest certified prefix.
+``steady_state`` solves one point cold, from vacuum. Along a sweep's grid
+line, ``continue_line`` is the warm start: it continues from each root to
+the next point's, certifies the whole chain in one stack per moving
+dimension and returns its longest certified prefix.
 
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
@@ -47,7 +48,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 import numpy as np
 
@@ -277,6 +277,9 @@ def _rodas_step(rhs, y, f, J, h):
     return stage + ks[5], ks[5]
 
 
+# A state too large for float64 overflows in a step's products; the march's
+# finiteness test reports it as NonFiniteState, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     initial: DynamicState,
     params: ModelParams,
@@ -402,29 +405,22 @@ def _continue_to_root(rhs, jac, y0, n, cfg, h):
     return None
 
 
-def _paths(params, y0, n, guess):
-    """Yield each continuation path as (start state, pumps it climbs): the
-    guess, if any, with the rest of its state y0's, and y0, both at the
-    target pump alone; then y0 up PUMP_RUNGS geometric rungs from
-    PUMP_START, computed only once reached."""
-    if guess is not None:
-        warm = y0.copy()
-        warm[:n] = guess[:n]
-        yield warm, (params.pump,)
-    yield y0, (params.pump,)
-    if params.pump > PUMP_START:
-        yield y0, np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist()
-
-
-def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess=None):
-    """Yield the root that each of _paths reaches at the target pump.
-
-    A path from y0 takes cfg.initial_step as its first pseudo-time step,
-    every other continuation RUNG_STEP. The rung at the target pump runs on
-    rhs and jac themselves, the closures that certify its root.
+def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+    """Yield the root that each of two ladders from y0 reaches at the target
+    pump: the target pump alone, then PUMP_RUNGS geometric rungs from
+    PUMP_START, computed only once reached. A ladder's first continuation
+    takes cfg.initial_step as its first pseudo-time step, each later rung
+    RUNG_STEP. The rung at the target pump runs on rhs and jac themselves,
+    the closures that certify its root.
     """
-    for y, pumps in _paths(params, y0, n, guess):
-        h = cfg.initial_step if y is y0 else RUNG_STEP
+    for climbs in (False, True):
+        if not climbs:
+            pumps = (params.pump,)
+        elif params.pump > PUMP_START:
+            pumps = np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist()
+        else:
+            return
+        y, h = y0, cfg.initial_step
         for pump in pumps:
             flow = (rhs, jac) if pump == params.pump else make_rhs(
                 replace(params, pump=pump), toggles)
@@ -548,7 +544,6 @@ def steady_state(
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
     record: bool = False,
-    guess: Optional[np.ndarray] = None,
 ):
     """Solve for the steady state reached from vacuum.
 
@@ -567,17 +562,13 @@ def steady_state(
     already meets the threshold, gets one Newton step before it is
     certified.
 
-    A guess, a state array such as a nearby point's certified root, is tried
-    first: continuation starts from its first n components (the rest are
-    vacuum's) with a first pseudo-time step of RUNG_STEP, and its root is
-    certified from vacuum like any other. When it does not certify, the
-    solve goes on as without a guess.
-
-    Failing that, the continuation climbs a ladder of pumps from PUMP_START
-    to the target, and its root is certified the same way. Raises
-    NotConverged otherwise, carrying the state that the flow linearised at
-    the last root found reaches at max_time (vacuum if none) and its
-    residual.
+    The solve is cold: continuation starts from vacuum at the target pump,
+    with a first pseudo-time step of cfg.initial_step. Failing that, it
+    climbs a ladder of pumps from PUMP_START to the target, again from
+    vacuum, and its root is certified the same way. Raises NotConverged
+    otherwise, carrying the state that the flow linearised at the last root
+    found reaches at max_time (vacuum if none) and its residual. A start
+    from a nearby point's root is continue_line's.
 
     With record=True, returns (state, Trajectory): the trajectory collects
     every accepted step of one march from vacuum to the settling time of
@@ -595,7 +586,7 @@ def steady_state(
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
 
     root = eigen = None
-    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg, guess):
+    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
         [certified], eigen = _certify(((rhs, jac),), y0, root[None], n, cfg)
         if certified:
             break
@@ -634,20 +625,21 @@ def steady_state(
 def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
     """Continue a root along a line of points, each from the one before.
 
-    points is a sequence of valid (params, toggles) pairs. Each point's
-    candidate root is reached by exactly steady_state's guess path:
-    continuation from the guess's first n components, the rest vacuum's,
-    with a first pseudo-time step of RUNG_STEP, the guess being guess for
-    the first point and the previous candidate after it. The chain stops at
-    a point whose continuation reaches no root. Its candidates are then
-    certified from vacuum together, one _certify stack for each moving
-    dimension n among them.
+    points is a sequence of valid (params, toggles) pairs and guess a state
+    array, such as a nearby point's certified root. Each point's candidate
+    root is reached by a warm start: pseudo-transient continuation from the
+    guess's first n components, the variant's moving ones, with the rest
+    vacuum's and a first pseudo-time step of RUNG_STEP. The guess is guess
+    for the first point and the previous candidate after it. Like every
+    root, a candidate gets one Newton step, even when its start already
+    meets the threshold. The chain stops at a point whose continuation
+    reaches no root. Its candidates are then certified from vacuum
+    together, as steady_state certifies a root, in one _certify stack for
+    each moving dimension n among them.
 
     Returns the candidates before the first one that is not certified, as
-    root arrays, each bitwise the state that steady_state(params, toggles,
-    cfg, guess=the previous root) returns. The point after them is left to
-    steady_state with the same guess, which repeats the guess path and then
-    takes the cold paths.
+    root arrays; [] when the first is not. The point after them is left to
+    the caller, which solves it cold with steady_state.
     """
     y0 = DynamicState.vacuum().to_array()
     flows, roots, dims = [], [], []

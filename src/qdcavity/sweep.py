@@ -3,12 +3,14 @@
 Grid order and the emitted record schema are frozen (lexicographic in
 gamma_cav, then coupling multiple, then pump, then toggle variant) so that
 CSV diffs between runs are meaningful. The points that share coupling
-multiple and pump form a line, solved in one process in ascending gamma_cav
-so that each solve starts from its neighbour's root; lines are independent,
-may run on any number of worker processes, and the records come back in
-grid order regardless, byte-identical to a serial run and to a run with the
-gamma_cav axis listed in any order. SweepGrid owns every rule of a grid,
-its point bound included, and checks each axis value once, not each point.
+multiple and pump form a line, solved in one process in ascending gamma_cav:
+a cold solve from vacuum, then one chain that warm-starts each point from
+its neighbour's root, and a cold solve again where the chain stops. Lines
+are independent, may run on any number of worker processes, and the records
+come back in grid order regardless, byte-identical to a serial run and to a
+run with the gamma_cav axis listed in any order. SweepGrid owns every rule
+of a grid, its point bound included, and checks each axis value once, not
+each point.
 """
 
 from __future__ import annotations
@@ -128,35 +130,26 @@ class SweepRecord:
 
 def _solve_line(task):
     """Solve one line, the points that share (g multiple, pump), in ascending
-    gamma_cav and each point's variants in grid order. Every solve is guessed
-    from the previous solve's certified root, and starts cold after a solve
-    that was refused: a cold solve is steady_state's, and the guessed solves
-    after it are one continue_line chain, up to the first point it does not
-    certify. steady_state solves that point with the same guess. Returns the
-    records keyed by gamma_cav."""
+    gamma_cav and each point's variants in grid order. A point is solved
+    cold by steady_state; once certified, continue_line chains from its root
+    over the rest of the line, and the first point the chain does not
+    certify is solved cold again. A refused point's successor is solved
+    cold as well. Returns the records keyed by gamma_cav."""
     base, rabi, cfg, (g_multiple, pump), gamma_cavs, variants = task
     g = rabi.coupling_for(g_multiple)
     keys = list(itertools.product(gamma_cavs, variants))
     points = [(replace(base, g=g, gamma_c=0.5 * gamma_cav, pump=pump), toggles)
               for gamma_cav, toggles in keys]
-    solved, guess = [], None
+    solved = []
     while len(solved) < len(points):
-        if guess is not None:
-            roots = continue_line(points[len(solved):], cfg, guess)
-            solved += [(DynamicState.from_array(root), True) for root in roots]
-            if roots:
-                guess = roots[-1]
-            if len(solved) == len(points):
-                break
-        params, toggles = points[len(solved)]
         try:
-            state = steady_state(params, toggles, cfg, guess=guess)
-            converged = True
+            state = steady_state(*points[len(solved)], cfg)
         except NotConverged as err:
-            state = err.last_state
-            converged = False
-        solved.append((state, converged))
-        guess = state.to_array() if converged else None
+            solved.append((err.last_state, False))
+            continue
+        solved.append((state, True))
+        roots = continue_line(points[len(solved):], cfg, state.to_array())
+        solved += [(DynamicState.from_array(root), True) for root in roots]
     line = {gamma_cav: [] for gamma_cav in gamma_cavs}
     for (gamma_cav, toggles), (params, _), (state, converged) in zip(
             keys, points, solved):
@@ -186,19 +179,19 @@ def run_sweep(
     observables of the state NotConverged carries; the sweep itself never
     aborts. A task is one line: the points that share coupling multiple and
     pump. It solves its distinct gamma_cav values in ascending order, each
-    point's variants in grid order, and guesses every solve from the
-    previous solve's certified root (steady_state's guess); its first solve,
-    and each one after a refused solve, starts cold. The guessed solves
-    after a cold one run as one solver.continue_line chain: each point's
-    root is continued from the previous one, and the chain is certified in
-    one stacked check, so a line of certified points costs two
-    eigen-decompositions, not one per point. The chain ends at the first
-    point it does not certify, which steady_state solves with the same
-    guess. Every record is bitwise the one that point-by-point guessed
-    solves give. Lines are never split and their order does not follow the
-    listing of the gamma_cav axis, so a point's record depends neither on
-    workers nor on that listing. Runs on at most min(workers, lines, CPUs)
-    processes, serially when that is 1.
+    point's variants in grid order. A line's first point is solved cold by
+    steady_state, from vacuum. From each certified cold root, one
+    solver.continue_line chain warm-starts every later point from the root
+    before it and certifies the chain in one stacked check, so a line of
+    certified points costs two eigen-decompositions, not one per point.
+    The first point the chain does not certify is solved cold, as is the
+    point after a refused one, and a chain starts again from each certified
+    cold root. Every record is bitwise the one that solving the line one
+    point at a time gives, each point warm-started alone as a chain of one
+    and solved cold where that is not certified. Lines are never split and
+    their order does not follow the listing of the gamma_cav axis, so a
+    point's record depends neither on workers nor on that listing. Runs on
+    at most min(workers, lines, CPUs) processes, serially when that is 1.
     """
     rabi = rabi or ReferenceRabi()
     grid.check_points(base, rabi)

@@ -23,9 +23,9 @@ on any closed set of entries, with propagation by expm_multiply. The
 package keeps only the charge-sector generator, built as a cached linear
 map of its rates, and is checked against this one.
 
-The point-by-point sweep solves each grid line with one steady_state call
-per point; the sweep's chained line solve is compared against it bit for
-bit.
+The point-by-point sweep solves each grid line one point at a time, each
+point a chain of one or a cold steady_state call; the sweep's chained line
+solve is compared against it bit for bit.
 """
 
 import itertools
@@ -47,7 +47,7 @@ from qdcavity import (
 from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
 from qdcavity.oracle import state_index
-from qdcavity.solver import scaled_residual
+from qdcavity.solver import continue_line, scaled_residual
 
 FIELDS = (
     "n_e", "n_h", "n_p", "p", "d_photon2", "d_bc_aaa", "d_ce_phot", "d_h_phot",
@@ -647,12 +647,14 @@ def propagate(rho0, params, space, times):
 
 
 def point_by_point_sweep(grid, base, cfg, rabi):
-    """run_sweep's records, each line solved one steady_state call at a time.
+    """run_sweep's records, each line solved one point at a time.
 
     A line, the points that share coupling multiple and pump, is solved in
-    ascending gamma_cav and each point's variants in grid order; every solve
-    is guessed from the previous solve's certified root, and starts cold
-    after a refused one. Returns (records in grid order, solved states in
+    ascending gamma_cav and each point's variants in grid order. After a
+    certified solve the next point is continue_line's chain of that point
+    alone, guessed from the certified root; a point with no certified
+    predecessor, or whose chain of one returns no root, is solved by a cold
+    steady_state call. Returns (records in grid order, solved states in
     line order), the states of refused points their NotConverged states.
     """
     gamma_cavs = sorted(set(grid.gamma_cav_values))
@@ -664,8 +666,11 @@ def point_by_point_sweep(grid, base, cfg, rabi):
                              gamma_c=0.5 * gamma_cav, pump=pump)
             records = line[gamma_cav] = []
             for toggles in grid.toggle_variants:
+                roots = ([] if guess is None
+                         else continue_line([(params, toggles)], cfg, guess))
                 try:
-                    state = steady_state(params, toggles, cfg, guess=guess)
+                    state = (DynamicState.from_array(roots[0]) if roots
+                             else steady_state(params, toggles, cfg))
                     converged = True
                 except NotConverged as err:
                     state = err.last_state

@@ -172,8 +172,8 @@ def test_integrate_rejects_a_state_that_overflows_mid_march(magnitude, t):
     # after three rejected tries, or the first try.
     params = default_params(g=0.2, gamma_c=0.5, pump=2.0)
     start = DynamicState(n_p=magnitude, p=magnitude)
-    with np.errstate(all="ignore"), pytest.raises(
-            NonFiniteState, match=f"^non-finite state at t = {t} ps$"):
+    with pytest.raises(NonFiniteState,
+                       match=f"^non-finite state at t = {t} ps$"):
         integrate(start, params, FACTORIZED, CFG, t_end=1.0)
 
 
@@ -472,8 +472,8 @@ def test_mixed_spectra_stack_gives_each_root_its_stack_of_one_numbers():
 
 
 def test_line_continuation_returns_the_guessed_roots():
-    # Each root of a chain along gamma_cav is bitwise the state steady_state
-    # returns for that point guessed from the root before; the chain
+    # Each root of a chain along gamma_cav is bitwise the root that a chain
+    # of that point alone returns, guessed from the root before; the chain
     # certifies both variants' roots in one stack.
     g_pump = dict(g=G_DIP, pump=1e5)
     points = [(default_params(gamma_c=0.5 / tau, **g_pump), toggles)
@@ -482,9 +482,9 @@ def test_line_continuation_returns_the_guessed_roots():
     roots = solver.continue_line(points[1:], CFG, first)
     assert len(roots) == 5
     guess = first
-    for (params, toggles), root in zip(points[1:], roots):
-        state = steady_state(params, toggles, CFG, guess=guess)
-        assert root.tobytes() == state.to_array().tobytes()
+    for point, root in zip(points[1:], roots):
+        [alone] = solver.continue_line([point], CFG, guess)
+        assert root.tobytes() == alone.tobytes()
         guess = root
 
 
@@ -677,8 +677,9 @@ def test_factorized_variant_keeps_correlations_at_zero():
 def test_steady_state_accepts_initial_guess():
     params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     reference = steady_state(params, FULL, CFG)
-    warm = steady_state(params, FULL, CFG, guess=reference.to_array())
-    assert warm.n_p == pytest.approx(reference.n_p, rel=1e-9)
+    [warm] = solver.continue_line([(params, FULL)], CFG,
+                                  reference.to_array())
+    assert warm[2] == pytest.approx(reference.n_p, rel=1e-9)
 
 
 def test_newton_polish_pins_moments_below_the_state_norm():
@@ -695,8 +696,9 @@ def test_newton_polish_pins_moments_below_the_state_norm():
     warm = _continue_to_root(rhs, jac, near.to_array(), STATE_DIM, CFG,
                              RUNG_STEP)
     assert certified_alone(rhs, jac, vacuum, warm, STATE_DIM)
-    guessed = steady_state(params, FULL, CFG, guess=near.to_array())
-    assert guessed.to_array().tobytes() == warm.tobytes()
+    [root] = solver.continue_line([(params, FULL)], CFG, near.to_array())
+    assert root.tobytes() == warm.tobytes()
+    guessed = DynamicState.from_array(root)
     two_photon = observables_of(cold, params).two_photon
     assert two_photon < 1e-10
     assert observables_of(guessed, params).two_photon == pytest.approx(
@@ -736,7 +738,8 @@ def test_guess_meeting_the_threshold_is_polished():
     assert scaled_residual(rhs(0.0, full_root), full_root) \
         < CFG.steady_state_residual
     cold = steady_state(params, no_inversion, CFG)
-    guessed = steady_state(params, no_inversion, CFG, guess=full_root)
+    [root] = solver.continue_line([(params, no_inversion)], CFG, full_root)
+    guessed = DynamicState.from_array(root)
     unpolished = observables_of(DynamicState.from_array(full_root), params)
     cold_g2 = observables_of(cold, params).g2_zero
     assert unpolished.g2_zero == pytest.approx(cold_g2, rel=5e-3)
@@ -751,8 +754,9 @@ def test_guess_moves_only_the_variant_components():
     params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
     full_root = steady_state(params, FULL, CFG).to_array()
     assert np.any(full_root[SINGLET_DIM:] != 0.0)
-    guessed = steady_state(params, FACTORIZED, CFG, guess=full_root)
-    assert np.all(guessed.to_array()[SINGLET_DIM:] == 0.0)
+    [root] = solver.continue_line([(params, FACTORIZED)], CFG, full_root)
+    assert np.all(root[SINGLET_DIM:] == 0.0)
+    guessed = DynamicState.from_array(root)
     cold = steady_state(params, FACTORIZED, CFG)
     assert gate_scaled_difference(observables_of(guessed, params),
                                   observables_of(cold, params)) < 1e-12
@@ -760,7 +764,8 @@ def test_guess_moves_only_the_variant_components():
 
 def test_uncertified_guess_falls_back_to_the_cold_path():
     # A guess whose root fails certification (an unstable root) is dropped:
-    # the solve returns what it returns without a guess.
+    # the chain returns no root, and the point is left to the cold solve,
+    # which a sweep runs at every point where its chain stops.
     params = saturated_params(30.0)
     f, jac = make_rhs(params, FACTORIZED)
     unstable = _continue_to_root(
@@ -768,9 +773,9 @@ def test_uncertified_guess_falls_back_to_the_cold_path():
         CFG.initial_step,
     )
     assert unstable[2] < 0.0
+    assert solver.continue_line([(params, FACTORIZED)], CFG, unstable) == []
     cold = steady_state(params, FACTORIZED, CFG)
-    guessed = steady_state(params, FACTORIZED, CFG, guess=unstable)
-    assert guessed == cold
+    assert cold.n_p > 0.0
 
 
 def test_singular_continuation_step_is_retried_smaller():

@@ -1,5 +1,6 @@
 """Sweep grids, record schema, determinism, and parallel equivalence."""
 
+import itertools
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from qdcavity import (
 )
 from qdcavity import config, model, solver, sweep
 from qdcavity.config import parse_config
-from qdcavity.dynamics import TOGGLE_VARIANTS
+from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS
 from qdcavity.solver import continue_line
 from qdcavity.sweep import CSV_COLUMNS
 
@@ -244,11 +245,11 @@ def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
 def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
     # Each line (here g 0.1 and g 0.2) is solved in ascending gamma_cav,
     # whatever the axis listing, each point's variants in grid order. Its
-    # first solve is steady_state's, cold; the guessed solves after it are
-    # one continue_line chain, each from the previous certified root. Where
+    # first solve is steady_state's, cold; the solves after it are one
+    # continue_line chain, each from the previous certified root. Where
     # the chain stops (here at full, gamma_cav 1.0 on the g 0.1 line, refused
-    # on purpose), steady_state solves that point with the same guess, and
-    # the solve after a refused one starts cold.
+    # on purpose), steady_state solves that point cold, and so the point
+    # after the refusal; a chain starts again from that point's root.
     rabi = ReferenceRabi()
     refused_g = rabi.coupling_for(0.1)
     calls = []
@@ -265,10 +266,10 @@ def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
             guess = root
         return roots
 
-    def solve(params, toggles, cfg, guess=None):
+    def solve(params, toggles, cfg):
         state = (None if refused(params, toggles)
-                 else steady_state(params, toggles, cfg, guess=guess))
-        calls.append(("steady_state", params.g, 2 * params.gamma_c, guess,
+                 else steady_state(params, toggles, cfg))
+        calls.append(("steady_state", params.g, 2 * params.gamma_c, None,
                       None if state is None else state.to_array()))
         if state is None:
             raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0)
@@ -286,18 +287,13 @@ def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
         assert {g for _, g, _, _, _ in line} == {rabi.coupling_for(g_multiple)}
         assert [gamma_cav for _, _, gamma_cav, _, _ in line] == [
             0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
-        assert line[0][0] == "steady_state" and line[0][3] is None
-        for (*_, previous), (_, _, _, guess, _) in zip(line, line[1:]):
-            if previous is None:
-                assert guess is None
-            else:
+        assert line[0][0] == "steady_state"
+        for (*_, previous), (seam, _, _, guess, _) in zip(line, line[1:]):
+            if seam == "chain":
                 assert guess.tobytes() == previous.tobytes()
     assert [seam for seam, *_ in calls] == [
         "steady_state", "chain", "steady_state", "steady_state", "chain",
         "chain", "steady_state"] + ["chain"] * 5
-    assert [guess is None for _, _, _, guess, _ in calls] == [
-        True, False, False, True, False, False,
-        True, False, False, False, False, False]
 
 
 def test_a_certified_line_takes_two_eigen_decompositions(monkeypatch):
@@ -403,8 +399,7 @@ def test_line_sweep_equals_cold_point_solves(name):
                          g=run.rabi.coupling_for(record.g_over_omega_r0),
                          gamma_c=0.5 * record.gamma_cav, pump=record.pump)
         try:
-            state = steady_state(params, record.toggles, run.integration,
-                                 guess=None)
+            state = steady_state(params, record.toggles, run.integration)
             converged = True
         except NotConverged as err:
             state, converged = err.last_state, False
@@ -423,24 +418,24 @@ def test_line_sweep_equals_cold_point_solves(name):
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "threshold"])
 def test_line_chain_equals_point_by_point_solves(name, monkeypatch):
-    # A line's guessed solves are one continue_line chain, certified in
+    # A line's warm-started solves are one continue_line chain, certified in
     # stacks; every record and every solved state, refused points' included,
-    # is bitwise what one steady_state call per point gives. Where the chain
-    # stops, at a guessed root that is not certified, steady_state solves
-    # that point with the same guess; on the shipped figures it never stops.
+    # is bitwise what one point at a time gives, each a chain of one or a
+    # cold solve. Every steady_state call is cold: a line's first point,
+    # the point after a refused one and each point where the chain stops,
+    # which the shipped figures never reach.
     run = three_variant_run(name)
     expected, expected_states = point_by_point_sweep(
         run.grid, run.params, run.integration, run.rabi)
-    states, handed_over = [], []
+    states, cold = [], []
 
     def recording(state, params):
         states.append(state)
         return observables_of(state, params)
 
-    def solve(params, toggles, cfg, guess=None):
-        if guess is not None:
-            handed_over.append((round(0.5 / params.gamma_c, 9), toggles))
-        return steady_state(params, toggles, cfg, guess=guess)
+    def solve(params, toggles, cfg):
+        cold.append((round(0.5 / params.gamma_c, 9), toggles))
+        return steady_state(params, toggles, cfg)
 
     monkeypatch.setattr(sweep, "observables_of", recording)
     monkeypatch.setattr(sweep, "steady_state", solve)
@@ -449,18 +444,71 @@ def test_line_chain_equals_point_by_point_solves(name, monkeypatch):
     assert [r.converged for r in records] == [r.converged for r in expected]
     assert [s.to_array().tobytes() for s in states] == [
         s.to_array().tobytes() for s in expected_states]
+    lifetimes = sorted({round(r.cavity_lifetime, 9) for r in records},
+                       reverse=True)
+    first = [(lifetimes[0], run.grid.toggle_variants[0])]
+    lines = len(run.grid.g_values) * len(run.grid.pump_values)
     if name == "threshold":
-        # The guessed factorized roots at 22, 18 and 17 ps are not
-        # certified, and steady_state certifies those points on its cold
-        # paths; the other four are refused, as is full at 16 ps, which
-        # starts cold after the refusal at 16.5 ps.
-        assert handed_over == [
-            (22.0, FACTORIZED), (20.0, NO_INVERSION), (18.0, FACTORIZED),
-            (17.0, FACTORIZED), (16.5, FULL), (16.5, FACTORIZED),
-            (16.0, FACTORIZED),
+        # The chain stops at seven points. At factorized 22, 18 and 17 ps
+        # the cold solve certifies; the other four are refused, and so is
+        # full at 16 ps, a cold solve after the refusal at 16.5 ps. The
+        # points after the five refusals are solved cold too.
+        assert cold == first + [
+            (22.0, FACTORIZED), (20.0, NO_INVERSION), (20.0, FACTORIZED),
+            (18.0, FACTORIZED), (17.0, FACTORIZED), (16.5, FULL),
+            (16.5, NO_INVERSION), (16.5, FACTORIZED), (16.0, FULL),
+            (16.0, NO_INVERSION), (16.0, FACTORIZED), (15.5, FULL),
         ]
     else:
-        assert not handed_over
+        assert cold == first * lines
+
+
+def test_no_point_is_continued_twice_from_one_warm_start(monkeypatch):
+    # On the three-variant threshold grid a line's chain stops at seven
+    # points, each continued from the certified root before it and not
+    # certified. The sweep solves each of them cold next, from vacuum and
+    # up the pump ladder, so each is continued from that root once; retried
+    # from the same warm start, each was continued from it twice.
+    owners, starts, solved, cold = {}, [], [], []
+    make_rhs, continue_to_root = solver.make_rhs, solver._continue_to_root
+
+    def owned(params, toggles):
+        flow = make_rhs(params, toggles)
+        owners[id(flow[0])] = (params, toggles, flow)
+        return flow
+
+    def counted(rhs, jac, y0, n, cfg, h):
+        params, toggles, _ = owners[id(rhs)]
+        starts.append((params, toggles, y0.tobytes()))
+        return continue_to_root(rhs, jac, y0, n, cfg, h)
+
+    def recording(state, params):
+        solved.append((state, params))
+        return observables_of(state, params)
+
+    def solve(params, toggles, *args, **kwargs):
+        cold.append((params, toggles))
+        return steady_state(params, toggles, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "make_rhs", owned)
+    monkeypatch.setattr(solver, "_continue_to_root", counted)
+    monkeypatch.setattr(sweep, "observables_of", recording)
+    monkeypatch.setattr(sweep, "steady_state", solve)
+    run = three_variant_run("threshold")
+    records = run_sweep(run.grid, run.params, run.integration, run.rabi)
+    converged = {(r.gamma_cav, r.toggles): r.converged for r in records}
+    line = list(itertools.product(sorted(run.grid.gamma_cav_values),
+                                  run.grid.toggle_variants))
+    vacuum = DynamicState.vacuum().to_array()
+    counts = []
+    for before, (state, _), (_, toggles), (_, params) in zip(
+            line, solved, line[1:], solved[1:]):
+        if converged[before] and (params, toggles) in cold:
+            n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+            start = vacuum.copy()
+            start[:n] = state.to_array()[:n]
+            counts.append(starts.count((params, toggles, start.tobytes())))
+    assert counts == [1] * 7
 
 
 def test_non_convergence_is_captured_not_raised():
