@@ -211,6 +211,13 @@ def cmd_oracle_compare(args) -> int:
     return 3
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdcavity",
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="configuration file")
         sub.add_argument("--out", help="override the configured output path")
         sub.add_argument(
-            "--workers", type=int, default=1,
+            "--workers", type=_workers, default=1,
             help="worker processes, at most one per grid line and CPU"
                  if name == "sweep"
                  else "accepted and ignored; only sweep runs worker processes",

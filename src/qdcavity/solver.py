@@ -10,33 +10,33 @@ each stage product written in place. The march is our own loop, bounded by
 MAX_MARCH_STEPS steps, so that no march can run without end.
 
 Steady states are solved for directly rather than marched to. Pseudo-
-transient continuation takes linearly implicit Euler steps on the analytic
-Jacobian, (I/h - J) dy = f(y), doubling the pseudo-time step h after every
-accepted iterate, so the iteration starts as a damped march and ends as
-Newton's method. Each root it reaches takes one more, full Newton step, and
-is returned only once it is certified: residual below threshold, every
-Jacobian eigenvalue in the left half-plane (Newton can land on unstable
-roots, a time-march cannot), the linearised flow from vacuum settled
-within the time budget, and the residual staying below threshold
-over a window of the flow linearised at the root. Both flow
-checks are evaluated in closed form on the eigen-decomposition of J, so a
-certified root costs no march step. Failing that, the continuation climbs
-in the pump from far below the lasing threshold (natural-parameter
-continuation, Allgower & Georg, ch. 1-2); no steady-state solve marches. A
-recorded trajectory is one march from vacuum to the settling time of the
-flow linearised at the certified root, also read off that
-eigen-decomposition; ``integrate`` is the only march.
+transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508, 1998)
+takes linearly implicit Euler steps on the analytic Jacobian,
+(I/h - J) dy = f(y), doubling the pseudo-time step h after every accepted
+iterate, so the iteration starts as a damped march and ends as Newton's
+method; each root it reaches takes one more, full Newton step. Every path
+is a chain, then a certification. A chain continues each point from the
+root of the one before (natural-parameter continuation, Allgower & Georg,
+ch. 1-2) and stops at the first that reaches no root. ``steady_state``
+chains the target pump alone from vacuum and, failing that, a pump ladder
+from far below the lasing threshold; ``continue_line`` chains a grid line
+from a nearby certified root and returns its longest certified prefix.
 
-Certification takes a stack of roots that move the same components: one
-eigen-decomposition of their stacked Jacobians, stacked solves for the mode
-amplitudes and one closed-form window over the stack. Only the rhs values
-at the window samples go through each root's own equations; their residual
-norms and verdicts are one array pass over the stack, bitwise
-scaled_residual's. A single solve certifies a stack of one.
-``steady_state`` solves one point cold, from vacuum. Along a sweep's grid
-line, ``continue_line`` is the warm start: it continues from each root to
-the next point's, certifies the whole chain in one stack per moving
-dimension and returns its longest certified prefix.
+A root is certified when its residual is below threshold, every Jacobian
+eigenvalue lies in the left half-plane (Newton can land on unstable roots,
+a time-march cannot), the linearised flow from vacuum settles within the
+time budget, and the residual stays below threshold over a window of the
+flow linearised at the root. Both flow checks are closed forms on the
+eigen-decomposition of J, so no steady-state solve marches. Certification
+takes a stack of roots that move the same components: one
+eigen-decomposition of their stacked Jacobians, then one pass per spectrum
+kind, real in real arithmetic and complex in complex, with stacked solves
+for the mode amplitudes and one closed-form window. Only the rhs values at
+the window samples go through each root's own equations; their residual
+norms and verdicts are one array pass, bitwise scaled_residual's. A single
+solve certifies a stack of one. A recorded trajectory is one march from
+vacuum to the settling time of the flow linearised at the certified root,
+also read off that eigen-decomposition; ``integrate`` is the only march.
 
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
@@ -45,6 +45,7 @@ bitwise-identical results on the same platform.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -89,7 +90,7 @@ MAX_CONTINUATION_STEPS = 100
 PUMP_START = 1e-2
 # Rungs of the ladder: 1.74x apart up to pump 1e5, close enough for Newton.
 PUMP_RUNGS = 30
-# First pseudo-time step of a later rung, in ps: its first iterate is Newton's.
+# Pseudo-time step from a nearby root, in ps: its first iterate is Newton's.
 RUNG_STEP = 1e6
 
 # Bound on the steps of one march, accepted or rejected: about thirty times
@@ -405,31 +406,40 @@ def _continue_to_root(rhs, jac, y0, n, cfg, h):
     return None
 
 
-def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
-    """Yield the root that each of two ladders from y0 reaches at the target
-    pump: the target pump alone, then PUMP_RUNGS geometric rungs from
-    PUMP_START, computed only once reached. A ladder's first continuation
-    takes cfg.initial_step as its first pseudo-time step, each later rung
-    RUNG_STEP. The rung at the target pump runs on rhs and jac themselves,
-    the closures that certify its root.
+def _chain(flows, guess, h, cfg):
+    """Yield the root of each (rhs, jac, n) of flows in turn.
+
+    Each start takes the previous root's first n components, guess's for
+    the first, and vacuum's for the rest. The first pseudo-time step is h,
+    RUNG_STEP after that. The chain stops at the first continuation that
+    reaches no root, and reads flows no further.
     """
-    for climbs in (False, True):
-        if not climbs:
-            pumps = (params.pump,)
-        elif params.pump > PUMP_START:
-            pumps = np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist()
-        else:
+    vacuum = DynamicState.vacuum().to_array()
+    for rhs, jac, n in flows:
+        start = vacuum.copy()
+        start[:n] = guess[:n]
+        guess = _continue_to_root(rhs, jac, start, n, cfg, h)
+        if guess is None:
             return
-        y, h = y0, cfg.initial_step
-        for pump in pumps:
-            flow = (rhs, jac) if pump == params.pump else make_rhs(
-                replace(params, pump=pump), toggles)
-            y = _continue_to_root(*flow, y, n, cfg, h)
-            if y is None:
-                break
-            h = RUNG_STEP
-        else:
-            yield y
+        yield guess
+        h = RUNG_STEP
+
+
+def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+    """Yield the root that each of two chains from y0 and cfg.initial_step
+    reaches at the target pump: the target pump alone, then PUMP_RUNGS
+    geometric rungs from PUMP_START, each rung's closures built once
+    reached, the last rung's being rhs and jac, which certify its root.
+    """
+    yield from _chain(((rhs, jac, n),), y0, cfg.initial_step, cfg)
+    if params.pump > PUMP_START:
+        flows = ((rhs, jac, n) if pump == params.pump else
+                 (*make_rhs(replace(params, pump=pump), toggles), n)
+                 for pump in np.geomspace(PUMP_START, params.pump,
+                                          PUMP_RUNGS).tolist())
+        roots = list(_chain(flows, y0, cfg.initial_step, cfg))
+        if len(roots) == PUMP_RUNGS:
+            yield roots[-1]
 
 
 @functools.lru_cache
@@ -450,10 +460,11 @@ def _certify(flows, y0, roots, n, cfg):
     below threshold over a steady window of that flow, sampled at nine
     evenly spaced times, y(t) = root + J^-1 (e^{J t} - I) rhs(root). The
     matrix work is stacked: one eigen-decomposition J = V diag(rates) V^-1
-    of the m Jacobians, then, for the roots with real spectra and for those
-    with complex ones apart, one solve for the flow's mode amplitudes, one
-    for the windows' and one expm1 over the windows. np.linalg.eig makes
-    every spectrum of a stack complex when one is, and the split keeps each
+    of the m Jacobians, then one pass per spectrum kind, the roots with
+    real spectra in real arithmetic and those with complex ones in complex,
+    each with one solve for the flow's mode amplitudes, one for the
+    windows' and one expm1 over the windows. np.linalg.eig makes every
+    spectrum of a stack complex when one is, and the split keeps each
     root's numbers bitwise those it gets in a stack of one. Each root's own
     rhs is called ten times if the root passes the stability and flow
     checks, rhs(root) and all nine window samples, and not at all
@@ -466,77 +477,66 @@ def _certify(flows, y0, roots, n, cfg):
     shape (m,), and the stacked decomposition with amplitudes
     V^-1 (y0 - root) over the first n components, NaN where V is singular.
     """
-    m = len(roots)
-    rates, modes = np.linalg.eig(np.array(
+    values, vectors = np.linalg.eig(np.array(
         [jac(0.0, root)[:n, :n] for (_, jac), root in zip(flows, roots)]))
-    real = (rates.imag == 0.0).all(axis=1)
-    if not (np.iscomplexobj(rates) and real.any()):
-        certified, amplitudes, windows = _certify_spectra(
-            flows, y0, roots, rates, modes, n, cfg)
-    else:
-        certified = np.zeros(m, dtype=bool)
-        amplitudes = np.empty((m, n), dtype=rates.dtype)
-        windows = []
-        for at, part_rates, part_modes in (
-                (real, rates[real].real, modes[real].real),
-                (~real, rates[~real], modes[~real])):
-            certified[at], amplitudes[at], window = _certify_spectra(
-                [flows[i] for i in np.flatnonzero(at)], y0, roots[at],
-                part_rates, part_modes, n, cfg)
-            windows.append(window)
-        windows = np.concatenate(windows)
-    if certified.any():
-        _check_ranges(_window_times(cfg.steady_window), windows, cfg.rel_tol)
-    return certified, (rates, modes, amplitudes)
-
-
-def _certify_spectra(flows, y0, roots, rates, modes, n, cfg):
-    """_certify's checks on a stack decomposed as rates and modes.
-
-    Returns the verdicts, the flow's mode amplitudes and the windows of the
-    certified roots, an array of shape (k, STATE_DIM, 9).
-    """
-    m = len(roots)
-    try:
-        amplitudes = np.linalg.solve(modes, (y0 - roots)[:, :n, None])
-    except np.linalg.LinAlgError:
-        amplitudes = np.full((m, n, 1), np.nan, dtype=modes.dtype)
-        for i, (v, root) in enumerate(zip(modes, roots)):
-            try:
-                amplitudes[i] = np.linalg.solve(v, (y0 - root)[:n, None])
-            except np.linalg.LinAlgError:
-                pass
-    certified = np.zeros(m, dtype=bool)
-    # Linearised about a root, y(t) - root = exp(J t) (y0 - root), so the
-    # residual there is J exp(J t) (y0 - root), summed here over the modes.
-    # An unstable root's flow overflows, and its stability check refuses it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        flow = (modes @ ((rates * np.exp(rates * cfg.max_time))[..., None]
-                         * amplitudes)).real
-    held = np.flatnonzero((rates.real < 0.0).all(axis=1) & (
-        _scaled_residuals(flow[..., 0], roots) < cfg.steady_state_residual))
+    real = (values.imag == 0.0).all(axis=1)
+    certified = np.zeros(len(roots), dtype=bool)
+    amplitudes = np.empty((len(roots), n), dtype=values.dtype)
     times = _window_times(cfg.steady_window)
-    if not held.size:
-        return certified, amplitudes[..., 0], np.empty((0, STATE_DIM,
-                                                        times.size))
-    # The window y(t) = root + J^-1 (e^{J t} - I) rhs(root) of each held
-    # root; a slice, not a copy, when every root is held.
-    keep = held if held.size < m else slice(None)
-    rates, modes = rates[keep, :, None], modes[keep]
-    window_amplitudes = np.linalg.solve(modes, np.array(
-        [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
-    growth = np.expm1(rates * times) / rates
-    ys = np.repeat(roots[keep, :, None], times.size, axis=2)
-    ys[:, :n] += (modes @ (growth * window_amplitudes)).real
-    # Each held root's own rhs at its nine samples, then every residual in
-    # one pass.
-    samples = ys.transpose(0, 2, 1)
-    holds = (_scaled_residuals(
-        np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
-                  for i, window in zip(held, samples)]), samples)
-             < cfg.steady_state_residual).all(axis=1)
-    certified[held] = holds
-    return certified, amplitudes[..., 0], ys[holds]
+    windows = []
+    for kind, arithmetic in ((real, np.real), (~real, np.asarray)):
+        at = np.flatnonzero(kind)
+        if not at.size:
+            continue
+        # A slice, not a copy, when one kind fills the stack: a copy would
+        # change the layout of eig's real views, and matmul's bits with it.
+        part = at if at.size < len(roots) else slice(None)
+        rates, modes = arithmetic(values[part]), arithmetic(vectors[part])
+        stack = roots[part]
+        starts = (y0 - stack)[:, :n, None]
+        try:
+            a = np.linalg.solve(modes, starts)
+        except np.linalg.LinAlgError:
+            a = np.full(starts.shape, np.nan, dtype=modes.dtype)
+            for i, (v, start) in enumerate(zip(modes, starts)):
+                try:
+                    a[i] = np.linalg.solve(v, start)
+                except np.linalg.LinAlgError:
+                    pass
+        amplitudes[part] = a[..., 0]
+        # Linearised about a root, y(t) - root = exp(J t) (y0 - root), so
+        # the residual there is J exp(J t) (y0 - root), summed here over the
+        # modes. An unstable root's flow overflows, and its stability check
+        # refuses it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            flow = (modes @ ((rates * np.exp(rates * cfg.max_time))[..., None]
+                             * a)).real
+        settled = _scaled_residuals(flow[..., 0], stack)
+        held = np.flatnonzero((rates.real < 0.0).all(axis=1)
+                              & (settled < cfg.steady_state_residual))
+        if not held.size:
+            continue
+        # The window y(t) = root + J^-1 (e^{J t} - I) rhs(root) of each held
+        # root; a slice, not a copy, when every root of the kind is held.
+        keep = held if held.size < at.size else slice(None)
+        rates, modes, held = rates[keep, :, None], modes[keep], at[held]
+        window_amplitudes = np.linalg.solve(modes, np.array(
+            [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
+        growth = np.expm1(rates * times) / rates
+        ys = np.repeat(stack[keep, :, None], times.size, axis=2)
+        ys[:, :n] += (modes @ (growth * window_amplitudes)).real
+        # Each held root's own rhs at its nine samples, then every residual
+        # in one pass.
+        samples = ys.transpose(0, 2, 1)
+        holds = (_scaled_residuals(
+            np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
+                      for i, window in zip(held, samples)]), samples)
+                 < cfg.steady_state_residual).all(axis=1)
+        certified[held] = holds
+        windows.append(ys[holds])
+    if certified.any():
+        _check_ranges(times, np.concatenate(windows), cfg.rel_tol)
+    return certified, (values, vectors, amplitudes)
 
 
 def steady_state(
@@ -548,27 +548,22 @@ def steady_state(
     """Solve for the steady state reached from vacuum.
 
     Pseudo-transient continuation on the analytic Jacobian, over all ten
-    components or the five singlet ones for the factorized variant, finds a
-    root of the equations of motion. It is returned once certified: scaled
-    residual ||rhs|| / max(||state||, 1) below cfg.steady_state_residual,
-    every eigenvalue of the Jacobian with negative real part, the flow
-    linearised at the root carrying vacuum below that threshold within
-    cfg.max_time, and the residual staying below it over a further
-    steady_window of the flow linearised at the root, solved in closed form.
-    PhysicalRangeWarning is emitted if the root or that window leaves the
-    physical range.
-
-    Every root the continuation reaches, its start included when that
-    already meets the threshold, gets one Newton step before it is
-    certified.
-
-    The solve is cold: continuation starts from vacuum at the target pump,
-    with a first pseudo-time step of cfg.initial_step. Failing that, it
-    climbs a ladder of pumps from PUMP_START to the target, again from
-    vacuum, and its root is certified the same way. Raises NotConverged
-    otherwise, carrying the state that the flow linearised at the last root
-    found reaches at max_time (vacuum if none) and its residual. A start
-    from a nearby point's root is continue_line's.
+    components or the five singlet ones for the factorized variant, finds
+    roots of the equations of motion, each given one Newton step, even when
+    its start already meets the threshold. The solve is cold, two _chain
+    runs from vacuum with a first pseudo-time step of cfg.initial_step: the
+    target pump alone and, failing that, a ladder of pumps from PUMP_START
+    up to the target. A root is returned once certified as a stack of one:
+    scaled residual ||rhs|| / max(||state||, 1) below
+    cfg.steady_state_residual, every eigenvalue of the Jacobian with
+    negative real part, the flow linearised at the root carrying vacuum
+    below that threshold within cfg.max_time, and the residual staying
+    below it over a further steady_window of that flow, solved in closed
+    form. PhysicalRangeWarning is emitted if the root or that window leaves
+    the physical range. Raises NotConverged otherwise, carrying the state
+    that the flow linearised at the last root found reaches at max_time
+    (vacuum if none) and its residual. A start from a nearby point's root
+    is continue_line's.
 
     With record=True, returns (state, Trajectory): the trajectory collects
     every accepted step of one march from vacuum to the settling time of
@@ -626,40 +621,31 @@ def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
     """Continue a root along a line of points, each from the one before.
 
     points is a sequence of valid (params, toggles) pairs and guess a state
-    array, such as a nearby point's certified root. Each point's candidate
-    root is reached by a warm start: pseudo-transient continuation from the
-    guess's first n components, the variant's moving ones, with the rest
-    vacuum's and a first pseudo-time step of RUNG_STEP. The guess is guess
-    for the first point and the previous candidate after it. Like every
-    root, a candidate gets one Newton step, even when its start already
-    meets the threshold. The chain stops at a point whose continuation
-    reaches no root. Its candidates are then certified from vacuum
-    together, as steady_state certifies a root, in one _certify stack for
-    each moving dimension n among them.
+    array, such as a nearby point's certified root. The points' candidate
+    roots are one _chain from guess, a warm start with a first pseudo-time
+    step of RUNG_STEP: each point continues from the candidate before over
+    its variant's n moving components, and, like every root, its candidate
+    gets one Newton step, even when its start already meets the threshold.
+    The candidates are certified from vacuum, as steady_state certifies a
+    root, in one _certify stack for each moving dimension n among them.
 
     Returns the candidates before the first one that is not certified, as
     root arrays; [] when the first is not. The point after them is left to
     the caller, which solves it cold with steady_state.
     """
     y0 = DynamicState.vacuum().to_array()
-    flows, roots, dims = [], [], []
-    for params, toggles in points:
-        n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
-        rhs, jac = make_rhs(params, toggles)
-        warm = y0.copy()
-        warm[:n] = guess[:n]
-        guess = _continue_to_root(rhs, jac, warm, n, cfg, RUNG_STEP)
-        if guess is None:
-            break
-        flows.append((rhs, jac))
-        roots.append(guess)
-        dims.append(n)
-    certified = np.zeros(len(roots), dtype=bool)
+    # A point's closures are built once the chain reaches it; tee keeps them.
+    flows, chained = itertools.tee(
+        (*make_rhs(params, toggles),
+         STATE_DIM if toggles.include_doublets else SINGLET_DIM)
+        for params, toggles in points)
+    links = list(zip(flows, _chain(chained, guess, RUNG_STEP, cfg)))
+    dims = [n for (_, _, n), _ in links]
+    certified = np.zeros(len(links) + 1, dtype=bool)
     for n in set(dims):
         at = [i for i, dim in enumerate(dims) if dim == n]
-        certified[at] = _certify([flows[i] for i in at], y0,
-                                 np.array([roots[i] for i in at]), n, cfg)[0]
-    for k, holds in enumerate(certified):
-        if not holds:
-            return roots[:k]
-    return roots
+        certified[at] = _certify(
+            [links[i][0][:2] for i in at], y0,
+            np.array([links[i][1] for i in at]), n, cfg)[0]
+    # The extra last False makes argmin the length of the certified prefix.
+    return [root for _, root in links[:certified.argmin()]]

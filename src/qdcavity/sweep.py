@@ -85,10 +85,12 @@ class SweepGrid:
         pump_values: Sequence[float],
         toggle_variants: Sequence[CorrelationToggles],
     ) -> "SweepGrid":
-        """Grid specified by cavity lifetimes; rates are their reciprocals."""
+        """Grid specified by cavity lifetimes; rates are their reciprocals,
+        each finite and positive."""
         for tau in lifetimes_ps:
-            if not (tau > 0):
-                raise ValueError(f"lifetimes must be positive, got {tau}")
+            if not (tau > 0 and 0.0 < 1.0 / tau < math.inf):
+                raise ValueError(f"cavity lifetime {tau} ps: its rate "
+                                 f"1/lifetime must be finite and positive")
         return cls((1.0 / tau for tau in lifetimes_ps), g_values,
                    pump_values, toggle_variants)
 
@@ -191,8 +193,11 @@ def run_sweep(
     and solved cold where that is not certified. Lines are never split and
     their order does not follow the listing of the gamma_cav axis, so a
     point's record depends neither on workers nor on that listing. Runs on
-    at most min(workers, lines, CPUs) processes, serially when that is 1.
+    at most min(workers, lines, CPUs) processes, serially when that is 1;
+    raises ValueError for workers below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rabi = rabi or ReferenceRabi()
     grid.check_points(base, rabi)
     gamma_cavs = sorted(set(grid.gamma_cav_values))

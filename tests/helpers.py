@@ -11,10 +11,12 @@ The flat-array references further down are the opposite: the package's own
 arithmetic, written as plain item stores into fresh arrays, against which
 the package's closures, RODAS4 step and whole march are compared byte for
 byte. Beside them, the per-sample verdict loop that the stacked
-certification's verdicts must equal. The dense steady state after them
-solves the index-map generator below by sparse LU and carries the state
-through a full density matrix; the oracle's level-by-level solve and its
-block-kept state are compared against it.
+certification's verdicts must equal, and the pump ladder as plain loops,
+whose root a cold solve must return where only the ladder certifies. The
+dense steady state after them solves the index-map generator below by
+sparse LU and carries the state through a full density matrix; the
+oracle's level-by-level solve and its block-kept state are compared
+against it.
 
 The dense reference model at the end restates the oracle's Lindblad
 generator on the whole density matrix: dense mode operators, the
@@ -44,10 +46,17 @@ from qdcavity import (
     steady_state,
     validate,
 )
-from qdcavity.dynamics import TOGGLE_VARIANTS, make_rhs
+from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
 from qdcavity.oracle import state_index
-from qdcavity.solver import continue_line, scaled_residual
+from qdcavity.solver import (
+    PUMP_RUNGS,
+    PUMP_START,
+    RUNG_STEP,
+    _continue_to_root,
+    continue_line,
+    scaled_residual,
+)
 
 FIELDS = (
     "n_e", "n_h", "n_p", "p", "d_photon2", "d_bc_aaa", "d_ce_phot", "d_h_phot",
@@ -316,6 +325,30 @@ def reference_verdicts(flows, y0, roots, n, cfg):
         verdicts.append(all(scaled_residual(rhs(t, y), y) < threshold
                             for t, y in zip(times, window.T)))
     return verdicts
+
+
+def reference_ladder_root(params, toggles, cfg):
+    """The roots that steady_state's two ladders reach at the target pump,
+    written out as plain loops: continuation from vacuum at the target pump
+    alone, then up PUMP_RUNGS geometric rungs from PUMP_START, each rung
+    from the root before on its own make_rhs closures, with a first
+    pseudo-time step of cfg.initial_step and RUNG_STEP on later rungs.
+    Returns (direct, climbed), each None where its ladder reaches no root.
+    """
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+    vacuum = DynamicState.vacuum().to_array()
+    roots = []
+    for pumps in ((params.pump,),
+                  np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist()):
+        y, h = vacuum, cfg.initial_step
+        for pump in pumps:
+            rhs, jac = make_rhs(replace(params, pump=pump), toggles)
+            y = _continue_to_root(rhs, jac, y, n, cfg, h)
+            if y is None:
+                break
+            h = RUNG_STEP
+        roots.append(y)
+    return tuple(roots)
 
 
 def dense_steady_state(params, space):

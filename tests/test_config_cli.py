@@ -267,6 +267,27 @@ def test_grid_point_subnormal_rate_is_a_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lifetimes, named", [
+    ("inf", "inf"), ("1e-310", "1e-310"), ("geom(1e-320, 1, 3)", "1e-320"),
+])
+def test_lifetime_without_a_finite_rate_is_named(tmp_path, capsys, lifetimes,
+                                                  named):
+    # The reciprocal of inf is 0 and that of 1e-310 overflows; the error
+    # names the lifetime, at the [grid] line, not the rate it gives.
+    text = MINIMAL + "[grid]\ncavity_lifetime_ps = " + lifetimes + (
+        "\ng_multiples = 0.2\n")
+    with pytest.raises(ConfigError, match=f"cavity lifetime {named} ps: "
+                       ) as info:
+        parse_config(text)
+    assert info.value.line == 5
+    path = config_file(tmp_path, text)
+    assert main(["sweep", "--config", path,
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line 5: cavity lifetime {named} ps")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("grid, line", [
     # One axis count above the bound, refused before its array is built.
     ("gamma_cav_per_ps = lin(0.1, 1, 10000000000000)\ng_multiples = 0.2\n", 6),
@@ -777,12 +798,21 @@ def test_cli_help_returns_0(capsys):
     ("sweep", False),
     ("oracle-compare", True),
 ])
-def test_cli_workers_help_says_where_it_is_ignored(capsys, command, ignored):
+def test_cli_workers_help_says_where_it_is_ignored(tmp_path, capsys, command,
+                                                   ignored):
     assert main([command, "--help"]) == 0
     assert ("accepted and ignored" in capsys.readouterr().out) is ignored
     assert cli.build_parser().parse_args(
         [command, "--config", "x.cfg", "--workers", "8"]
     ).workers == 8
+    # Fewer than one worker is a usage error (exit 1), ignored or not.
+    for workers in ("0", "-3"):
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", config_file(tmp_path, SWEEP_TEXT),
+                     "--out", str(out), "--workers", workers]) == 1
+        assert (f"argument --workers: must be at least 1, got {workers}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 SRC =Path(__file__).resolve().parents[1] / "src"

@@ -43,6 +43,7 @@ from qdcavity.solver import (
 
 from helpers import (
     gate_scaled_difference,
+    reference_ladder_root,
     reference_march,
     reference_rodas_step,
     reference_verdicts,
@@ -855,6 +856,25 @@ def test_unstable_root_falls_back_to_pump_ladder(monkeypatch):
     monkeypatch.setattr(solver, "integrate", no_march)
     state = steady_state(params, FACTORIZED, CFG)
     assert state.n_p == pytest.approx(972981.853828596, rel=1e-8)
+
+
+@pytest.mark.parametrize("variant, lifetime_ps", [
+    ("factorized", 30.0), ("full", 17.0), ("full", 25.0),
+    ("no_inversion", 22.0),
+])
+def test_pump_ladder_root_bytes_match_reference_ladder(variant, lifetime_ps):
+    # Past the lasing threshold, where continuation at the target pump
+    # reaches no root or one that is not certified, the cold solve returns
+    # the ladder's root bit for bit.
+    toggles = TOGGLE_VARIANTS[variant]
+    params = saturated_params(lifetime_ps)
+    direct, climbed = reference_ladder_root(params, toggles, CFG)
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+    vacuum = DynamicState.vacuum().to_array()
+    assert direct is None or not certified_alone(
+        *make_rhs(params, toggles), vacuum, direct, n)
+    state = steady_state(params, toggles, CFG)
+    assert state.to_array().tobytes() == climbed.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,10 @@ def test_from_lifetimes_reciprocal():
     assert grid.gamma_cav_values == (2.0, 0.25)
     with pytest.raises(ValueError):
         SweepGrid.from_lifetimes((0.0,), (0.2,), (1.0,), (FULL,))
+    # A lifetime whose rate is 0 or overflows is named, not its rate.
+    for tau in (math.inf, 1e-310, 1e-320, math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"^cavity lifetime {tau} ps: "):
+            SweepGrid.from_lifetimes((1.0, tau), (0.2,), (1.0,), (FULL,))
 
 
 def test_record_lifetime_is_reciprocal_rate():
@@ -240,6 +244,11 @@ def test_worker_count_is_bounded_by_points_and_cpus(monkeypatch, cpus, pools):
     records = run_sweep(grid, BASE, CFG, workers=10**6)
     assert started == pools
     assert records == run_sweep(grid, BASE, CFG, workers=1)
+    # A count below 1 is refused, not run serially.
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"at least 1, got {workers}$"):
+            run_sweep(grid, BASE, CFG, workers=workers)
+    assert started == pools
 
 
 def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
