@@ -33,7 +33,6 @@ from .model import (
     ReferenceRabi,
     coupling_strength,
     default_params,
-    validate,
 )
 from .observables import (
     PHOTON_FLOOR,
@@ -101,5 +100,4 @@ __all__ = [
     "steady_observables_auto",
     "steady_state",
     "two_photon_expectation",
-    "validate",
 ]

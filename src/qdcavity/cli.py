@@ -123,6 +123,13 @@ def cmd_sweep(args) -> int:
     if config.grid is None:
         print("config error: sweep requires a [grid] section", file=sys.stderr)
         return 1
+    fmt = args.format or config.output_format
+    out_path = Path(args.out or config.output_path)
+    if fmt == "csv" and out_path.suffix == ".gp":
+        # Its plot template, out_path.with_suffix(".gp"), would overwrite it.
+        print(f"output error: {out_path}: a csv sweep needs a suffix other "
+              "than .gp, which its plot template takes", file=sys.stderr)
+        return 1
     records = run_sweep(
         config.grid,
         config.params,
@@ -131,8 +138,6 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
     )
     table = SweepTable(tuple(records))
-    fmt = args.format or config.output_format
-    out_path = Path(args.out or config.output_path)
     try:
         if fmt == "csv":
             _write_text(

@@ -9,11 +9,12 @@ are the dominant failure mode of rate-equation tools.
 Every key is named once, in ``_SECTIONS``, with the function that parses and
 checks its value; the scan calls it, so a malformed value fails at its own
 line. Checks that join several keys run after the scan: one coupling form,
-the required keys, the grid, and the invariants of ``default_params`` and
-``IntegrationConfig``. So when a file has several errors, a per-value error
-is reported before a cross-key one. A [model] or [integration] key is the
-name of its field plus its unit; the defaults belong to ``default_params``
-and ``IntegrationConfig``, which receive only the keys a file sets.
+the required keys, the grid, and the invariants of ``ModelParams`` and
+``IntegrationConfig``, which each check themselves on construction. So when
+a file has several errors, a per-value error is reported before a cross-key
+one. A [model] or [integration] key is the name of its field plus its unit;
+the defaults belong to ``ModelParams`` and ``IntegrationConfig``, which
+receive only the keys a file sets.
 
 Comments start at '#'; values therefore cannot contain that character.
 List-valued keys accept comma-separated numbers or the expressions
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dynamics import TOGGLE_VARIANTS, CorrelationToggles
 from .errors import ConfigError, ValidationError
-from .model import ModelParams, ReferenceRabi, default_params
+from .model import ModelParams, ReferenceRabi
 from .oracle import DEFAULT_N_MAX, N_MAX_CAP
 from .solver import IntegrationConfig
 from .sweep import MAX_GRID_POINTS, SweepGrid
@@ -252,7 +253,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key} in [model]", model_line)
     if g_multiple is not None:
         model["g"] = (rabi.coupling_for(g_multiple), model_line)
-    params = _build(default_params, model)
+    params = _build(ModelParams, model)
     toggles = value("toggles", "variant", TOGGLE_VARIANTS["full"])
     integration = _build(IntegrationConfig, _fields(entries, "integration"))
 

@@ -78,7 +78,16 @@ REFERENCE_COUPLING_RAD_PER_PS = coupling_strength(
 )
 
 
-@dataclass(frozen=True)
+# Background rates used when a configuration does not override them. These
+# are calibration choices, not measured device values: they are set so that
+# the correlation-induced dip in g2(0) is resolvable at couplings of order
+# 0.2 reference units under strong pumping.
+DEFAULT_GAMMA_DEPH = 0.01
+DEFAULT_GAMMA_NR = 0.03
+DEFAULT_GAMMA_NL = 0.01
+
+
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
     """All rates of one simulation; the single source of truth.
 
@@ -92,38 +101,40 @@ class ModelParams:
             entering as a bilinear n_e*n_h loss, 1/ps.
         pump: carrier injection rate P, 1/ps, Pauli-blocked per species.
         detuning: transition minus cavity frequency, rad/ps.
+
+    The three background rates default to the DEFAULT_* calibration. Every
+    instance checks itself, replace() included: each field must be finite,
+    gamma_c > 0 and every other field but detuning >= 0. A ValidationError
+    names each offending field at once.
     """
 
     g: float
     gamma_c: float
-    gamma_deph: float
-    gamma_nr: float
-    gamma_nl: float
+    gamma_deph: float = DEFAULT_GAMMA_DEPH
+    gamma_nr: float = DEFAULT_GAMMA_NR
+    gamma_nl: float = DEFAULT_GAMMA_NL
     pump: float
     detuning: float = 0.0
 
+    def __post_init__(self):
+        problems = []
+        for name in ("g", "gamma_c", "gamma_deph", "gamma_nr", "gamma_nl",
+                     "pump", "detuning"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                problems.append(f"{name}: must be finite, got {value}")
+        for name in ("g", "gamma_deph", "gamma_nr", "gamma_nl", "pump"):
+            value = getattr(self, name)
+            if math.isfinite(value) and value < 0:
+                problems.append(f"{name}: must be >= 0, got {value}")
+        if math.isfinite(self.gamma_c) and self.gamma_c <= 0:
+            problems.append(f"gamma_c: must be > 0, got {self.gamma_c}")
+        if problems:
+            raise ValidationError(problems)
 
-def validate(params: ModelParams) -> ModelParams:
-    """Check every ModelParams invariant, reporting all violations at once.
 
-    Returns the params unchanged when valid. Raises ValidationError whose
-    ``problems`` list names each offending field.
-    """
-    problems = []
-    for name in ("g", "gamma_c", "gamma_deph", "gamma_nr", "gamma_nl",
-                 "pump", "detuning"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            problems.append(f"{name}: must be finite, got {value}")
-    for name in ("g", "gamma_deph", "gamma_nr", "gamma_nl", "pump"):
-        value = getattr(params, name)
-        if math.isfinite(value) and value < 0:
-            problems.append(f"{name}: must be >= 0, got {value}")
-    if math.isfinite(params.gamma_c) and params.gamma_c <= 0:
-        problems.append(f"gamma_c: must be > 0, got {params.gamma_c}")
-    if problems:
-        raise ValidationError(problems)
-    return params
+# Kept for keyword callers such as perfbench/make_refs.py (ROADMAP item 5).
+default_params = ModelParams
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -149,35 +160,3 @@ class ReferenceRabi:
     def coupling_for(self, multiple: float) -> float:
         """Absolute coupling in rad/ps for a dimensionless multiple."""
         return multiple * self.coupling_scale
-
-
-# Background rates used when a configuration does not override them. These
-# are calibration choices, not measured device values: they are set so that
-# the correlation-induced dip in g2(0) is resolvable at couplings of order
-# 0.2 reference units under strong pumping.
-DEFAULT_GAMMA_DEPH = 0.01
-DEFAULT_GAMMA_NR = 0.03
-DEFAULT_GAMMA_NL = 0.01
-
-
-def default_params(
-    g: float,
-    gamma_c: float,
-    pump: float,
-    gamma_deph: float = DEFAULT_GAMMA_DEPH,
-    gamma_nr: float = DEFAULT_GAMMA_NR,
-    gamma_nl: float = DEFAULT_GAMMA_NL,
-    detuning: float = 0.0,
-) -> ModelParams:
-    """ModelParams with the documented default background rates."""
-    return validate(
-        ModelParams(
-            g=g,
-            gamma_c=gamma_c,
-            gamma_deph=gamma_deph,
-            gamma_nr=gamma_nr,
-            gamma_nl=gamma_nl,
-            pump=pump,
-            detuning=detuning,
-        )
-    )

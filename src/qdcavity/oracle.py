@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedSteadyState, SingularSteadyState, TruncationTooSmall
-from .model import ModelParams, validate
+from .model import ModelParams
 from .observables import Observables
 
 # Population allowed in the top Fock level before the truncation is rejected.
@@ -254,7 +254,6 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
     table times the rate vector (detuning, g, 2 gamma_c, pump, gamma_nr,
     gamma_nl, gamma_deph / 2). Rates are in 1/ps.
     """
-    validate(params)
     rates = np.array((
         params.detuning, params.g, 2.0 * params.gamma_c, params.pump,
         params.gamma_nr, params.gamma_nl, 0.5 * params.gamma_deph,
@@ -439,14 +438,16 @@ def oracle_steady_observables(
 def steady_observables_auto(params: ModelParams, n_max: int = DEFAULT_N_MAX):
     """oracle_steady_observables with n_max doubling on truncation failure.
 
-    Returns (observables, n_max_used). Raises TruncationTooSmall if the cap,
-    N_MAX_CAP, is itself still too small.
+    Each retry doubles the cutoff, clipped to N_MAX_CAP, so the cap is
+    always tried; a start at or above the cap is tried alone. Returns
+    (observables, n_max_used). Raises TruncationTooSmall if the cap is
+    itself still too small.
     """
     n = n_max
     while True:
         try:
             return oracle_steady_observables(params, HilbertSpace(n)), n
         except TruncationTooSmall:
-            if 2 * n > N_MAX_CAP:
+            if n >= N_MAX_CAP:
                 raise
-            n = 2 * n
+            n = min(2 * n, N_MAX_CAP)

@@ -66,7 +66,7 @@ from .errors import (
     StiffnessFailure,
     ValidationError,
 )
-from .model import ModelParams, validate
+from .model import ModelParams
 
 
 def __getattr__(name):
@@ -301,7 +301,6 @@ def integrate(
     accepted or rejected; emits PhysicalRangeWarning when accepted states
     leave the physical simplex beyond 10*rel_tol.
     """
-    validate(params)
     rhs, jac = make_rhs(params, toggles)
     y = initial.to_array()
     if not (t_end > 0.0):
@@ -575,7 +574,6 @@ def steady_state(
     [initial_step, max_time]. Past the lasing threshold that march can use
     up MAX_MARCH_STEPS (SolverError).
     """
-    validate(params)
     rhs, jac = make_rhs(params, toggles)
     y0 = DynamicState.vacuum().to_array()
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
@@ -620,12 +618,13 @@ def steady_state(
 def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
     """Continue a root along a line of points, each from the one before.
 
-    points is a sequence of valid (params, toggles) pairs and guess a state
-    array, such as a nearby point's certified root. The points' candidate
-    roots are one _chain from guess, a warm start with a first pseudo-time
-    step of RUNG_STEP: each point continues from the candidate before over
-    its variant's n moving components, and, like every root, its candidate
-    gets one Newton step, even when its start already meets the threshold.
+    points is a sequence of (params, toggles) pairs, their ModelParams
+    checked when built, and guess a state array, such as a nearby point's
+    certified root. The points' candidate roots are one _chain from guess,
+    a warm start with a first pseudo-time step of RUNG_STEP: each point
+    continues from the candidate before over its variant's n moving
+    components, and, like every root, its candidate gets one Newton step,
+    even when its start already meets the threshold.
     The candidates are certified from vacuum, as steady_state certifies a
     root, in one _certify stack for each moving dimension n among them.
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import CorrelationToggles, DynamicState
 from .errors import NotConverged
-from .model import ModelParams, ReferenceRabi, validate
+from .model import ModelParams, ReferenceRabi
 from .observables import Observables, observables_of
 from .solver import IntegrationConfig, continue_line, steady_state
 
@@ -100,17 +100,16 @@ class SweepGrid:
 
     def check_points(self, base: ModelParams, rabi: ReferenceRabi) -> None:
         """Raise ValidationError, naming the first invalid axis value, unless
-        every point's params are valid. validate checks each field on its own
-        and each axis sets one field, so that holds exactly when the base and
-        each axis value on the base are valid.
+        every point's params are valid. ModelParams checks each field on its
+        own and each axis sets one field of the already checked base, so
+        that holds exactly when each axis value on the base is valid.
         """
-        validate(base)
         for gamma_cav in self.gamma_cav_values:
-            validate(replace(base, gamma_c=0.5 * gamma_cav))
+            replace(base, gamma_c=0.5 * gamma_cav)
         for g_multiple in self.g_values:
-            validate(replace(base, g=rabi.coupling_for(g_multiple)))
+            replace(base, g=rabi.coupling_for(g_multiple))
         for pump in self.pump_values:
-            validate(replace(base, pump=pump))
+            replace(base, pump=pump)
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ def run_sweep(
 ) -> List[SweepRecord]:
     """One steady-state solve per grid point, in frozen grid order.
 
-    Raises ValidationError, before any point is solved, if the base or a
-    grid point's params are invalid (SweepGrid.check_points). A point with
+    Raises ValidationError, before any point is solved, if a grid point's
+    params are invalid (SweepGrid.check_points). A point with
     no certified steady state is recorded with converged False and the
     observables of the state NotConverged carries; the sweep itself never
     aborts. A task is one line: the points that share coupling multiple and

@@ -44,7 +44,6 @@ from qdcavity import (
     SweepRecord,
     observables_of,
     steady_state,
-    validate,
 )
 from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS, make_rhs
 from qdcavity.errors import NonFiniteState
@@ -597,7 +596,6 @@ def index_map_liouvillian(params, space, entries=None):
     """
     from scipy import sparse
 
-    validate(params)
     dim = space.dim
     entries = np.arange(dim * dim) if entries is None else np.asarray(entries)
     rows, cols = np.divmod(entries, dim)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -37,7 +38,7 @@ from qdcavity.errors import (
 )
 from qdcavity.model import ReferenceRabi, default_params
 from qdcavity.solver import IntegrationConfig, steady_state
-from qdcavity.sweep import SweepGrid
+from qdcavity.sweep import CSV_COLUMNS, SweepGrid
 
 MINIMAL = textwrap.dedent("""\
     [model]
@@ -593,6 +594,46 @@ def test_cli_sweep_writes_csv_and_plot_template(tmp_path, capsys):
     assert plot.exists()
     assert "sweep.csv" in plot.read_text()
     assert "wrote 2 records" in capsys.readouterr().out
+
+
+def test_gnuplot_template_columns_match_csv_columns():
+    template = cli._GNUPLOT_TEMPLATE
+    comment = " ".join(line.removeprefix("#")
+                       for line in template.splitlines()[1:]
+                       if line.startswith("#"))
+    numbered = [item.split() for item in
+                comment.removeprefix(" Columns:").split(",")]
+    assert numbered == [[str(k), name]
+                        for k, name in enumerate(CSV_COLUMNS, 1)]
+    plotted = [(CSV_COLUMNS[int(x) - 1], CSV_COLUMNS[int(y) - 1])
+               for x, y in re.findall(r"using (\d+):(\d+)", template)]
+    assert plotted == [("cavity_lifetime_ps", "g2_zero"),
+                       ("cavity_lifetime_ps", "output_rate_per_ps")]
+
+
+@pytest.mark.parametrize("out", ["--out", "[output]"])
+def test_cli_sweep_refuses_a_csv_its_plot_template_would_overwrite(
+        tmp_path, capsys, monkeypatch, out):
+    def solve(*args, **kwargs):
+        raise AssertionError("a point was solved before the output check")
+
+    monkeypatch.setattr(cli, "run_sweep", solve)
+    out_file = tmp_path / "sweep.gp"
+    text = SWEEP_TEXT + f"[output]\npath = {out_file}\n"
+    argv = ["sweep", "--config", config_file(tmp_path, text)]
+    if out == "--out":
+        argv = ["sweep", "--config", config_file(tmp_path, SWEEP_TEXT),
+                "--out", str(out_file)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"output error: {out_file}: ")
+    assert not out_file.exists()
+    # A jsonl sweep writes no template, so the same path is its output.
+    monkeypatch.undo()
+    assert main(argv + ["--format", "jsonl"]) == 0
+    assert len(out_file.read_text().splitlines()) == 2
 
 
 def test_cli_sweep_worker_counts_byte_identical(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from qdcavity import (
     ValidationError,
     coupling_strength,
     default_params,
-    validate,
 )
 from qdcavity.model import (
     DEFAULT_GAMMA_DEPH,
@@ -129,27 +129,26 @@ def test_validate_returns_params_unchanged():
         g=0.1, gamma_c=1.0, gamma_deph=0.01, gamma_nr=0.03,
         gamma_nl=0.01, pump=0.5,
     )
-    assert validate(params) is params
+    assert astuple(params) == (0.1, 1.0, 0.01, 0.03, 0.01, 0.5, 0.0)
+    assert replace(params) == params
 
 
 def test_validate_rejects_zero_gamma_c():
-    params = ModelParams(
-        g=0.1, gamma_c=0.0, gamma_deph=0.01, gamma_nr=0.03,
-        gamma_nl=0.01, pump=0.5,
-    )
     with pytest.raises(ValidationError) as info:
-        validate(params)
+        ModelParams(
+            g=0.1, gamma_c=0.0, gamma_deph=0.01, gamma_nr=0.03,
+            gamma_nl=0.01, pump=0.5,
+        )
     assert len(info.value.problems) == 1
     assert "gamma_c" in info.value.problems[0]
 
 
 def test_validate_aggregates_every_problem():
-    params = ModelParams(
-        g=-1.0, gamma_c=0.0, gamma_deph=0.01, gamma_nr=0.03,
-        gamma_nl=0.01, pump=-2.0,
-    )
     with pytest.raises(ValidationError) as info:
-        validate(params)
+        ModelParams(
+            g=-1.0, gamma_c=0.0, gamma_deph=0.01, gamma_nr=0.03,
+            gamma_nl=0.01, pump=-2.0,
+        )
     text = "\n".join(info.value.problems)
     assert len(info.value.problems) == 3
     assert "g:" in text
@@ -158,12 +157,11 @@ def test_validate_aggregates_every_problem():
 
 
 def test_validate_rejects_non_finite_values():
-    params = ModelParams(
-        g=math.inf, gamma_c=1.0, gamma_deph=0.01, gamma_nr=0.03,
-        gamma_nl=0.01, pump=0.5, detuning=math.nan,
-    )
     with pytest.raises(ValidationError) as info:
-        validate(params)
+        ModelParams(
+            g=math.inf, gamma_c=1.0, gamma_deph=0.01, gamma_nr=0.03,
+            gamma_nl=0.01, pump=0.5, detuning=math.nan,
+        )
     text = "\n".join(info.value.problems)
     assert "g:" in text
     assert "detuning" in text

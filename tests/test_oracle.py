@@ -478,6 +478,17 @@ def test_truncation_guard_and_auto_doubling(monkeypatch):
     obs, n_used = steady_observables_auto(params, n_max=1)
     assert n_used > 1
     assert obs.photon_number > 0.0
+    # A start that does not double onto the cap still tries the cap: this
+    # point, perfbench's first no_inversion n64 entry, needs 64.
+    needs_cap = default_params(
+        g=ReferenceRabi().coupling_for(9.589068501231155),
+        gamma_c=0.09367320396785828, pump=10.387790471544939,
+    )
+    with pytest.raises(TruncationTooSmall):
+        oracle_steady_observables(needs_cap, HilbertSpace(40))
+    capped, n_used = steady_observables_auto(needs_cap, n_max=40)
+    assert n_used == oracle.N_MAX_CAP == 64
+    assert capped == steady_observables_auto(needs_cap, n_max=32)[0]
     # A cap below the needed size re-raises instead of looping.
     monkeypatch.setattr(oracle, "N_MAX_CAP", 1)
     with pytest.raises(TruncationTooSmall):

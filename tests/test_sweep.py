@@ -26,7 +26,7 @@ from qdcavity import (
     run_sweep,
     steady_state,
 )
-from qdcavity import config, model, solver, sweep
+from qdcavity import model, solver, sweep
 from qdcavity.config import parse_config
 from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS
 from qdcavity.solver import continue_line
@@ -84,19 +84,17 @@ BOUND_GRID = textwrap.dedent("""\
 """)
 
 
-def count_validate_calls(monkeypatch):
-    """A one-item list counting every validate call from here on, through
-    each module that binds the name."""
+def count_params_checks(monkeypatch):
+    """A one-item list counting every ModelParams check from here on: each
+    construction, replace() included, runs __post_init__ once."""
     calls = [0]
-    original = model.validate
+    original = model.ModelParams.__post_init__
 
     def counting(params):
         calls[0] += 1
-        return original(params)
+        original(params)
 
-    for module in (model, config, sweep):
-        if hasattr(module, "validate"):
-            monkeypatch.setattr(module, "validate", counting)
+    monkeypatch.setattr(model.ModelParams, "__post_init__", counting)
     return calls
 
 
@@ -106,7 +104,7 @@ def axis_values(grid):
 
 
 def test_parse_checks_each_axis_value_once(monkeypatch):
-    calls = count_validate_calls(monkeypatch)
+    calls = count_params_checks(monkeypatch)
     grid = parse_config(BOUND_GRID).grid
     assert calls[0] <= 2 + axis_values(grid)
     assert len(grid) == sweep.MAX_GRID_POINTS
@@ -115,15 +113,17 @@ def test_parse_checks_each_axis_value_once(monkeypatch):
 def test_run_sweep_checks_each_axis_value_once(monkeypatch):
     loaded = parse_config(BOUND_GRID)
 
-    class FirstSolve(Exception):
+    # A line builds its points as checked ModelParams by design, so the
+    # count stops where the first line would start.
+    class FirstLine(Exception):
         pass
 
-    def first_solve(*args, **kwargs):
-        raise FirstSolve
+    def first_line(*args, **kwargs):
+        raise FirstLine
 
-    monkeypatch.setattr(sweep, "steady_state", first_solve)
-    calls = count_validate_calls(monkeypatch)
-    with pytest.raises(FirstSolve):
+    monkeypatch.setattr(sweep, "_solve_line", first_line)
+    calls = count_params_checks(monkeypatch)
+    with pytest.raises(FirstLine):
         run_sweep(loaded.grid, loaded.params, loaded.integration,
                   rabi=loaded.rabi)
     assert calls[0] <= 2 + axis_values(loaded.grid)
