@@ -51,6 +51,7 @@ from .solver import (
     PhysicalRangeWarning,
     Trajectory,
     integrate,
+    settling_trajectory,
     steady_state,
 )
 from .sweep import (
@@ -97,6 +98,7 @@ __all__ = [
     "observables_of",
     "oracle_steady_observables",
     "run_sweep",
+    "settling_trajectory",
     "steady_observables_auto",
     "steady_state",
     "two_photon_expectation",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .dynamics import ARRAY_FIELDS
+from .dynamics import ARRAY_FIELDS, DynamicState
 from .errors import (
     ConfigError,
     NotConverged,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .observables import PHOTON_FLOOR, Observables, observables_of
 from .oracle import steady_observables_auto
-from .solver import steady_state
+from .solver import settling_trajectory, steady_state
 from .sweep import SweepTable, run_sweep
 
 _GNUPLOT_TEMPLATE = """\
@@ -77,6 +77,25 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _refuse_output(out_path: Path, plot: bool = False) -> bool:
+    """Print one output error and return True when out_path, or with plot
+    its .gp plot template, cannot be written as a file. Checked before any
+    solve, so that no solve is thrown away for it."""
+    if plot and out_path.suffix == ".gp":
+        # Its plot template, out_path.with_suffix(".gp"), would overwrite it.
+        problem = (f"{out_path}: a csv sweep needs a suffix other than .gp, "
+                   "which its plot template takes")
+    else:
+        paths = ((out_path, out_path.with_suffix(".gp")) if plot
+                 else (out_path,))
+        taken = [path for path in paths if path.is_dir()]
+        if not taken:
+            return False
+        problem = f"{taken[0]}: is a directory"
+    print(f"output error: {problem}", file=sys.stderr)
+    return True
+
+
 def _write_trajectory(path: Path, trajectory) -> None:
     lines = ["t_ps," + ",".join(ARRAY_FIELDS)]
     for t, row in zip(trajectory.times.tolist(), trajectory.states.tolist()):
@@ -89,13 +108,16 @@ def cmd_simulate(args) -> int:
     if config is None:
         return 1
     out_path = Path(args.out or config.output_path)
+    if args.trajectory and _refuse_output(out_path):
+        return 1
     try:
         if args.trajectory:
-            state, trajectory = steady_state(
-                config.params, config.toggles, config.integration, record=True
+            trajectory = settling_trajectory(
+                config.params, config.toggles, config.integration
             )
             _write_trajectory(out_path, trajectory)
             print(f"trajectory written to {out_path}")
+            state = DynamicState.from_array(trajectory.states[-1])
         else:
             state = steady_state(config.params, config.toggles, config.integration)
     except NotConverged as err:
@@ -125,10 +147,7 @@ def cmd_sweep(args) -> int:
         return 1
     fmt = args.format or config.output_format
     out_path = Path(args.out or config.output_path)
-    if fmt == "csv" and out_path.suffix == ".gp":
-        # Its plot template, out_path.with_suffix(".gp"), would overwrite it.
-        print(f"output error: {out_path}: a csv sweep needs a suffix other "
-              "than .gp, which its plot template takes", file=sys.stderr)
+    if _refuse_output(out_path, plot=fmt == "csv"):
         return 1
     records = run_sweep(
         config.grid,

@@ -15,13 +15,22 @@ c+ c + b+ b, rate gamma_deph / 2, which damps the interband coherence at
 exactly gamma_deph since that coherence changes the total carrier number
 by two).
 
-Two modelling differences against the hierarchy are intrinsic and
-documented rather than hidden: the incoherent pump also damps coherences at
-pump/2, which the hierarchy's polarization equation does not contain, and
-the joint-collapse recombination evolves the full correlated pair number
-where the hierarchy keeps the factorized product n_e n_h. Exact agreement
-therefore holds only at g = 0 with gamma_nl = 0; elsewhere agreement bands
-are empirical.
+The modelling differences against the hierarchy are intrinsic and
+documented rather than hidden. The generator, applied to each moment's
+operator, damps four moments more than the hierarchy's equations do:
+
+- the polarization p = <a+ c b> and the correlation d_bc_aaa by an extra
+  P + gamma_nr + gamma_nl/2, on top of the hierarchy's gamma_deph +
+  gamma_c and gamma_deph + 3 gamma_c;
+- the carrier-photon correlations d_ce_phot and d_h_phot, <c+ c a+ a>
+  and <b+ b a+ a>, by an extra P on top of 2 gamma_c + gamma_nr, and
+  they take a -gamma_nl <n_e n_h n_p> coupling the hierarchy lacks.
+
+n_e, n_h and <a+ a+ a a> are damped alike in both. The joint-collapse
+recombination also evolves the full correlated pair number where the
+hierarchy keeps the factorized product n_e n_h. Exact agreement therefore
+holds only at g = 0 with gamma_nl = 0; elsewhere agreement bands are
+empirical.
 
 The Hamiltonian conserves the excitation charge Q = 2 n_p + n_e + n_h:
 the pair term b+ c+ a trades one photon for one electron-hole pair. Every

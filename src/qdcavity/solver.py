@@ -34,9 +34,13 @@ kind, real in real arithmetic and complex in complex, with stacked solves
 for the mode amplitudes and one closed-form window. Only the rhs values at
 the window samples go through each root's own equations; their residual
 norms and verdicts are one array pass, bitwise scaled_residual's. A single
-solve certifies a stack of one. A recorded trajectory is one march from
-vacuum to the settling time of the flow linearised at the certified root,
-also read off that eigen-decomposition; ``integrate`` is the only march.
+solve certifies a stack of one.
+
+Each solve job has one function and one return type: ``steady_state``
+returns the certified state, ``settling_trajectory`` the Trajectory of one
+march from vacuum to the settling time of the flow linearised at that
+root, also read off its eigen-decomposition, and ``continue_line`` a line's
+certified roots. ``integrate`` is the only march.
 
 Every solve is single-threaded and deterministic: identical inputs give
 bitwise-identical results on the same platform.
@@ -116,7 +120,7 @@ class IntegrationConfig:
 
     rel_tol, abs_tol: error tolerances of the Rosenbrock march, every one
         ``integrate`` runs: a direct call and the march to the settling
-        time that ``steady_state(record=True)`` records. A step is accepted
+        time that ``settling_trajectory`` records. A step is accepted
         when the RMS of its error estimate over abs_tol + rel_tol * |y| is
         at most 1. Finding and certifying a root, its steady window
         included, runs no march and does not read them. 10*rel_tol is also
@@ -161,7 +165,8 @@ class Trajectory:
 
     times has shape (k,), k >= 1, starts at 0 and is strictly increasing;
     states has shape (k, STATE_DIM), row i the state at times[i] in the
-    ARRAY_FIELDS layout of DynamicState.to_array.
+    ARRAY_FIELDS layout of DynamicState.to_array. In a settling_trajectory
+    the last row is the certified root, not the accepted step at times[-1].
     """
 
     times: np.ndarray
@@ -538,12 +543,38 @@ def _certify(flows, y0, roots, n, cfg):
     return certified, (values, vectors, amplitudes)
 
 
+def _certified_root(params, toggles, cfg):
+    """The certified root that steady_state returns, as an array.
+
+    Returns (root, n, (rates, modes, amplitudes)): the root, its variant's
+    number n of moving components, and the eigen-decomposition of its
+    Jacobian from its stack-of-one _certify. Raises NotConverged as
+    steady_state documents.
+    """
+    rhs, jac = make_rhs(params, toggles)
+    y0 = DynamicState.vacuum().to_array()
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+
+    root = eigen = None
+    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
+        [certified], eigen = _certify(((rhs, jac),), y0, root[None], n, cfg)
+        if certified:
+            return root, n, tuple(a[0] for a in eigen)
+    # The state that the flow linearised at the last root reaches.
+    y = y0
+    if eigen is not None and not np.isnan(eigen[2]).any():
+        rates, modes, amplitudes = (a[0] for a in eigen)
+        y = root.copy()
+        y[:n] += (modes @ (np.exp(rates * cfg.max_time) * amplitudes)).real
+    raise NotConverged(cfg.max_time, DynamicState.from_array(y),
+                       scaled_residual(rhs(0.0, y), y))
+
+
 def steady_state(
     params: ModelParams,
     toggles: CorrelationToggles,
     cfg: IntegrationConfig,
-    record: bool = False,
-):
+) -> DynamicState:
     """Solve for the steady state reached from vacuum.
 
     Pseudo-transient continuation on the analytic Jacobian, over all ten
@@ -562,46 +593,36 @@ def steady_state(
     the physical range. Raises NotConverged otherwise, carrying the state
     that the flow linearised at the last root found reaches at max_time
     (vacuum if none) and its residual. A start from a nearby point's root
-    is continue_line's.
-
-    With record=True, returns (state, Trajectory): the trajectory collects
-    every accepted step of one march from vacuum to the settling time of
-    the flow linearised at the certified root, its last row overwritten
-    with that root, so the row and the state are bitwise the one the bare
-    call returns. The settling time, from the eigen-decomposition
-    J = V diag(rates) V^-1 at the root, is the time by which each of the n
-    modes carries its share of the residual below threshold / n, clipped to
-    [initial_step, max_time]. Past the lasing threshold that march can use
-    up MAX_MARCH_STEPS (SolverError).
+    is continue_line's; the march that settles on the root is
+    settling_trajectory's.
     """
-    rhs, jac = make_rhs(params, toggles)
-    y0 = DynamicState.vacuum().to_array()
-    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+    return DynamicState.from_array(_certified_root(params, toggles, cfg)[0])
 
-    root = eigen = None
-    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
-        [certified], eigen = _certify(((rhs, jac),), y0, root[None], n, cfg)
-        if certified:
-            break
-    else:
-        # The state that the flow linearised at the last root reaches.
-        y = y0
-        if eigen is not None and not np.isnan(eigen[2]).any():
-            rates, modes, amplitudes = (a[0] for a in eigen)
-            y = root.copy()
-            y[:n] += (modes @ (np.exp(rates * cfg.max_time) * amplitudes)).real
-        raise NotConverged(cfg.max_time, DynamicState.from_array(y),
-                           scaled_residual(rhs(0.0, y), y))
-    state = DynamicState.from_array(root)
-    if not record:
-        return state
 
+def settling_trajectory(
+    params: ModelParams,
+    toggles: CorrelationToggles,
+    cfg: IntegrationConfig,
+) -> Trajectory:
+    """Solve as steady_state does, then march from vacuum until it settles.
+
+    The trajectory collects every accepted step of one march from vacuum to
+    the settling time of the flow linearised at the certified root, its last
+    row overwritten with that root, so that DynamicState.from_array of the
+    row is bitwise the state steady_state returns. The settling time, from
+    the eigen-decomposition J = V diag(rates) V^-1 at the root, is the time
+    by which each of the n modes carries its share of the residual below
+    threshold / n, clipped to [initial_step, max_time]. Raises what
+    steady_state raises, with the same NotConverged, and what integrate
+    raises: past the lasing threshold the march can use up MAX_MARCH_STEPS
+    (SolverError).
+    """
+    root, n, (rates, _, amplitudes) = _certified_root(params, toggles, cfg)
     # Linearised at the root, the residual is a sum of n modes of size
     # |rates_i a_i| e^{Re rates_i t} with a = V^-1 (y0 - root); a mode with
     # no amplitude gives log(0) = -inf. From vacuum the imaginary parts,
     # decoupled at zero detuning, stay 0 at the root, so their modes have
     # none.
-    rates, modes, amplitudes = (a[0] for a in eigen)
     share = np.abs(rates * amplitudes) * n / (
         cfg.steady_state_residual * max(math.sqrt(float(root @ root)), 1.0)
     )
@@ -612,7 +633,7 @@ def steady_state(
         t_end=min(max(settle, cfg.initial_step), cfg.max_time),
     )
     march.states[-1] = root
-    return state, march
+    return march
 
 
 def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):

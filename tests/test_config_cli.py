@@ -37,7 +37,11 @@ from qdcavity.errors import (
     StiffnessFailure,
 )
 from qdcavity.model import ReferenceRabi, default_params
-from qdcavity.solver import IntegrationConfig, steady_state
+from qdcavity.solver import (
+    IntegrationConfig,
+    settling_trajectory,
+    steady_state,
+)
 from qdcavity.sweep import CSV_COLUMNS, SweepGrid
 
 MINIMAL = textwrap.dedent("""\
@@ -537,11 +541,21 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys, command):
     assert err.startswith("config error:")
 
 
-def test_cli_simulate_not_converged(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--trajectory"]],
+                         ids=["simulate", "trajectory"])
+def test_cli_simulate_not_converged(tmp_path, capsys, extra):
+    # A refused point prints the same report with or without --trajectory,
+    # and writes no trajectory.
     text = MINIMAL + "[integration]\nmax_time_ps = 1.0\n"
     path = config_file(tmp_path, text)
-    assert main(["simulate", "--config", path]) == 2
+    out_file = tmp_path / "traj.csv"
+    argv = ["simulate", "--config", path, "--out", str(out_file)]
+    assert main(argv) == 2
+    plain = capsys.readouterr().out
+    assert main(argv + extra) == 2
     captured = capsys.readouterr()
+    assert captured.out == plain
+    assert not out_file.exists()
     assert "last_residual=" in captured.out
     assert "converged=" in captured.out
     assert "false" in captured.out
@@ -564,8 +578,9 @@ def test_cli_simulate_trajectory_output(tmp_path, capsys):
     # Every row parses back bitwise to the recorded arrays, and the last
     # one is the certified state.
     config = load_config(path)
-    state, trajectory = steady_state(
-        config.params, config.toggles, config.integration, record=True
+    state = steady_state(config.params, config.toggles, config.integration)
+    trajectory = settling_trajectory(
+        config.params, config.toggles, config.integration
     )
     rows = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
     assert rows[:, 0].tobytes() == trajectory.times.tobytes()
@@ -666,17 +681,32 @@ def test_cli_sweep_jsonl_format(tmp_path, capsys):
     ["simulate", "--trajectory"],
     ["sweep", "--format", "csv"],
     ["sweep", "--format", "jsonl"],
+    # The last --out wins: taken.csv is free, but its plot template's path,
+    # taken.gp, is a directory.
+    ["sweep", "--format", "csv", "--out", "taken.csv"],
 ])
-def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, command):
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
+                                               command):
+    def solve(*args, **kwargs):
+        raise AssertionError("a point was solved before the output check")
+
+    for name in ("run_sweep", "settling_trajectory", "steady_state"):
+        monkeypatch.setattr(cli, name, solve)
+    monkeypatch.chdir(tmp_path)
     path = config_file(tmp_path, SWEEP_TEXT)
-    out_dir = tmp_path / "taken"
-    out_dir.mkdir()
-    argv = command[:1] + ["--config", path, "--out", str(out_dir)] + command[1:]
+    Path("taken").mkdir()
+    Path("taken.gp").mkdir()
+    argv = command[:1] + ["--config", path, "--out", "taken"] + command[1:]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert err.startswith("output error: ")
+    taken = "taken.gp" if "taken.csv" in command else "taken"
+    assert err.startswith(f"output error: {taken}: ")
+    assert captured.out == ""
+    assert sorted(os.listdir()) == ["run.cfg", "taken", "taken.gp"]
 
 
 def test_cli_sweep_requires_grid(tmp_path, capsys):

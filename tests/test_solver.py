@@ -24,6 +24,7 @@ from qdcavity import (
     ValidationError,
     default_params,
     integrate,
+    settling_trajectory,
     steady_state,
 )
 from qdcavity import solver
@@ -235,7 +236,7 @@ def test_rodas_step_bytes_match_reference_step(variant, pump):
     # to far above the march's own.
     params = saturated_params(3.0, pump=pump)
     toggles = TOGGLE_VARIANTS[variant]
-    _, trajectory = steady_state(params, toggles, CFG, record=True)
+    trajectory = settling_trajectory(params, toggles, CFG)
     f, jac = make_rhs(params, toggles)
     for y in trajectory.states[::25]:
         for h in (1e-4, 1e-2, 1.0, 100.0):
@@ -254,7 +255,7 @@ def test_march_bytes_match_reference_march(variant, pump):
     # acceptance and error norm included.
     params = saturated_params(3.0, pump=pump)
     toggles = TOGGLE_VARIANTS[variant]
-    _, recorded = steady_state(params, toggles, CFG, record=True)
+    recorded = settling_trajectory(params, toggles, CFG)
     vacuum = DynamicState.vacuum()
     march = integrate(vacuum, params, toggles, CFG, recorded.times[-1])
     times, states = reference_march(vacuum, params, toggles, CFG,
@@ -603,7 +604,9 @@ def test_steady_state_is_fixed_point_of_integration():
 
 def test_steady_state_record_returns_trajectory():
     params = default_params(g=0.2, gamma_c=0.5, pump=1.0)
-    state, traj = steady_state(params, FULL, CFG, record=True)
+    state = steady_state(params, FULL, CFG)
+    traj = settling_trajectory(params, FULL, CFG)
+    assert isinstance(state, DynamicState)
     assert isinstance(traj, Trajectory)
     assert traj.times[0] == 0.0
     assert traj.states[-1].tobytes() == state.to_array().tobytes()
@@ -620,7 +623,7 @@ def test_recorded_trajectory_reaches_the_threshold(variant, pump):
     # before its last row is replaced by the root.
     params = saturated_params(3.0, pump=pump)
     toggles = TOGGLE_VARIANTS[variant]
-    _, traj = steady_state(params, toggles, CFG, record=True)
+    traj = settling_trajectory(params, toggles, CFG)
     march = integrate(
         DynamicState.vacuum(), params, toggles, CFG, t_end=traj.times[-1]
     )
@@ -645,6 +648,12 @@ def test_steady_state_not_converged_carries_last_state():
     assert err.residual > cfg.steady_state_residual
     expected = 0.5 * (1.0 - math.exp(-2.0))
     assert err.last_state.n_e == pytest.approx(expected, rel=1e-6)
+    # The settling trajectory refuses the same root with the same report.
+    with pytest.raises(NotConverged) as info:
+        settling_trajectory(params, FULL, cfg)
+    assert info.value.residual == err.residual
+    assert (info.value.last_state.to_array().tobytes()
+            == err.last_state.to_array().tobytes())
 
 
 def test_physical_range_warning_on_unphysical_start():
