@@ -79,19 +79,23 @@ def _write_text(path: Path, text: str) -> None:
 
 def _refuse_output(out_path: Path, plot: bool = False) -> bool:
     """Print one output error and return True when out_path, or with plot
-    its .gp plot template, cannot be written as a file. Checked before any
-    solve, so that no solve is thrown away for it."""
+    its .gp plot template, cannot be written as a file: it is a directory,
+    or its nearest existing ancestor is not one. Checked before any solve,
+    so that no solve is thrown away for it."""
+    paths = (out_path, out_path.with_suffix(".gp")) if plot else (out_path,)
+    taken = [path for path in paths if path.is_dir()]
+    # The nearest ancestor that exists: the parents end at "." or the root.
+    ancestor = next(path for path in out_path.parents if path.exists())
     if plot and out_path.suffix == ".gp":
         # Its plot template, out_path.with_suffix(".gp"), would overwrite it.
         problem = (f"{out_path}: a csv sweep needs a suffix other than .gp, "
                    "which its plot template takes")
-    else:
-        paths = ((out_path, out_path.with_suffix(".gp")) if plot
-                 else (out_path,))
-        taken = [path for path in paths if path.is_dir()]
-        if not taken:
-            return False
+    elif taken:
         problem = f"{taken[0]}: is a directory"
+    elif not ancestor.is_dir():
+        problem = f"{ancestor}: is not a directory"
+    else:
+        return False
     print(f"output error: {problem}", file=sys.stderr)
     return True
 

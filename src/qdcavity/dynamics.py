@@ -263,6 +263,60 @@ def make_rhs(params: ModelParams, toggles: CorrelationToggles):
     return rhs, jacobian
 
 
+# Python float arithmetic overflows to inf and yields NaN without a word;
+# numpy's warns. Each entry must be what the closure gives, silently.
+@np.errstate(over="ignore", invalid="ignore")
+def stacked_rhs(points, ys):
+    """Each point's rhs at a window of its states, in one evaluation.
+
+    points holds m (params, toggles) pairs that agree on include_doublets,
+    and ys has shape (m, STATE_DIM, k), column ys[i, :, j] a state of point
+    i. Returns an array of that shape whose column [i, :, j] is bitwise what
+    make_rhs(*points[i]) gives at ys[i, :, j]: the rates enter as (m, 1)
+    columns, each product formed in the closure's order, and the inversion
+    term through a per-point flag.
+    """
+    g, gc, gam, gnr, gnl, P, det = np.array([
+        (params.g, params.gamma_c, params.gamma_deph, params.gamma_nr,
+         params.gamma_nl, params.pump, params.detuning)
+        for params, _ in points]).T[..., None]
+    two_g = 2.0 * g
+    minus_two_g = -2.0 * g
+    pol_decay = -(gam + gc)
+    ne, nh, nph, pr, pi, d2, dTr, dTi, de, dh = ys.transpose(1, 0, 2)
+    f = np.empty(ys.shape)
+    exchange = minus_two_g * pr
+    loss = gnl * ne * nh
+    inv = ne + nh - 1.0
+    f[:, 0] = exchange + P * (1.0 - ne) - gnr * ne - loss
+    f[:, 1] = exchange + P * (1.0 - nh) - gnr * nh - loss
+    f[:, 2] = two_g * pr - 2.0 * gc * nph
+    f3 = pol_decay * pr + det * pi + g * ne * nh + g * inv * nph
+    f[:, 4] = pol_decay * pi - det * pr
+    if not points[0][1].include_doublets:
+        f[:, 3] = f3
+        f[:, 5:] = 0.0
+        return f
+    f[:, 3] = f3 + g * (de + dh)
+    ne_p = ne + nph
+    nh_p = nh + nph
+    pair_decay = -(gam + 3.0 * gc)
+    assist_decay = -(gnr + 2.0 * gc)
+    f[:, 5] = -4.0 * gc * d2 + 4.0 * g * dTr
+    f6 = (
+        pair_decay * dTr - det * dTi
+        + two_g * nh_p * de + two_g * ne_p * dh
+        - two_g * (pr * pr - pi * pi)
+    )
+    inversion = np.array([toggles.include_inversion_term
+                          for _, toggles in points])[:, None]
+    f[:, 6] = np.where(inversion, f6 + g * inv * d2, f6)
+    f[:, 7] = pair_decay * dTi + det * dTr + -4.0 * g * pr * pi
+    f[:, 8] = assist_decay * de - two_g * (pr * ne_p + dTr)
+    f[:, 9] = assist_decay * dh - two_g * (pr * nh_p + dTr)
+    return f
+
+
 def two_photon_expectation(state: DynamicState) -> float:
     """<a+ a+ a a> = 2 n_p^2 + d_photon2.
 

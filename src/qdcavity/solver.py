@@ -31,10 +31,11 @@ eigen-decomposition of J, so no steady-state solve marches. Certification
 takes a stack of roots that move the same components: one
 eigen-decomposition of their stacked Jacobians, then one pass per spectrum
 kind, real in real arithmetic and complex in complex, with stacked solves
-for the mode amplitudes and one closed-form window. Only the rhs values at
-the window samples go through each root's own equations; their residual
-norms and verdicts are one array pass, bitwise scaled_residual's. A single
-solve certifies a stack of one.
+for the mode amplitudes and one closed-form window. The rhs values at a
+line's window samples are one stacked_rhs call across its roots, bitwise
+each root's own closure; a single solve certifies a stack of one through
+its closure. The residual norms and verdicts are one array pass, bitwise
+scaled_residual's.
 
 Each solve job has one function and one return type: ``steady_state``
 returns the certified state, ``settling_trajectory`` the Trajectory of one
@@ -62,6 +63,7 @@ from .dynamics import (
     CorrelationToggles,
     DynamicState,
     make_rhs,
+    stacked_rhs,
 )
 from .errors import (
     NonFiniteState,
@@ -454,7 +456,7 @@ def _window_times(length):
     return times
 
 
-def _certify(flows, y0, roots, n, cfg):
+def _certify(flows, y0, roots, n, cfg, points=None):
     """Certify a stack of m roots that move the same first n components.
 
     roots is an (m, STATE_DIM) array, flows[i] the (rhs, jac) pair of
@@ -469,13 +471,17 @@ def _certify(flows, y0, roots, n, cfg):
     each with one solve for the flow's mode amplitudes, one for the
     windows' and one expm1 over the windows. np.linalg.eig makes every
     spectrum of a stack complex when one is, and the split keeps each
-    root's numbers bitwise those it gets in a stack of one. Each root's own
-    rhs is called ten times if the root passes the stability and flow
-    checks, rhs(root) and all nine window samples, and not at all
-    otherwise; the residual norms and verdicts are one stacked pass. A root
-    whose V is singular fails alone. Emits PhysicalRangeWarning if the
-    certified roots' windows, the first sample of each the root itself,
-    leave the physical range; their times count from the root.
+    root's numbers bitwise those it gets in a stack of one. A root that
+    fails the stability or flow check is not evaluated again. Of one that
+    passes, its own rhs gives rhs(root), and its nine window samples are
+    evaluated after both kinds' windows are built: in one stacked_rhs call
+    across the held roots when points, the stack's (params, toggles)
+    pairs, are given and the stack holds two roots or more, through each
+    root's own rhs otherwise, with the same bits. The residual norms and
+    verdicts are one stacked pass. A root whose V is singular fails
+    alone. Emits PhysicalRangeWarning if the certified roots' windows, the
+    first sample of each the root itself, leave the physical range; their
+    times count from the root.
 
     Returns (certified, (rates, modes, amplitudes)): a boolean array of
     shape (m,), and the stacked decomposition with amplitudes
@@ -487,7 +493,7 @@ def _certify(flows, y0, roots, n, cfg):
     certified = np.zeros(len(roots), dtype=bool)
     amplitudes = np.empty((len(roots), n), dtype=values.dtype)
     times = _window_times(cfg.steady_window)
-    windows = []
+    judged, windows = [], []
     for kind, arithmetic in ((real, np.real), (~real, np.asarray)):
         at = np.flatnonzero(kind)
         if not at.size:
@@ -529,17 +535,25 @@ def _certify(flows, y0, roots, n, cfg):
         growth = np.expm1(rates * times) / rates
         ys = np.repeat(stack[keep, :, None], times.size, axis=2)
         ys[:, :n] += (modes @ (growth * window_amplitudes)).real
-        # Each held root's own rhs at its nine samples, then every residual
-        # in one pass.
-        samples = ys.transpose(0, 2, 1)
-        holds = (_scaled_residuals(
-            np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
-                      for i, window in zip(held, samples)]), samples)
-                 < cfg.steady_state_residual).all(axis=1)
-        certified[held] = holds
-        windows.append(ys[holds])
-    if certified.any():
-        _check_ranges(times, np.concatenate(windows), cfg.rel_tol)
+        judged.append(held)
+        windows.append(ys)
+    if not judged:
+        return certified, (values, vectors, amplitudes)
+    # Every held root's rhs at its nine samples, then every residual in one
+    # pass: one stacked_rhs call across a stack's points, or each root's own
+    # closure.
+    held, ys = np.concatenate(judged), np.concatenate(windows)
+    samples = ys.transpose(0, 2, 1)
+    if points is not None and len(roots) > 1:
+        f = stacked_rhs([points[i] for i in held], ys).transpose(0, 2, 1)
+    else:
+        f = np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
+                      for i, window in zip(held, samples)])
+    holds = (_scaled_residuals(f, samples)
+             < cfg.steady_state_residual).all(axis=1)
+    certified[held] = holds
+    if holds.any():
+        _check_ranges(times, ys[holds], cfg.rel_tol)
     return certified, (values, vectors, amplitudes)
 
 
@@ -666,6 +680,7 @@ def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
         at = [i for i, dim in enumerate(dims) if dim == n]
         certified[at] = _certify(
             [links[i][0][:2] for i in at], y0,
-            np.array([links[i][1] for i in at]), n, cfg)[0]
+            np.array([links[i][1] for i in at]), n, cfg,
+            [points[i] for i in at])[0]
     # The extra last False makes argmin the length of the certified prefix.
     return [root for _, root in links[:certified.argmin()]]

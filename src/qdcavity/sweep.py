@@ -131,14 +131,15 @@ class SweepRecord:
 
 def _solve_line(task):
     """Solve one line, the points that share (g multiple, pump), in ascending
-    gamma_cav and each point's variants in grid order. A point is solved
-    cold by steady_state; once certified, continue_line chains from its root
-    over the rest of the line, and the first point the chain does not
-    certify is solved cold again. A refused point's successor is solved
-    cold as well. Returns the records keyed by gamma_cav."""
+    gamma_cav and each point's distinct variants in grid order. A point is
+    solved cold by steady_state; once certified, continue_line chains from
+    its root over the rest of the line, and the first point the chain does
+    not certify is solved cold again. A refused point's successor is solved
+    cold as well. Returns the records keyed by gamma_cav, a variant listed
+    twice given the same record twice."""
     base, rabi, cfg, (g_multiple, pump), gamma_cavs, variants = task
     g = rabi.coupling_for(g_multiple)
-    keys = list(itertools.product(gamma_cavs, variants))
+    keys = list(itertools.product(gamma_cavs, dict.fromkeys(variants)))
     points = [(replace(base, g=g, gamma_c=0.5 * gamma_cav, pump=pump), toggles)
               for gamma_cav, toggles in keys]
     solved = []
@@ -151,18 +152,20 @@ def _solve_line(task):
         solved.append((state, True))
         roots = continue_line(points[len(solved):], cfg, state.to_array())
         solved += [(DynamicState.from_array(root), True) for root in roots]
-    line = {gamma_cav: [] for gamma_cav in gamma_cavs}
-    for (gamma_cav, toggles), (params, _), (state, converged) in zip(
-            keys, points, solved):
-        line[gamma_cav].append(SweepRecord(
+    records = {
+        (gamma_cav, toggles): SweepRecord(
             gamma_cav=gamma_cav,
             g_over_omega_r0=g_multiple,
             pump=pump,
             toggles=toggles,
             observables=observables_of(state, params),
             converged=converged,
-        ))
-    return line
+        )
+        for (gamma_cav, toggles), (params, _), (state, converged) in zip(
+            keys, points, solved)
+    }
+    return {gamma_cav: [records[gamma_cav, toggles] for toggles in variants]
+            for gamma_cav in gamma_cavs}
 
 
 def run_sweep(
@@ -180,11 +183,13 @@ def run_sweep(
     observables of the state NotConverged carries; the sweep itself never
     aborts. A task is one line: the points that share coupling multiple and
     pump. It solves its distinct gamma_cav values in ascending order, each
-    point's variants in grid order. A line's first point is solved cold by
-    steady_state, from vacuum. From each certified cold root, one
-    solver.continue_line chain warm-starts every later point from the root
-    before it and certifies the chain in one stacked check, so a line of
-    certified points costs two eigen-decompositions, not one per point.
+    point's distinct variants in grid order: a repeated axis value is
+    solved once and its record written at each listing. A line's first
+    point is solved cold by steady_state, from vacuum. From each certified
+    cold root, one solver.continue_line chain warm-starts every later point
+    from the root before it and certifies the chain in one stacked check,
+    so a line of certified points costs two eigen-decompositions, not one
+    per point.
     The first point the chain does not certify is solved cold, as is the
     point after a refused one, and a chain starts again from each certified
     cold root. Every record is bitwise the one that solving the line one

@@ -684,6 +684,9 @@ def test_cli_sweep_jsonl_format(tmp_path, capsys):
     # The last --out wins: taken.csv is free, but its plot template's path,
     # taken.gp, is a directory.
     ["sweep", "--format", "csv", "--out", "taken.csv"],
+    # plain is a regular file, so nothing can be written under it.
+    ["sweep", "--format", "csv", "--out", "plain/s.csv"],
+    ["simulate", "--trajectory", "--out", "plain/sub/t.csv"],
 ])
 def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
                                                command):
@@ -696,6 +699,7 @@ def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
     path = config_file(tmp_path, SWEEP_TEXT)
     Path("taken").mkdir()
     Path("taken.gp").mkdir()
+    Path("plain").write_text("")
     argv = command[:1] + ["--config", path, "--out", "taken"] + command[1:]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -703,10 +707,14 @@ def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert err.startswith("output error: ")
-    taken = "taken.gp" if "taken.csv" in command else "taken"
+    taken = ("taken.gp" if "taken.csv" in command
+             else "plain" if command[-1].startswith("plain/") else "taken")
     assert err.startswith(f"output error: {taken}: ")
+    if taken == "plain":
+        assert err == "output error: plain: is not a directory\n"
     assert captured.out == ""
-    assert sorted(os.listdir()) == ["run.cfg", "taken", "taken.gp"]
+    assert sorted(os.listdir()) == ["plain", "run.cfg", "taken", "taken.gp"]
+    assert Path("plain").read_text() == ""
 
 
 def test_cli_sweep_requires_grid(tmp_path, capsys):

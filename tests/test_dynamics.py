@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from qdcavity import CorrelationToggles, DynamicState, ModelParams
 from qdcavity.dynamics import (
@@ -10,6 +10,7 @@ from qdcavity.dynamics import (
     STATE_DIM,
     TOGGLE_VARIANTS,
     make_rhs,
+    stacked_rhs,
     two_photon_expectation,
 )
 
@@ -233,6 +234,34 @@ def test_rhs_and_jacobian_bytes_match_item_store_reference(state, params):
         ref_f, ref_jac = store_rhs_and_jacobian(params, toggles)
         assert f(0.0, y).tobytes() == ref_f(0.0, y).tobytes()
         assert jac(0.0, y).tobytes() == ref_jac(0.0, y).tobytes()
+
+
+@given(
+    points=st.one_of(
+        st.lists(st.tuples(params_strategy,
+                           st.sampled_from((FULL, NO_INVERSION))),
+                 min_size=1, max_size=5),
+        st.lists(st.tuples(params_strategy, st.just(FACTORIZED)),
+                 min_size=1, max_size=5),
+    ),
+    samples=st.integers(min_value=1, max_value=9),
+    data=st.data(),
+)
+def test_stacked_rhs_bytes_match_each_closure(points, samples, data):
+    # A stack of doublet points, full and no_inversion mixed or alone, or of
+    # factorized ones: each column of the stacked evaluation is its own
+    # point's closure at that state, byte for byte.
+    size = len(points) * samples
+    states = data.draw(st.lists(states_strategy, min_size=size,
+                                max_size=size))
+    ys = np.array([state.to_array() for state in states]).reshape(
+        len(points), samples, STATE_DIM).transpose(0, 2, 1)
+    f = stacked_rhs(points, ys)
+    assert f.shape == ys.shape
+    for point, window, columns in zip(points, ys, f):
+        rhs, _ = make_rhs(*point)
+        for y, column in zip(window.T, columns.T):
+            assert column.tobytes() == rhs(0.0, y).tobytes()
 
 
 def test_jacobian_calls_return_fresh_arrays():

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,11 +28,13 @@ from qdcavity import (
     steady_state,
 )
 from qdcavity import model, solver, sweep
+from qdcavity.cli import main
 from qdcavity.config import parse_config
 from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS
 from qdcavity.solver import continue_line
 from qdcavity.sweep import CSV_COLUMNS
 
+from figure_map import FIGURES, NAMES, RTOL, map_difference
 from helpers import (
     gate_scaled_difference,
     point_by_point_sweep,
@@ -326,6 +329,44 @@ def test_a_certified_line_takes_two_eigen_decompositions(monkeypatch):
     assert shapes == [(1, 10, 10), (15, 10, 10)]
 
 
+def test_a_chain_stack_judges_its_windows_in_one_stacked_call(monkeypatch):
+    # The same line: inside _certify the cold root's closure is called ten
+    # times, rhs(root) and nine window samples, and each chained root's only
+    # once, for rhs(root); the chain's 135 window samples are one
+    # stacked_rhs call.
+    calls, stacks, stacked = [0], [], []
+    make_rhs, certify = solver.make_rhs, solver._certify
+    stacked_rhs = solver.stacked_rhs
+
+    def counting(params, toggles):
+        rhs, jac = make_rhs(params, toggles)
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        return counted, jac
+
+    def recording(flows, y0, roots, n, cfg, points=None):
+        before = calls[0]
+        certified, eigen = certify(flows, y0, roots, n, cfg, points)
+        stacks.append((len(roots), int(certified.sum()), calls[0] - before))
+        return certified, eigen
+
+    def counting_stack(points, ys):
+        stacked.append(ys.shape)
+        return stacked_rhs(points, ys)
+
+    monkeypatch.setattr(solver, "make_rhs", counting)
+    monkeypatch.setattr(solver, "_certify", recording)
+    monkeypatch.setattr(solver, "stacked_rhs", counting_stack)
+    grid = SweepGrid.from_lifetimes(np.geomspace(0.2, 10.0, 8).tolist(),
+                                    (0.2,), (1e5,), (FULL, NO_INVERSION))
+    run_sweep(grid, default_params(g=0.1, gamma_c=0.5, pump=1e5), CFG)
+    assert stacks == [(1, 1, 10), (15, 15, 15)]
+    assert stacked == [(15, STATE_DIM, 9)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gamma_cav_listing_does_not_change_the_records(workers):
     # Lines are solved in ascending gamma_cav, not in listed order, so a
@@ -345,7 +386,42 @@ def test_gamma_cav_listing_does_not_change_the_records(workers):
     assert forward == backward
 
 
+def test_a_variant_listed_twice_is_solved_once():
+    # Listed twice on one lifetime of fig3's line, `full` was solved twice,
+    # the second time warm-started from its own root, and its two rows
+    # differed in two_photon and g2_zero. Solved once, both rows are the
+    # `full` row of the grid that lists it once, as a repeated lifetime's
+    # rows are.
+    base = default_params(g=0.1, gamma_c=0.5, pump=1e5)
+
+    def rows(variants):
+        grid = SweepGrid.from_lifetimes((3.0,), (0.2,), (1e5,), variants)
+        return SweepTable(run_sweep(grid, base, CFG)).csv_rows()
+
+    first, no_inversion, again = rows((FULL, NO_INVERSION, FULL))
+    assert again == first
+    assert rows((FULL, NO_INVERSION)) == [first, no_inversion]
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+def test_the_shipped_figures_match_the_committed_map(tmp_path):
+    # The map itself: fig2-fig5 swept as scripts/run_figures.py sweeps them
+    # match the CSVs kept in tests/data/figures, every token exactly and
+    # every number within the gate. Other bytes, which another BLAS build
+    # may give, are reported in a warning, not refused.
+    for name in NAMES:
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(CONFIGS / f"{name}.cfg"),
+                     "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        reference = (FIGURES / f"{name}.csv").read_text(encoding="utf-8")
+        worst = map_difference(text, reference)
+        assert worst <= RTOL, f"{name}: largest scaled difference {worst:.3g}"
+        if text != reference:
+            warnings.warn(f"{name}: other bytes than the committed map, "
+                          f"largest scaled difference {worst:.3g}")
+
 
 # CI's sweep across the lasing threshold.
 THRESHOLD_TEXT = textwrap.dedent("""\
@@ -373,14 +449,15 @@ def three_variant_run(name):
 
 @pytest.mark.parametrize("name", ["fig3", "threshold"])
 def test_stacked_verdicts_equal_the_per_sample_loop(name, monkeypatch):
-    # Every stack the sweep certifies, a cold solve's stack of one or a
-    # line's chain, gets the verdicts that judging each root alone, one
-    # window sample at a time, gives.
+    # Every stack the sweep certifies, a cold solve's stack of one judged
+    # through its closure or a line's chain judged in one stacked_rhs call,
+    # gets the verdicts that judging each root alone, one window sample at
+    # a time, gives.
     stacks = []
     certify = solver._certify
 
-    def recording(flows, y0, roots, n, cfg):
-        certified, eigen = certify(flows, y0, roots, n, cfg)
+    def recording(flows, y0, roots, n, cfg, points=None):
+        certified, eigen = certify(flows, y0, roots, n, cfg, points)
         stacks.append((flows, y0, roots.copy(), n, cfg, certified.tolist()))
         return certified, eigen
 
