@@ -80,12 +80,17 @@ def _write_text(path: Path, text: str) -> None:
 def _refuse_output(out_path: Path, plot: bool = False) -> bool:
     """Print one output error and return True when out_path, or with plot
     its .gp plot template, cannot be written as a file: it is a directory,
-    or its nearest existing ancestor is not one. Checked before any solve,
+    its nearest existing ancestor is not one, or the checks themselves fail,
+    as on a name too long for the file system. Checked before any solve,
     so that no solve is thrown away for it."""
     paths = (out_path, out_path.with_suffix(".gp")) if plot else (out_path,)
-    taken = [path for path in paths if path.is_dir()]
-    # The nearest ancestor that exists: the parents end at "." or the root.
-    ancestor = next(path for path in out_path.parents if path.exists())
+    try:
+        taken = [path for path in paths if path.is_dir()]
+        # The nearest existing ancestor: the parents end at "." or the root.
+        ancestor = next(path for path in out_path.parents if path.exists())
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return True
     if plot and out_path.suffix == ".gp":
         # Its plot template, out_path.with_suffix(".gp"), would overwrite it.
         problem = (f"{out_path}: a csv sweep needs a suffix other than .gp, "

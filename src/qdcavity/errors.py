@@ -36,8 +36,9 @@ class NotConverged(SolverError):
 
     Attributes:
         max_time: the time budget that was exhausted, in ps.
-        last_state: the state that the flow linearised at the last root
-            found reaches at max_time, or vacuum if none was.
+        last_state: a finite state: the one that the flow linearised at
+            the last root found reaches at max_time if that flow decays,
+            the root itself if it does not, and vacuum if no root was found.
         residual: the scaled residual at that state.
     """
 

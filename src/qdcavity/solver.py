@@ -15,12 +15,15 @@ takes linearly implicit Euler steps on the analytic Jacobian,
 (I/h - J) dy = f(y), doubling the pseudo-time step h after every accepted
 iterate, so the iteration starts as a damped march and ends as Newton's
 method; each root it reaches takes one more, full Newton step. Every path
-is a chain, then a certification. A chain continues each point from the
-root of the one before (natural-parameter continuation, Allgower & Georg,
-ch. 1-2) and stops at the first that reaches no root. ``steady_state``
-chains the target pump alone from vacuum and, failing that, a pump ladder
-from far below the lasing threshold; ``continue_line`` chains a grid line
-from a nearby certified root and returns its longest certified prefix.
+is a chain of (params, toggles) points, then a certification of its links.
+A chain builds each point's equations when it reaches the point,
+continues it from the root of the one before (natural-parameter
+continuation, Allgower & Georg, ch. 1-2), yields one (rhs, jac, n, root)
+link per root and stops at the first point that reaches no root.
+``steady_state`` chains the target pump alone from vacuum and, failing
+that, a pump ladder from far below the lasing threshold; ``continue_line``
+chains a grid line from a nearby certified root and returns its longest
+certified prefix.
 
 A root is certified when its residual is below threshold, every Jacobian
 eigenvalue lies in the left half-plane (Newton can land on unstable roots,
@@ -28,7 +31,7 @@ a time-march cannot), the linearised flow from vacuum settles within the
 time budget, and the residual stays below threshold over a window of the
 flow linearised at the root. Both flow checks are closed forms on the
 eigen-decomposition of J, so no steady-state solve marches. Certification
-takes a stack of roots that move the same components: one
+takes a stack of links whose roots move the same components: one
 eigen-decomposition of their stacked Jacobians, then one pass per spectrum
 kind, real in real arithmetic and complex in complex, with stacked solves
 for the mode amplitudes and one closed-form window. The rhs values at a
@@ -50,7 +53,6 @@ bitwise-identical results on the same platform.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -99,6 +101,10 @@ PUMP_RUNGS = 30
 # Pseudo-time step from a nearby root, in ps: its first iterate is Newton's.
 RUNG_STEP = 1e6
 
+# Every cold start and every certification starts from vacuum.
+_VACUUM = DynamicState.vacuum().to_array()
+_VACUUM.flags.writeable = False
+
 # Bound on the steps of one march, accepted or rejected: about thirty times
 # the longest march of the tests, the shipped figures and the benchmark pool
 # (about 1060 steps). Past the lasing threshold a recorded march builds the
@@ -130,7 +136,7 @@ class IntegrationConfig:
     max_time: the time budget of ``steady_state``, in ps: a root is
         accepted only if the flow linearised at it, started from vacuum,
         settles below steady_state_residual by max_time, and a refused solve
-        reports the state that flow reaches at max_time.
+        reports the state that flow reaches at max_time if it decays.
     initial_step: first march step, and the first pseudo-time step of the
         steady-state continuation, in ps.
     steady_state_residual: threshold on the scaled residual
@@ -412,40 +418,26 @@ def _continue_to_root(rhs, jac, y0, n, cfg, h):
     return None
 
 
-def _chain(flows, guess, h, cfg):
-    """Yield the root of each (rhs, jac, n) of flows in turn.
+def _chain(points, guess, h, cfg):
+    """Yield one (rhs, jac, n, root) link per root along points, in turn.
 
-    Each start takes the previous root's first n components, guess's for
-    the first, and vacuum's for the rest. The first pseudo-time step is h,
+    points are (params, toggles) pairs. A point's closures and its variant's
+    number n of moving components are built when the chain reaches it, and
+    its start takes the previous root's first n components, guess's for the
+    first point, and vacuum's for the rest. The first pseudo-time step is h,
     RUNG_STEP after that. The chain stops at the first continuation that
-    reaches no root, and reads flows no further.
+    reaches no root, and builds nothing for the points after it.
     """
-    vacuum = DynamicState.vacuum().to_array()
-    for rhs, jac, n in flows:
-        start = vacuum.copy()
+    for params, toggles in points:
+        rhs, jac = make_rhs(params, toggles)
+        n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+        start = _VACUUM.copy()
         start[:n] = guess[:n]
         guess = _continue_to_root(rhs, jac, start, n, cfg, h)
         if guess is None:
             return
-        yield guess
+        yield rhs, jac, n, guess
         h = RUNG_STEP
-
-
-def _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
-    """Yield the root that each of two chains from y0 and cfg.initial_step
-    reaches at the target pump: the target pump alone, then PUMP_RUNGS
-    geometric rungs from PUMP_START, each rung's closures built once
-    reached, the last rung's being rhs and jac, which certify its root.
-    """
-    yield from _chain(((rhs, jac, n),), y0, cfg.initial_step, cfg)
-    if params.pump > PUMP_START:
-        flows = ((rhs, jac, n) if pump == params.pump else
-                 (*make_rhs(replace(params, pump=pump), toggles), n)
-                 for pump in np.geomspace(PUMP_START, params.pump,
-                                          PUMP_RUNGS).tolist())
-        roots = list(_chain(flows, y0, cfg.initial_step, cfg))
-        if len(roots) == PUMP_RUNGS:
-            yield roots[-1]
 
 
 @functools.lru_cache
@@ -456,11 +448,11 @@ def _window_times(length):
     return times
 
 
-def _certify(flows, y0, roots, n, cfg, points=None):
+def _certify(links, y0, cfg, points=None):
     """Certify a stack of m roots that move the same first n components.
 
-    roots is an (m, STATE_DIM) array, flows[i] the (rhs, jac) pair of
-    roots[i], and y0 the start every root is certified from. A root is
+    links are _chain's (rhs, jac, n, root) links, one per root, all of one
+    n, and y0 the start every root is certified from. A root is
     certified when it is linearly stable, the flow linearised at it carries
     y0 below the residual threshold by cfg.max_time, and the residual stays
     below threshold over a steady window of that flow, sampled at nine
@@ -487,8 +479,10 @@ def _certify(flows, y0, roots, n, cfg, points=None):
     shape (m,), and the stacked decomposition with amplitudes
     V^-1 (y0 - root) over the first n components, NaN where V is singular.
     """
+    n = links[0][2]
+    roots = np.array([root for *_, root in links])
     values, vectors = np.linalg.eig(np.array(
-        [jac(0.0, root)[:n, :n] for (_, jac), root in zip(flows, roots)]))
+        [jac(0.0, root)[:n, :n] for _, jac, _, root in links]))
     real = (values.imag == 0.0).all(axis=1)
     certified = np.zeros(len(roots), dtype=bool)
     amplitudes = np.empty((len(roots), n), dtype=values.dtype)
@@ -531,7 +525,7 @@ def _certify(flows, y0, roots, n, cfg, points=None):
         keep = held if held.size < at.size else slice(None)
         rates, modes, held = rates[keep, :, None], modes[keep], at[held]
         window_amplitudes = np.linalg.solve(modes, np.array(
-            [flows[i][0](0.0, roots[i])[:n, None] for i in held]))
+            [links[i][0](0.0, roots[i])[:n, None] for i in held]))
         growth = np.expm1(rates * times) / rates
         ys = np.repeat(stack[keep, :, None], times.size, axis=2)
         ys[:, :n] += (modes @ (growth * window_amplitudes)).real
@@ -547,7 +541,7 @@ def _certify(flows, y0, roots, n, cfg, points=None):
     if points is not None and len(roots) > 1:
         f = stacked_rhs([points[i] for i in held], ys).transpose(0, 2, 1)
     else:
-        f = np.array([[flows[i][0](t, y) for t, y in zip(times, window)]
+        f = np.array([[links[i][0](t, y) for t, y in zip(times, window)]
                       for i, window in zip(held, samples)])
     holds = (_scaled_residuals(f, samples)
              < cfg.steady_state_residual).all(axis=1)
@@ -565,21 +559,33 @@ def _certified_root(params, toggles, cfg):
     Jacobian from its stack-of-one _certify. Raises NotConverged as
     steady_state documents.
     """
-    rhs, jac = make_rhs(params, toggles)
-    y0 = DynamicState.vacuum().to_array()
-    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
-
-    root = eigen = None
-    for root in _ladder_roots(params, toggles, rhs, jac, y0, n, cfg):
-        [certified], eigen = _certify(((rhs, jac),), y0, root[None], n, cfg)
+    # The target pump alone, then a ladder of pumps up to it. A chain's
+    # last root is the target's only if the chain reaches its last pump.
+    ladders = [[params.pump]]
+    if params.pump > PUMP_START:
+        ladders.append(
+            np.geomspace(PUMP_START, params.pump, PUMP_RUNGS).tolist())
+    link = None
+    for pumps in ladders:
+        points = ((replace(params, pump=pump), toggles) for pump in pumps)
+        links = list(_chain(points, _VACUUM, cfg.initial_step, cfg))
+        if len(links) < len(pumps):
+            continue
+        rhs, _, n, root = link = links[-1]
+        [certified], eigen = _certify([link], _VACUUM, cfg)
         if certified:
             return root, n, tuple(a[0] for a in eigen)
-    # The state that the flow linearised at the last root reaches.
-    y = y0
-    if eigen is not None and not np.isnan(eigen[2]).any():
+    # Refused: vacuum if no chain reached the target, else the last root,
+    # carried along its linearised flow to max_time if that flow decays (an
+    # unstable root's would overflow).
+    if link is None:
+        rhs, y = make_rhs(params, toggles)[0], _VACUUM
+    else:
         rates, modes, amplitudes = (a[0] for a in eigen)
         y = root.copy()
-        y[:n] += (modes @ (np.exp(rates * cfg.max_time) * amplitudes)).real
+        if (rates.real < 0.0).all() and np.isfinite(amplitudes).all():
+            y[:n] += (modes @ (np.exp(rates * cfg.max_time)
+                               * amplitudes)).real
     raise NotConverged(cfg.max_time, DynamicState.from_array(y),
                        scaled_residual(rhs(0.0, y), y))
 
@@ -604,11 +610,12 @@ def steady_state(
     below that threshold within cfg.max_time, and the residual staying
     below it over a further steady_window of that flow, solved in closed
     form. PhysicalRangeWarning is emitted if the root or that window leaves
-    the physical range. Raises NotConverged otherwise, carrying the state
-    that the flow linearised at the last root found reaches at max_time
-    (vacuum if none) and its residual. A start from a nearby point's root
-    is continue_line's; the march that settles on the root is
-    settling_trajectory's.
+    the physical range. Raises NotConverged otherwise, carrying a finite
+    state and its residual: the state that the flow linearised at the last
+    root found reaches at max_time when every eigenvalue there has negative
+    real part, that root itself when one does not, and vacuum when no root
+    was found. A start from a nearby point's root is continue_line's; the
+    march that settles on the root is settling_trajectory's.
     """
     return DynamicState.from_array(_certified_root(params, toggles, cfg)[0])
 
@@ -659,28 +666,19 @@ def continue_line(points, cfg: IntegrationConfig, guess: np.ndarray):
     a warm start with a first pseudo-time step of RUNG_STEP: each point
     continues from the candidate before over its variant's n moving
     components, and, like every root, its candidate gets one Newton step,
-    even when its start already meets the threshold.
-    The candidates are certified from vacuum, as steady_state certifies a
-    root, in one _certify stack for each moving dimension n among them.
+    even when its start already meets the threshold. The chain's links are
+    certified from vacuum, as steady_state certifies a root, in one
+    _certify stack for each moving dimension n among them.
 
     Returns the candidates before the first one that is not certified, as
     root arrays; [] when the first is not. The point after them is left to
     the caller, which solves it cold with steady_state.
     """
-    y0 = DynamicState.vacuum().to_array()
-    # A point's closures are built once the chain reaches it; tee keeps them.
-    flows, chained = itertools.tee(
-        (*make_rhs(params, toggles),
-         STATE_DIM if toggles.include_doublets else SINGLET_DIM)
-        for params, toggles in points)
-    links = list(zip(flows, _chain(chained, guess, RUNG_STEP, cfg)))
-    dims = [n for (_, _, n), _ in links]
+    links = list(_chain(points, guess, RUNG_STEP, cfg))
     certified = np.zeros(len(links) + 1, dtype=bool)
-    for n in set(dims):
-        at = [i for i, dim in enumerate(dims) if dim == n]
-        certified[at] = _certify(
-            [links[i][0][:2] for i in at], y0,
-            np.array([links[i][1] for i in at]), n, cfg,
-            [points[i] for i in at])[0]
+    for n in {n for _, _, n, _ in links}:
+        at = [i for i, link in enumerate(links) if link[2] == n]
+        certified[at] = _certify([links[i] for i in at], _VACUUM, cfg,
+                                 [points[i] for i in at])[0]
     # The extra last False makes argmin the length of the certified prefix.
-    return [root for _, root in links[:certified.argmin()]]
+    return [root for *_, root in links[:certified.argmin()]]

@@ -5,9 +5,18 @@
 compares DIR/fig2.csv .. DIR/fig5.csv, as scripts/run_figures.py writes
 them, with the committed files of the same name: every true, false and
 undefined token exactly, and every number within the correctness gate's
-1e-6, each observable on its own scale. Identical bytes are reported, not
-required: bits may differ across BLAS builds. Prints one line per file and
-exits 1 if any differs beyond the gate.
+1e-6, each observable on its own scale.
+
+    python tests/figure_map.py --trajectories DIR [DIR ...]
+
+compares the last row of DIR/fig2.csv .. DIR/fig5.csv, as
+``qdcavity simulate --trajectory`` writes them for configs/fig2.cfg ..
+fig5.cfg, with the row of that config in trajectory_ends.csv: the settling
+time t_ps and the certified state, each number within 1e-6 of itself.
+
+Identical bytes are reported, not required: bits may differ across BLAS
+builds. Prints one line per file and exits 1 if any differs beyond the
+gate.
 """
 
 import csv
@@ -18,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from qdcavity import Observables
+from qdcavity.dynamics import ARRAY_FIELDS
 from qdcavity.sweep import CSV_COLUMNS
 
 from helpers import gate_scaled_difference
@@ -57,20 +67,54 @@ def map_difference(text: str, reference: str) -> float:
     return float(np.max(differences))
 
 
-def main(dirs) -> int:
+def trajectory_ends() -> dict:
+    """The committed last trajectory row of each shipped config, by name,
+    as the line simulate --trajectory writes."""
+    text = (FIGURES / "trajectory_ends.csv").read_text(encoding="utf-8")
+    return dict(line.split(",", 1) for line in text.splitlines()[1:])
+
+
+def end_difference(text: str, reference: str) -> float:
+    """Largest difference of a trajectory CSV's last row from the reference
+    row, each number relative to itself, so a committed 0 must stay 0.
+    Raises ValueError unless the CSV has the trajectory header and its last
+    row as many fields."""
+    lines = text.splitlines()
+    header = ",".join(["t_ps", *ARRAY_FIELDS])
+    if len(lines) < 2 or lines[0] != header:
+        raise ValueError(f"{lines[:2]} against the header {header}")
+    row, ref = lines[-1].split(","), reference.split(",")
+    if len(row) != len(ref):
+        raise ValueError(f"{row} against {ref}")
+    a, b = np.array(row, dtype=float), np.array(ref, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        differences = np.where(a == b, 0.0, np.abs(a - b) / np.abs(b))
+    # NaN, where a difference cannot be taken, is the largest.
+    return float(np.max(differences))
+
+
+def main(argv) -> int:
+    trajectories = argv[:1] == ["--trajectories"]
+    ends = trajectory_ends()
     failed = 0
-    for directory in map(Path, dirs):
+    for directory in map(Path, argv[trajectories:]):
         for name in NAMES:
             path = directory / f"{name}.csv"
             text = path.read_text(encoding="utf-8")
-            reference = (FIGURES / f"{name}.csv").read_text(encoding="utf-8")
             try:
-                worst = map_difference(text, reference)
+                if trajectories:
+                    worst = end_difference(text, ends[name])
+                    identical = text.splitlines()[-1] == ends[name]
+                else:
+                    reference = (FIGURES / f"{name}.csv").read_text(
+                        encoding="utf-8")
+                    worst = map_difference(text, reference)
+                    identical = text == reference
             except ValueError as err:
                 print(f"{path}: differs from the committed map: {err}")
                 failed += 1
                 continue
-            same = "identical bytes" if text == reference else "other bytes"
+            same = "identical bytes" if identical else "other bytes"
             beyond = "" if worst <= RTOL else f", beyond the gate's {RTOL:g}"
             print(f"{path}: {same}, largest scaled difference {worst:.3g}"
                   + beyond)

@@ -293,16 +293,17 @@ def reference_march(initial, params, toggles, cfg, t_end, gamma, stages):
     raise AssertionError(f"reference march unfinished at t = {t:g} ps")
 
 
-def reference_verdicts(flows, y0, roots, n, cfg):
-    """qdcavity.solver._certify's verdicts, one root at a time as a stack of
-    one: the flow residual and every window sample judged by its own
-    scaled_residual call, a window stopping at its first failed sample.
-    Returns a list of booleans that _certify's must equal.
+def reference_verdicts(links, y0, cfg):
+    """qdcavity.solver._certify's verdicts on its (rhs, jac, n, root)
+    links, one root at a time as a stack of one: the flow residual and
+    every window sample judged by its own scaled_residual call, a window
+    stopping at its first failed sample. Returns a list of booleans that
+    _certify's must equal.
     """
     threshold = cfg.steady_state_residual
     times = np.linspace(0.0, cfg.steady_window, 9)
     verdicts = []
-    for (rhs, jac), root in zip(flows, roots):
+    for rhs, jac, n, root in links:
         rates, modes = np.linalg.eig(jac(0.0, root)[None, :n, :n])
         try:
             amplitudes = np.linalg.solve(modes, (y0 - root)[None, :n, None])

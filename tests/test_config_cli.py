@@ -1,6 +1,7 @@
 """Configuration parsing with line-numbered errors, and the CLI surface."""
 
 import dataclasses
+import errno
 import functools
 import json
 import os
@@ -562,6 +563,27 @@ def test_cli_simulate_not_converged(tmp_path, capsys, extra):
     assert "not converged" in captured.err
 
 
+@pytest.mark.parametrize("variant", ["full", "no_inversion"])
+def test_cli_refused_point_at_an_unstable_root_prints_finite_numbers(
+        tmp_path, capsys, variant):
+    # At a 1000 ps cavity lifetime the last root found is unstable; the
+    # report carries that root, not its overflowing linearised flow, so no
+    # nan or inf is printed.
+    text = textwrap.dedent(f"""\
+        [model]
+        g_multiple_of_omega_r0 = 0.20
+        gamma_c_per_ps = 0.0005
+        pump_per_ps = 1e5
+        [toggles]
+        variant = {variant}
+    """)
+    assert main(["simulate", "--config", config_file(tmp_path, text)]) == 2
+    out = capsys.readouterr().out
+    assert "converged=              false\n" in out
+    assert "last_residual=" in out
+    assert not re.search("nan|inf", out)
+
+
 def test_cli_simulate_trajectory_output(tmp_path, capsys):
     path = config_file(tmp_path, MINIMAL)
     out_file = tmp_path / "traj.csv"
@@ -677,6 +699,11 @@ def test_cli_sweep_jsonl_format(tmp_path, capsys):
         assert row["g_over_omega_r0"] == 0.2
 
 
+LONG_NAME = "a" * 300 + ".csv"
+# How OSError names the failure of a path check on LONG_NAME.
+TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--trajectory"],
     ["sweep", "--format", "csv"],
@@ -687,6 +714,9 @@ def test_cli_sweep_jsonl_format(tmp_path, capsys):
     # plain is a regular file, so nothing can be written under it.
     ["sweep", "--format", "csv", "--out", "plain/s.csv"],
     ["simulate", "--trajectory", "--out", "plain/sub/t.csv"],
+    # A name longer than the file system takes fails the checks themselves.
+    ["sweep", "--format", "csv", "--out", LONG_NAME],
+    ["simulate", "--trajectory", "--out", LONG_NAME],
 ])
 def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
                                                command):
@@ -708,7 +738,8 @@ def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1
     assert err.startswith("output error: ")
     taken = ("taken.gp" if "taken.csv" in command
-             else "plain" if command[-1].startswith("plain/") else "taken")
+             else "plain" if command[-1].startswith("plain/")
+             else TOO_LONG if command[-1] == LONG_NAME else "taken")
     assert err.startswith(f"output error: {taken}: ")
     if taken == "plain":
         assert err == "output error: plain: is not a directory\n"

@@ -69,7 +69,7 @@ def saturated_params(lifetime_ps, pump=1e5):
 
 def certified_alone(rhs, jac, y0, root, n):
     """The verdict on root certified from y0 as a stack of one."""
-    [certified], _ = _certify(((rhs, jac),), y0, root[None], n, CFG)
+    [certified], _ = _certify([(rhs, jac, n, root)], y0, CFG)
     return certified
 
 
@@ -374,7 +374,7 @@ def test_window_catches_transient_growth():
     growing = np.linalg.solve(J, [0.0, 5e-12, 0.0])
     assert scaled_residual(f(0.0, growing), growing) < CFG.steady_state_residual
     assert not certified_alone(f, jac, growing, growing, 3)
-    assert reference_verdicts(((f, jac),), growing, [growing], 3,
+    assert reference_verdicts([(f, jac, 3, growing)], growing,
                               CFG) == [False]
     root = _continue_to_root(f, jac, growing, 3, CFG, CFG.initial_step)
     assert root.tolist() == [0.0, 0.0, 0.0]
@@ -399,9 +399,9 @@ def test_window_failing_at_its_last_sample_is_refused():
     late[:2] = np.linalg.solve(J, [0.0, CFG.steady_state_residual / 5.75])
     short = replace(CFG, steady_window=8.75)
     for cfg, verdict in ((CFG, False), (short, True)):
-        [certified], _ = _certify(((rhs, jac),), late, late[None], 2, cfg)
+        [certified], _ = _certify([(rhs, jac, 2, late)], late, cfg)
         assert certified == verdict
-        assert reference_verdicts(((rhs, jac),), late, [late], 2,
+        assert reference_verdicts([(rhs, jac, 2, late)], late,
                                   cfg) == [verdict]
 
 
@@ -429,8 +429,9 @@ def test_stacked_certification_gives_each_root_its_own_verdict():
     roots = np.array([certified_root, growing, landed, np.zeros(STATE_DIM)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        certified, (_, _, amplitudes) = _certify(flows, vacuum, roots,
-                                                 SINGLET_DIM, CFG)
+        certified, (_, _, amplitudes) = _certify(
+            [(*flow, SINGLET_DIM, root) for flow, root in zip(flows, roots)],
+            vacuum, CFG)
     assert certified.tolist() == [True, False, False, False]
     assert np.isfinite(amplitudes).all(axis=1).tolist() == [
         True, True, True, False]
@@ -459,14 +460,15 @@ def test_mixed_spectra_stack_gives_each_root_its_stack_of_one_numbers():
     ]
     for flows, roots, n in stacks:
         certified, (rates, _, amplitudes) = _certify(
-            flows, vacuum, np.array(roots), n, CFG)
+            [(*flow, n, root) for flow, root in zip(flows, roots)], vacuum,
+            CFG)
         real = [not np.iscomplexobj(np.linalg.eigvals(jac(0.0, root)[:n, :n]))
                 for (_, jac), root in zip(flows, roots)]
         assert np.iscomplexobj(rates) and any(real)
         assert certified.all()
         for i, ((rhs, jac), root) in enumerate(zip(flows, roots)):
-            [alone], (_, _, [own]) = _certify(((rhs, jac),), vacuum,
-                                              root[None], n, CFG)
+            [alone], (_, _, [own]) = _certify([(rhs, jac, n, root)],
+                                              vacuum, CFG)
             assert certified[i] == alone
             assert np.isrealobj(own) == real[i]
             assert amplitudes[i].real.tobytes() == own.real.tobytes()
@@ -488,6 +490,44 @@ def test_line_continuation_returns_the_guessed_roots():
         [alone] = solver.continue_line([point], CFG, guess)
         assert root.tobytes() == alone.tobytes()
         guess = root
+
+
+def test_a_chain_builds_a_points_closures_only_when_it_reaches_it(
+        monkeypatch):
+    # solver.make_rhs is called once per point a chain reaches: a line's
+    # chain that stops at its third point builds nothing after it, a cold
+    # solve certified at the target pump alone builds none of the ladder's
+    # rungs, and a refused cold solve builds every rung once.
+    built = []
+    make_rhs, continue_to_root = solver.make_rhs, solver._continue_to_root
+
+    def counting(params, toggles):
+        built.append(params.pump)
+        return make_rhs(params, toggles)
+
+    def third_fails(*args):
+        return None if len(built) == 3 else continue_to_root(*args)
+
+    monkeypatch.setattr(solver, "make_rhs", counting)
+    points = [(saturated_params(tau, pump=pump), FULL)
+              for tau, pump in ((2.0, 1.0), (2.5, 2.0), (3.0, 3.0),
+                                (3.5, 4.0), (4.0, 5.0))]
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_continue_to_root", third_fails)
+        roots = solver.continue_line(points, CFG,
+                                      DynamicState.vacuum().to_array())
+    assert len(roots) == 2
+    assert built == [1.0, 2.0, 3.0]
+
+    built.clear()
+    steady_state(saturated_params(3.0), FULL, CFG)
+    assert built == [1e5]
+
+    built.clear()
+    with pytest.raises(NotConverged):
+        steady_state(saturated_params(16.0), FULL, CFG)
+    assert built == [1e5] + np.geomspace(solver.PUMP_START, 1e5,
+                                         solver.PUMP_RUNGS).tolist()
 
 
 def test_lasing_roots_past_threshold():
@@ -654,6 +694,29 @@ def test_steady_state_not_converged_carries_last_state():
     assert info.value.residual == err.residual
     assert (info.value.last_state.to_array().tobytes()
             == err.last_state.to_array().tobytes())
+
+
+@pytest.mark.parametrize("variant", ["full", "no_inversion"])
+def test_refused_solve_at_an_unstable_root_carries_that_root(variant):
+    # At a 1000 ps cavity lifetime the last root found has a rate of
+    # +0.065/ps (full) or +0.044/ps (no_inversion): its linearised flow
+    # overflows long before max_time. The refused solve reports that root
+    # itself, finite, with its own residual and without a warning.
+    toggles = TOGGLE_VARIANTS[variant]
+    params = saturated_params(1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged) as info:
+            steady_state(params, toggles, CFG)
+    state = info.value.last_state.to_array()
+    direct, climbed = reference_ladder_root(params, toggles, CFG)
+    last = direct if climbed is None else climbed
+    assert state.tobytes() == last.tobytes()
+    rhs, jac = make_rhs(params, toggles)
+    assert info.value.residual == scaled_residual(rhs(0.0, state), state)
+    assert math.isfinite(info.value.residual)
+    n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
+    assert max(np.linalg.eigvals(jac(0.0, state)[:n, :n]).real) > 0.04
 
 
 def test_physical_range_warning_on_unphysical_start():

@@ -34,7 +34,14 @@ from qdcavity.dynamics import SINGLET_DIM, STATE_DIM, TOGGLE_VARIANTS
 from qdcavity.solver import continue_line
 from qdcavity.sweep import CSV_COLUMNS
 
-from figure_map import FIGURES, NAMES, RTOL, map_difference
+from figure_map import (
+    FIGURES,
+    NAMES,
+    RTOL,
+    end_difference,
+    map_difference,
+    trajectory_ends,
+)
 from helpers import (
     gate_scaled_difference,
     point_by_point_sweep,
@@ -347,10 +354,10 @@ def test_a_chain_stack_judges_its_windows_in_one_stacked_call(monkeypatch):
 
         return counted, jac
 
-    def recording(flows, y0, roots, n, cfg, points=None):
+    def recording(links, y0, cfg, points=None):
         before = calls[0]
-        certified, eigen = certify(flows, y0, roots, n, cfg, points)
-        stacks.append((len(roots), int(certified.sum()), calls[0] - before))
+        certified, eigen = certify(links, y0, cfg, points)
+        stacks.append((len(links), int(certified.sum()), calls[0] - before))
         return certified, eigen
 
     def counting_stack(points, ys):
@@ -408,19 +415,29 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_the_shipped_figures_match_the_committed_map(tmp_path):
     # The map itself: fig2-fig5 swept as scripts/run_figures.py sweeps them
     # match the CSVs kept in tests/data/figures, every token exactly and
-    # every number within the gate. Other bytes, which another BLAS build
-    # may give, are reported in a warning, not refused.
+    # every number within the gate, and each config's recorded trajectory
+    # ends at the committed settling time and state, each number within
+    # the gate. Other bytes, which another BLAS build may give, are
+    # reported in a warning, not refused.
+    ends = trajectory_ends()
     for name in NAMES:
-        out = tmp_path / f"{name}.csv"
-        assert main(["sweep", "--config", str(CONFIGS / f"{name}.cfg"),
-                     "--out", str(out)]) == 0
+        config = str(CONFIGS / f"{name}.cfg")
+        out, path = tmp_path / f"{name}.csv", tmp_path / f"{name}_t.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert main(["simulate", "--trajectory", "--config", config,
+                     "--out", str(path)]) == 0
         text = out.read_text(encoding="utf-8")
         reference = (FIGURES / f"{name}.csv").read_text(encoding="utf-8")
-        worst = map_difference(text, reference)
-        assert worst <= RTOL, f"{name}: largest scaled difference {worst:.3g}"
-        if text != reference:
-            warnings.warn(f"{name}: other bytes than the committed map, "
-                          f"largest scaled difference {worst:.3g}")
+        trajectory = path.read_text(encoding="utf-8")
+        for worst, same in (
+                (map_difference(text, reference), text == reference),
+                (end_difference(trajectory, ends[name]),
+                 trajectory.splitlines()[-1] == ends[name])):
+            assert worst <= RTOL, (
+                f"{name}: largest scaled difference {worst:.3g}")
+            if not same:
+                warnings.warn(f"{name}: other bytes than the committed map, "
+                              f"largest scaled difference {worst:.3g}")
 
 
 # CI's sweep across the lasing threshold.
@@ -456,18 +473,18 @@ def test_stacked_verdicts_equal_the_per_sample_loop(name, monkeypatch):
     stacks = []
     certify = solver._certify
 
-    def recording(flows, y0, roots, n, cfg, points=None):
-        certified, eigen = certify(flows, y0, roots, n, cfg, points)
-        stacks.append((flows, y0, roots.copy(), n, cfg, certified.tolist()))
+    def recording(links, y0, cfg, points=None):
+        certified, eigen = certify(links, y0, cfg, points)
+        stacks.append((links, y0, cfg, certified.tolist()))
         return certified, eigen
 
     monkeypatch.setattr(solver, "_certify", recording)
     run = three_variant_run(name)
     run_sweep(run.grid, run.params, run.integration, run.rabi)
-    assert max(len(roots) for _, _, roots, *_ in stacks) > 1
+    assert max(len(links) for links, *_ in stacks) > 1
     verdicts = []
-    for flows, y0, roots, n, cfg, certified in stacks:
-        assert certified == reference_verdicts(flows, y0, roots, n, cfg)
+    for links, y0, cfg, certified in stacks:
+        assert certified == reference_verdicts(links, y0, cfg)
         verdicts += certified
     assert all(verdicts) == (name == "fig3")
 
