@@ -26,11 +26,13 @@ operator, damps four moments more than the hierarchy's equations do:
   and <b+ b a+ a>, by an extra P on top of 2 gamma_c + gamma_nr, and
   they take a -gamma_nl <n_e n_h n_p> coupling the hierarchy lacks.
 
-n_e, n_h and <a+ a+ a a> are damped alike in both. The joint-collapse
-recombination also evolves the full correlated pair number where the
-hierarchy keeps the factorized product n_e n_h. Exact agreement therefore
-holds only at g = 0 with gamma_nl = 0; elsewhere agreement bands are
-empirical.
+n_e, n_h and <a+ a+ a a> are damped alike in both. At g -> 0 the adjoint
+generator (Breuer & Petruccione, The Theory of Open Quantum Systems, 2002,
+sec. 3.2) gives these moments no other difference in their linear terms.
+The joint-collapse recombination also evolves the full correlated pair
+number where the hierarchy keeps the factorized product n_e n_h. Exact
+agreement therefore holds only at g = 0 with gamma_nl = 0; elsewhere
+agreement bands are empirical.
 
 The Hamiltonian conserves the excitation charge Q = 2 n_p + n_e + n_h:
 the pair term b+ c+ a trades one photon for one electron-hole pair. Every
@@ -52,7 +54,9 @@ The generator shifts Q by -2 to +1, so on the sector it couples only
 adjacent photon levels m = Q // 2: it is a stack of lower, diagonal and
 upper blocks. Each operator of the model sends one basis state to one with
 a single weight, so every block entry is linear in seven rates, with
-coefficients that depend on the cutoff alone and are cached per cutoff.
+coefficients that depend on the cutoff alone. They are cached per cutoff
+in one read-only table together with the sector's layout, which the
+solve and every DensityMatrix check read.
 
 Basis ordering: electron occupation (2) x hole occupation (2) x photon
 number (n_max + 1), index = (2 e + h) (n_max + 1) + n.
@@ -152,13 +156,18 @@ def _unit_maps(space: HilbertSpace):
     return hamiltonian, collapses
 
 
-class _Sector(NamedTuple):
-    """Layout of the charge sector; every array is read-only.
+class _Table(NamedTuple):
+    """Charge-sector layout and parameter-free generator of one cutoff;
+    every array is read-only.
 
-    entries: row-major vec indices i * dim + j of its entries rho[i, j],
-        ascending; rows and cols: their i and j.
+    entries: row-major vec indices i * dim + j of the sector's entries
+        rho[i, j], ascending; rows and cols: their i and j.
     partner: position in entries of rho[j, i], for each entry rho[i, j].
     diagonal: position in entries of rho[i, i], for each basis state i.
+    coefficients: 7 x (3 levels LEVEL_WIDTH^2) complex; rates @ coefficients
+        are the blocks of build_liouvillian, flattened.
+    sizes: the number of entries of each photon level.
+    order: each entry's place in the levels x LEVEL_WIDTH table.
     """
 
     entries: np.ndarray
@@ -166,52 +175,18 @@ class _Sector(NamedTuple):
     cols: np.ndarray
     partner: np.ndarray
     diagonal: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _sector(space: HilbertSpace) -> _Sector:
-    e, h, n = _occupations(space)
-    charge = 2 * n + e + h
-    entries = np.flatnonzero(charge[:, None] == charge[None, :])
-    rows, cols = np.divmod(entries, space.dim)
-    layout = _Sector(
-        entries, rows, cols,
-        np.searchsorted(entries, cols * space.dim + rows),
-        np.flatnonzero(rows == cols),
-    )
-    for array in layout:
-        array.flags.writeable = False
-    return layout
-
-
-def charge_sector(space: HilbertSpace) -> np.ndarray:
-    """Row-major vec indices of the entries rho[i, j] with Q_i = Q_j.
-
-    Q = 2 n_p + n_e + n_h is the excitation charge. The sector holds
-    8 n_max + 6 entries and starts with rho[0, 0]. The array is shared and
-    read-only.
-    """
-    return _sector(space).entries
-
-
-class _Generator(NamedTuple):
-    """Parameter-free form of the sector generator; every array is read-only.
-
-    coefficients: 7 x (3 levels LEVEL_WIDTH^2) complex; rates @ coefficients
-        are the blocks of build_liouvillian, flattened.
-    sizes: the number of entries of each photon level.
-    order: each charge_sector entry's place in the levels x LEVEL_WIDTH layout.
-    """
-
     coefficients: np.ndarray
     sizes: np.ndarray
     order: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
-def _generator(space: HilbertSpace) -> _Generator:
-    layout = _sector(space)
-    rows, cols, size = layout.rows, layout.cols, layout.entries.size
+def _table(space: HilbertSpace) -> _Table:
+    e, h, n = _occupations(space)
+    charge = 2 * n + e + h
+    entries = np.flatnonzero(charge[:, None] == charge[None, :])
+    rows, cols = np.divmod(entries, space.dim)
+    size = entries.size
     hamiltonian, collapses = _unit_maps(space)
     # Each term sends entry (rows, cols) to (to_row, to_col) with weight coef
     # times the rate at position column of the rate vector.
@@ -233,12 +208,11 @@ def _generator(space: HilbertSpace) -> _Generator:
     column = np.repeat(columns, size)[keep]
     source = np.tile(np.arange(size), len(terms))[keep]
     position = np.full(space.dim ** 2, -1)
-    position[layout.entries] = np.arange(size)
+    position[entries] = np.arange(size)
     to = position[to_row[keep] * space.dim + to_col[keep]]
     # Photon level Q // 2 of each entry, and its slot within its level in
-    # charge_sector order.
-    e, h, n = _occupations(space)
-    level = (2 * n + e + h)[rows] // 2
+    # entries order.
+    level = charge[rows] // 2
     sizes = np.bincount(level)
     rank = np.argsort(np.argsort(level, kind="stable"))
     slot = rank - (np.cumsum(sizes) - sizes)[level]
@@ -246,11 +220,25 @@ def _generator(space: HilbertSpace) -> _Generator:
                             dtype=complex)
     np.add.at(coefficients, (column, level[source] - level[to] + 1,
                              level[to], slot[to], slot[source]), coef[keep])
-    table = _Generator(coefficients.reshape(7, -1), sizes,
-                       level * LEVEL_WIDTH + slot)
+    table = _Table(
+        entries, rows, cols,
+        np.searchsorted(entries, cols * space.dim + rows),
+        np.flatnonzero(rows == cols),
+        coefficients.reshape(7, -1), sizes, level * LEVEL_WIDTH + slot,
+    )
     for array in table:
         array.flags.writeable = False
     return table
+
+
+def charge_sector(space: HilbertSpace) -> np.ndarray:
+    """Row-major vec indices of the entries rho[i, j] with Q_i = Q_j.
+
+    Q = 2 n_p + n_e + n_h is the excitation charge. The sector holds
+    8 n_max + 6 entries and starts with rho[0, 0]. The array is shared and
+    read-only.
+    """
+    return _table(space).entries
 
 
 def build_liouvillian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
@@ -267,7 +255,7 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
         params.detuning, params.g, 2.0 * params.gamma_c, params.pump,
         params.gamma_nr, params.gamma_nl, 0.5 * params.gamma_deph,
     ))
-    blocks = rates @ _generator(space).coefficients
+    blocks = rates @ _table(space).coefficients
     return blocks.reshape(3, -1, LEVEL_WIDTH, LEVEL_WIDTH)
 
 
@@ -286,7 +274,7 @@ class DensityMatrix:
     @property
     def populations(self) -> np.ndarray:
         """rho[i, i].real for every basis state i, in basis order."""
-        return self.values[_sector(self.space).diagonal].real
+        return self.values[_table(self.space).diagonal].real
 
     @property
     def elements(self) -> np.ndarray:
@@ -305,15 +293,15 @@ class DensityMatrix:
         bounds its own block's smaller eigenvalue from above, so only the
         lone states' populations count on their own.
         """
-        layout = _sector(self.space)
+        table = _table(self.space)
         values = self.values
-        populations = values[layout.diagonal].real
+        populations = values[table.diagonal].real
         # One entry rho[s, t] with s < t per two-state block.
-        upper = layout.rows < layout.cols
-        s = populations[layout.rows[upper]]
-        t = populations[layout.cols[upper]]
+        upper = table.rows < table.cols
+        s = populations[table.rows[upper]]
+        t = populations[table.cols[upper]]
         coupling = 0.5 * np.abs(
-            values[upper] + values[layout.partner[upper]].conj()
+            values[upper] + values[table.partner[upper]].conj()
         )
         block_min = 0.5 * (s + t) - np.hypot(0.5 * (s - t), coupling)
         return min(float(populations.min()), float(block_min.min()))
@@ -323,13 +311,13 @@ class DensityMatrix:
 
         Raises MalformedSteadyState naming every check that fails.
         """
-        layout = _sector(self.space)
+        table = _table(self.space)
         values = self.values
         problems = []
-        herm = float(np.max(np.abs(values - values[layout.partner].conj())))
+        herm = float(np.max(np.abs(values - values[table.partner].conj())))
         if herm > 1e-12:
             problems.append(f"hermiticity violated by {herm:.3e}")
-        trace = complex(values[layout.diagonal].sum())
+        trace = complex(values[table.diagonal].sum())
         if abs(trace - 1.0) > 1e-10:
             problems.append(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
         min_eig = self.min_eigenvalue()
@@ -360,7 +348,7 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
     raises MalformedSteadyState.
     """
     lower, diagonal, upper = build_liouvillian(params, space)
-    layout, table = _sector(space), _generator(space)
+    table = _table(space)
     sizes, top = table.sizes, table.sizes.size - 1
     # x_m = above[m] x_{m-1} above the twist level, below[m] x_{m+1} below it.
     above, below = {}, []
@@ -393,7 +381,7 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
             levels[m + 1, :sizes[m]] = above[m] @ levels[m, :sizes[m - 1]]
         for m in range(twist - 1, -1, -1):
             levels[m + 1, :sizes[m]] = below[m] @ levels[m + 2, :sizes[m + 1]]
-        levels /= levels[1:-1].reshape(-1)[table.order[layout.diagonal]].sum()
+        levels /= levels[1:-1].reshape(-1)[table.order[table.diagonal]].sum()
         flow = (lower @ levels[:-2, :, None] + diagonal @ levels[1:-1, :, None]
                 + upper @ levels[2:, :, None])
         # Non-finite entries leave a non-finite residual.
@@ -412,12 +400,12 @@ def steady_state_density(params: ModelParams, space: HilbertSpace) -> DensityMat
         raise SingularSteadyState(
             f"stationarity residual {residual:.3e} is not below 1e-8")
     x = levels[1:-1].reshape(-1)[table.order]
-    transpose = x[layout.partner].conj()
+    transpose = x[table.partner].conj()
     asymmetry = float(np.max(np.abs(x - transpose)))
     if asymmetry > 1e-10:
         raise MalformedSteadyState(f"steady state asymmetric by {asymmetry:.3e}")
     x = 0.5 * (x + transpose)
-    return DensityMatrix(space, x / x[layout.diagonal].sum().real).validate()
+    return DensityMatrix(space, x / x[table.diagonal].sum().real).validate()
 
 
 def top_level_population(populations: np.ndarray, space: HilbertSpace) -> float:

@@ -390,7 +390,7 @@ def sector_generator(params, space):
     Asserts that the blocks' padding, the slots past each level's entries,
     holds only zeros.
     """
-    from qdcavity.oracle import LEVEL_WIDTH, _generator, build_liouvillian
+    from qdcavity.oracle import LEVEL_WIDTH, _table, build_liouvillian
 
     blocks = build_liouvillian(params, space)
     width = blocks.shape[1] * LEVEL_WIDTH
@@ -402,7 +402,7 @@ def sector_generator(params, space):
             col = (m + side) * LEVEL_WIDTH
             padded[row:row + LEVEL_WIDTH, col:col + LEVEL_WIDTH] = block
     padded = padded[LEVEL_WIDTH:-LEVEL_WIDTH, LEVEL_WIDTH:-LEVEL_WIDTH]
-    order = _generator(space).order
+    order = _table(space).order
     outside = np.setdiff1d(np.arange(width), order)
     assert not np.any(padded[outside]) and not np.any(padded[:, outside])
     return padded[np.ix_(order, order)]

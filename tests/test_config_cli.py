@@ -748,6 +748,30 @@ def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
     assert Path("plain").read_text() == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trajectory"],
+    ["sweep", "--format", "csv"],
+    ["sweep", "--format", "jsonl"],
+], ids=["trajectory", "csv", "jsonl"])
+def test_cli_write_failure_after_the_solve_is_an_output_error(
+        tmp_path, capsys, monkeypatch, command):
+    # The out path passes its checks, and the disk fills while the solved
+    # result is written.
+    def full_disk(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_text", full_disk)
+    path = config_file(tmp_path, SWEEP_TEXT)
+    out_file = tmp_path / "out.csv"
+    argv = command[:1] + ["--config", path, "--out", str(out_file)] + command[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"output error: [Errno {errno.ENOSPC}] No space left on device\n")
+    assert captured.out == ""
+    assert not out_file.exists()
+
+
 def test_cli_sweep_requires_grid(tmp_path, capsys):
     path = config_file(tmp_path, MINIMAL)
     assert main(["sweep", "--config", path]) == 1
@@ -800,6 +824,40 @@ def test_cli_oracle_compare_solver_failures_exit_2(
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert str(error) in err
+
+
+def test_cli_oracle_compare_refused_hierarchy_point_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # At a 1000 ps cavity lifetime the hierarchy's last root is unstable, so
+    # the point is refused before any reference solve.
+    def fail(*args, **kwargs):
+        raise AssertionError("the reference model was solved")
+
+    monkeypatch.setattr(cli, "steady_observables_auto", fail)
+    text = textwrap.dedent("""\
+        [model]
+        g_multiple_of_omega_r0 = 0.20
+        gamma_c_per_ps = 0.0005
+        pump_per_ps = 1e5
+    """)
+    assert main(["oracle-compare", "--config", config_file(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not converged: last residual 9.685e-14\n"
+
+
+def test_cli_oracle_compare_without_photons_prints_undefined_g2(
+    tmp_path, capsys
+):
+    # At g = 0 neither model holds a photon, so g2(0) is undefined in both
+    # columns and its row has no relative difference.
+    text = MINIMAL.replace("g_rad_per_ps = 0.05", "g_rad_per_ps = 0")
+    assert main(["oracle-compare", "--config", config_file(tmp_path, text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{'g2_zero':<20}{'undefined':>16}{'undefined':>16}{'':>12}" in lines
+    assert "photon_rel_diff=        0.000000e+00" in lines
+    assert "within_band=            true" in lines
 
 
 def _defective_state(defect):

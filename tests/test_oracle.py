@@ -23,10 +23,10 @@ from qdcavity import (
     oracle,
     steady_observables_auto,
 )
-from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState
+from qdcavity.dynamics import TOGGLE_VARIANTS, DynamicState, make_rhs
 from qdcavity.oracle import (
     TOP_LEVEL_LIMIT,
-    _generator,
+    _table,
     charge_sector,
     state_index,
     steady_state_density,
@@ -250,7 +250,7 @@ def rate_vector(params):
 def test_linear_build_matches_the_index_map_build(n_max):
     space = HilbertSpace(n_max)
     entries = charge_sector(space)
-    table = _generator(space)
+    table = _table(space)
     # Photon levels of 5, 8, ..., 8 and 1 entries.
     assert list(table.sizes) == [5] + [8] * n_max + [1]
     assert np.array_equal(np.bincount(table.order // 8), table.sizes)
@@ -266,7 +266,7 @@ def test_linear_build_matches_the_index_map_build(n_max):
         assert blocks.shape == (3, n_max + 2, 8, 8)
         assert np.array_equal(blocks.reshape(-1),
                               rate_vector(params) @ table.coefficients)
-    assert _generator(HilbertSpace(n_max)) is table
+    assert _table(HilbertSpace(n_max)) is table
     for array in table:
         assert not array.flags.writeable
 
@@ -405,6 +405,60 @@ def test_decoupled_relaxation_matches_cluster_equations():
         )
         n_e = DynamicState.from_array(short.states[-1]).n_e
         assert n_e_oracle == pytest.approx(n_e, rel=1e-6)
+
+
+def test_generator_gives_the_hierarchy_damping_and_the_listed_extras():
+    # The adjoint generator applied to a moment's operator O gives
+    # d<O>/dt = <L+(O)>. On the charge sector <O> = w_O . x with
+    # w_O[k] = O[col_k, row_k], so L+(O) is G^T w_O for the sector
+    # generator G, fitted here onto a basis of operators away from the
+    # cutoff. At g -> 0 each moment's self-coefficient is the make_rhs
+    # Jacobian constant less the extra damping the oracle docstring lists,
+    # and its couplings are the listed ones.
+    params = ModelParams(g=1e-12, gamma_c=0.13, gamma_deph=0.071,
+                         gamma_nr=0.037, gamma_nl=0.053, pump=0.29,
+                         detuning=0.023)
+    P, gnr, gnl = params.pump, params.gamma_nr, params.gamma_nl
+    space = HilbertSpace(8)
+    ops = build_operators(space)
+    a, c, b = ops.a, ops.c, ops.b
+    ad = a.conj().T
+    p_op = ad @ c @ b
+    pair_op = b.conj().T @ c.conj().T @ ad @ a @ a  # d_bc_aaa's operator
+    n_e, n_h, n_p = ops.n_e, ops.n_h, ops.n_photon
+    # <a+ a+ a a> = n_p^2 - n_p, so n_p^2 stays out of the basis.
+    basis = {
+        "1": np.eye(space.dim), "n_e": n_e, "n_h": n_h, "n_p": n_p,
+        "n_e n_h": n_e @ n_h, "n_e n_p": n_e @ n_p, "n_h n_p": n_h @ n_p,
+        "n_e n_h n_p": n_e @ n_h @ n_p, "a+ a+ a a": ad @ ad @ a @ a,
+        "p": p_op, "p+": p_op.conj().T,
+        "d_bc_aaa": pair_op, "d_bc_aaa+": pair_op.conj().T,
+    }
+    entries = charge_sector(space)
+    rows, cols = np.divmod(entries, space.dim)
+    near = np.maximum(rows % (space.n_max + 1), cols % (space.n_max + 1)) <= 5
+    G = sector_generator(params, space)
+    B = np.array([op[cols, rows] for op in basis.values()]).T
+    J = make_rhs(params, FULL)[1](0.0, np.zeros(10))
+    damping = P + gnr + 0.5 * gnl
+    # Each moment's self-coefficient and its other couplings.
+    expected = {
+        "n_e": (J[0, 0], {"1": P, "n_e n_h": -gnl}),
+        "n_h": (J[1, 1], {"1": P, "n_e n_h": -gnl}),
+        "a+ a+ a a": (J[5, 5], {}),
+        "p": (J[3, 3] + 1j * J[4, 3] - damping, {}),
+        "d_bc_aaa": (J[6, 6] + 1j * J[7, 6] - damping, {}),
+        "n_e n_p": (J[8, 8] - P, {"n_p": P, "n_e n_h n_p": -gnl}),
+        "n_h n_p": (J[9, 9] - P, {"n_p": P, "n_e n_h n_p": -gnl}),
+    }
+    for name, (own, couplings) in expected.items():
+        target = G.T @ basis[name][cols, rows]
+        fit, *_ = np.linalg.lstsq(B[near], target[near], rcond=None)
+        assert np.max(np.abs(B[near] @ fit - target[near])) < 1e-9, name
+        want = dict.fromkeys(basis, 0.0) | couplings | {name: own}
+        assert np.max(np.abs(fit - list(want.values()))) < 1e-9, name
+    assert expected["p"][0] == pytest.approx(-0.5545 - 0.023j, abs=1e-12)
+    assert expected["n_e n_p"][0] == pytest.approx(-0.587, abs=1e-12)
 
 
 def test_steady_state_density_is_physical():

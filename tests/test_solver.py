@@ -20,10 +20,12 @@ from qdcavity import (
     ModelParams,
     NotConverged,
     SolverError,
+    SweepGrid,
     Trajectory,
     ValidationError,
     default_params,
     integrate,
+    run_sweep,
     settling_trajectory,
     steady_state,
 )
@@ -717,6 +719,31 @@ def test_refused_solve_at_an_unstable_root_carries_that_root(variant):
     assert math.isfinite(info.value.residual)
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
     assert max(np.linalg.eigvals(jac(0.0, state)[:n, :n]).real) > 0.04
+
+
+def test_refused_solve_that_reaches_no_root_carries_vacuum():
+    # Neither the target pump nor the ladder up to it reaches a root, so the
+    # refused solve reports vacuum with vacuum's own residual, sqrt(2) P
+    # from the pumped carrier occupations, and without a warning. A sweep
+    # records the point as not converged and without photons.
+    params = ModelParams(g=2.4, gamma_c=0.00691, pump=3.24e5, gamma_nr=0.557)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged) as info:
+            steady_state(params, NO_INVERSION, CFG)
+        [record] = run_sweep(
+            SweepGrid((2.0 * params.gamma_c,), (2.4,), (params.pump,),
+                      (NO_INVERSION,)),
+            params, CFG, rabi=ReferenceRabi(coupling_scale=1.0))
+    vacuum = DynamicState.vacuum().to_array()
+    assert info.value.last_state.to_array().tobytes() == vacuum.tobytes()
+    rhs = make_rhs(params, NO_INVERSION)[0]
+    assert info.value.residual == scaled_residual(rhs(0.0, vacuum), vacuum)
+    assert info.value.residual == pytest.approx(math.sqrt(2.0) * params.pump,
+                                                rel=1e-15)
+    assert not record.converged
+    assert record.observables.photon_number == 0.0
+    assert record.observables.g2_zero is None
 
 
 def test_physical_range_warning_on_unphysical_start():
