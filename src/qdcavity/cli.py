@@ -5,6 +5,9 @@ not reached (the hierarchy did not converge or its integration failed, or
 the reference model has no unique, well-formed steady state), 3 reference-
 model disagreement beyond the configured band, 4 photon-space truncation
 still too small at its cap.
+
+``main`` parses the arguments, loads the configuration and runs the command
+that ``build_parser`` attached to them; each command does only its own work.
 """
 
 from __future__ import annotations
@@ -52,23 +55,24 @@ def _print_kv(key: str, value) -> None:
     print(f"{key + '=':<24}{value}")
 
 
+def _text(x, spec: str, missing: str = "undefined") -> str:
+    return missing if x is None else format(x, spec)
+
+
 def _print_observables(obs: Observables, converged: bool) -> None:
-    g2 = "undefined" if obs.g2_zero is None else f"{obs.g2_zero:.12g}"
     _print_kv("n_photon", f"{obs.photon_number:.12g}")
     _print_kv("two_photon", f"{obs.two_photon:.12g}")
-    _print_kv("g2_zero", g2)
+    _print_kv("g2_zero", _text(obs.g2_zero, ".12g"))
     _print_kv("output_rate_per_ps", f"{obs.output_rate:.12g}")
     _print_kv("converged", "true" if converged else "false")
     if not obs.physical:
         _print_kv("note", "negative moment, truncated-hierarchy artifact")
 
 
-def _load(config_path: str):
-    try:
-        return load_config(config_path)
-    except (ConfigError, OSError, UnicodeDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return None
+def _refused(err: NotConverged) -> int:
+    print(f"not converged: {err.reason}; last residual {err.residual:.3e}",
+          file=sys.stderr)
+    return 2
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -112,10 +116,7 @@ def _write_trajectory(path: Path, trajectory) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
+def cmd_simulate(args, config) -> int:
     out_path = Path(args.out or config.output_path)
     if args.trajectory and _refuse_output(out_path):
         return 1
@@ -134,9 +135,7 @@ def cmd_simulate(args) -> int:
             observables_of(err.last_state, config.params), converged=False
         )
         _print_kv("last_residual", f"{err.residual:.6e}")
-        print(f"not converged within {config.integration.max_time:g} ps",
-              file=sys.stderr)
-        return 2
+        return _refused(err)
     except SolverError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 2
@@ -147,10 +146,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
+def cmd_sweep(args, config) -> int:
     if config.grid is None:
         print("config error: sweep requires a [grid] section", file=sys.stderr)
         return 1
@@ -165,7 +161,7 @@ def cmd_sweep(args) -> int:
         rabi=config.rabi,
         workers=args.workers,
     )
-    table = SweepTable(tuple(records))
+    table = SweepTable(records)
     try:
         if fmt == "csv":
             _write_text(
@@ -193,15 +189,11 @@ def _relative_difference(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(reference), PHOTON_FLOOR)
 
 
-def cmd_oracle_compare(args) -> int:
-    config = _load(args.config)
-    if config is None:
-        return 1
+def cmd_oracle_compare(args, config) -> int:
     try:
         state = steady_state(config.params, config.toggles, config.integration)
     except NotConverged as err:
-        print(f"not converged: last residual {err.residual:.3e}", file=sys.stderr)
-        return 2
+        return _refused(err)
     except SolverError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 2
@@ -224,13 +216,10 @@ def cmd_oracle_compare(args) -> int:
         ("output_rate_per_ps", cluster.output_rate, reference.output_rate),
     )
     for name, ours, theirs in rows:
-        if ours is None or theirs is None:
-            ours_text = "undefined" if ours is None else f"{ours:.6g}"
-            theirs_text = "undefined" if theirs is None else f"{theirs:.6g}"
-            print(f"{name:<20}{ours_text:>16}{theirs_text:>16}{'':>12}")
-        else:
-            diff = _relative_difference(ours, theirs)
-            print(f"{name:<20}{ours:>16.6g}{theirs:>16.6g}{diff:>12.3e}")
+        diff = (None if None in (ours, theirs)
+                else _relative_difference(ours, theirs))
+        print(f"{name:<20}{_text(ours, '.6g'):>16}{_text(theirs, '.6g'):>16}"
+              f"{_text(diff, '.3e', missing=''):>12}")
     _print_kv("oracle_n_max", n_max_used)
     photon_diff = _relative_difference(
         cluster.photon_number, reference.photon_number
@@ -258,10 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "pumped emitter-cavity system",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep", "oracle-compare"):
+    for name, run, out_help in (
+        ("simulate", cmd_simulate,
+         "override the configured output path, which only --trajectory "
+         "writes"),
+        ("sweep", cmd_sweep, "override the configured output path"),
+        ("oracle-compare", cmd_oracle_compare,
+         "accepted and ignored; oracle-compare writes no file"),
+    ):
         sub = commands.add_parser(name)
+        sub.set_defaults(run=run)
         sub.add_argument("--config", required=True, help="configuration file")
-        sub.add_argument("--out", help="override the configured output path")
+        sub.add_argument("--out", help=out_help)
         sub.add_argument(
             "--workers", type=_workers, default=1,
             help="worker processes, at most one per grid line and CPU"
@@ -297,11 +294,12 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     # No numpy overflow warning may join a failure's one stderr line.
     with np.errstate(all="ignore"):
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_oracle_compare(args)
+        try:
+            config = load_config(args.config)
+        except (ConfigError, OSError, UnicodeDecodeError) as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 1
+        return args.run(args, config)
 
 
 if __name__ == "__main__":

@@ -40,14 +40,19 @@ class NotConverged(SolverError):
             the last root found reaches at max_time if that flow decays,
             the root itself if it does not, and vacuum if no root was found.
         residual: the scaled residual at that state.
+        reason: why the solve was refused, in one phrase: no root was
+            reached, the last root found is unstable (with its growth rate
+            max Re lambda), or it is stable but was not certified (with its
+            slowest rate).
     """
 
-    def __init__(self, max_time, last_state, residual):
+    def __init__(self, max_time, last_state, residual, reason):
         self.max_time = max_time
         self.last_state = last_state
         self.residual = residual
+        self.reason = reason
         super().__init__(
-            f"no steady state within {max_time:g} ps "
+            f"no steady state within {max_time:g} ps: {reason} "
             f"(last scaled residual {residual:.3e})"
         )
 

@@ -584,14 +584,20 @@ def _certified_root(params, toggles, cfg):
     # unstable root's would overflow).
     if link is None:
         rhs, y = make_rhs(params, toggles)[0], _VACUUM
+        reason = "no root reached, vacuum reported"
     else:
         rates, modes, amplitudes = (a[0] for a in eigen)
+        rate = rates.real.max()
         y = root.copy()
-        if (rates.real < 0.0).all() and np.isfinite(amplitudes).all():
-            y[:n] += (modes @ (np.exp(rates * cfg.max_time)
-                               * amplitudes)).real
+        if rate < 0.0:
+            reason = f"stable root not certified, slowest rate {rate:.3g}/ps"
+            if np.isfinite(amplitudes).all():
+                y[:n] += (modes @ (np.exp(rates * cfg.max_time)
+                                   * amplitudes)).real
+        else:
+            reason = f"unstable root, growth rate {rate:+.3g}/ps"
     raise NotConverged(cfg.max_time, DynamicState.from_array(y),
-                       scaled_residual(rhs(0.0, y), y))
+                       scaled_residual(rhs(0.0, y), y), reason)
 
 
 def steady_state(
@@ -615,10 +621,12 @@ def steady_state(
     below it over a further steady_window of that flow, solved in closed
     form. PhysicalRangeWarning is emitted if the root or that window leaves
     the physical range. Raises NotConverged otherwise, carrying a finite
-    state and its residual: the state that the flow linearised at the last
-    root found reaches at max_time when every eigenvalue there has negative
-    real part, that root itself when one does not, and vacuum when no root
-    was found. A start from a nearby point's root is continue_line's; the
+    state, its residual and the reason for the refusal: the state that the
+    flow linearised at the last root found reaches at max_time when every
+    eigenvalue there has negative real part (a stable root not certified,
+    with its slowest rate), that root itself when one does not (an unstable
+    root, with its growth rate max Re lambda), and vacuum when no root was
+    found. A start from a nearby point's root is continue_line's; the
     march that settles on the root is settling_trajectory's.
     """
     return DynamicState.from_array(_certified_root(params, toggles, cfg)[0])

@@ -826,25 +826,59 @@ def test_cli_oracle_compare_solver_failures_exit_2(
     assert str(error) in err
 
 
+LONG_LIFETIME = textwrap.dedent("""\
+    [model]
+    g_multiple_of_omega_r0 = 0.20
+    gamma_c_per_ps = 0.0005
+    pump_per_ps = 1e5
+    [toggles]
+    variant = {}
+""")
+
+# Each refusal reason once: at a 1000 ps cavity lifetime the last root found
+# is unstable in full and no_inversion (there the ladder reaches no root past
+# rung 23, so the target pump's own root is reported) and stable but too slow
+# to settle in factorized; the last point reaches no root at all.
+REFUSALS = [
+    (LONG_LIFETIME.format("full"),
+     "unstable root, growth rate +0.0654/ps; last residual 9.685e-14"),
+    (LONG_LIFETIME.format("no_inversion"),
+     "unstable root, growth rate +0.0436/ps; last residual 4.007e-12"),
+    (LONG_LIFETIME.format("factorized"),
+     "stable root not certified, slowest rate -0.000996/ps; "
+     "last residual 4.714e-08"),
+    (textwrap.dedent("""\
+        [model]
+        g_rad_per_ps = 2.4
+        gamma_c_per_ps = 0.00691
+        pump_per_ps = 3.24e5
+        gamma_nr_per_ps = 0.557
+        [toggles]
+        variant = no_inversion
+    """), "no root reached, vacuum reported; last residual 4.582e+05"),
+]
+
+
 def test_cli_oracle_compare_refused_hierarchy_point_exits_2(
     tmp_path, capsys, monkeypatch
 ):
-    # At a 1000 ps cavity lifetime the hierarchy's last root is unstable, so
-    # the point is refused before any reference solve.
+    # A point the hierarchy refuses is refused before any reference solve.
+    # oracle-compare and simulate print the same one stderr line, which says
+    # why.
     def fail(*args, **kwargs):
         raise AssertionError("the reference model was solved")
 
     monkeypatch.setattr(cli, "steady_observables_auto", fail)
-    text = textwrap.dedent("""\
-        [model]
-        g_multiple_of_omega_r0 = 0.20
-        gamma_c_per_ps = 0.0005
-        pump_per_ps = 1e5
-    """)
-    assert main(["oracle-compare", "--config", config_file(tmp_path, text)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "not converged: last residual 9.685e-14\n"
+    for text, reason in REFUSALS:
+        path = config_file(tmp_path, text)
+        assert main(["oracle-compare", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"not converged: {reason}\n"
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "converged=              false\n" in captured.out
+        assert captured.err == f"not converged: {reason}\n"
 
 
 def test_cli_oracle_compare_without_photons_prints_undefined_g2(
@@ -968,8 +1002,20 @@ def test_cli_help_returns_0(capsys):
 ])
 def test_cli_workers_help_says_where_it_is_ignored(tmp_path, capsys, command,
                                                    ignored):
+    # So does --out's: oracle-compare writes no file, and simulate writes
+    # one only with --trajectory.
+    out_help = {
+        "simulate": "--out OUT override the configured output path, which "
+                    "only --trajectory writes",
+        "sweep": "--out OUT override the configured output path",
+        "oracle-compare": "--out OUT accepted and ignored; oracle-compare "
+                          "writes no file",
+    }
     assert main([command, "--help"]) == 0
-    assert ("accepted and ignored" in capsys.readouterr().out) is ignored
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("accepted and ignored; only sweep runs worker processes"
+            in help_text) is ignored
+    assert out_help[command] + " --workers" in help_text
     assert cli.build_parser().parse_args(
         [command, "--config", "x.cfg", "--workers", "8"]
     ).workers == 8

@@ -407,18 +407,22 @@ def test_decoupled_relaxation_matches_cluster_equations():
         assert n_e_oracle == pytest.approx(n_e, rel=1e-6)
 
 
-def test_generator_gives_the_hierarchy_damping_and_the_listed_extras():
-    # The adjoint generator applied to a moment's operator O gives
-    # d<O>/dt = <L+(O)>. On the charge sector <O> = w_O . x with
-    # w_O[k] = O[col_k, row_k], so L+(O) is G^T w_O for the sector
-    # generator G, fitted here onto a basis of operators away from the
-    # cutoff. At g -> 0 each moment's self-coefficient is the make_rhs
-    # Jacobian constant less the extra damping the oracle docstring lists,
-    # and its couplings are the listed ones.
-    params = ModelParams(g=1e-12, gamma_c=0.13, gamma_deph=0.071,
-                         gamma_nr=0.037, gamma_nl=0.053, pump=0.29,
-                         detuning=0.023)
-    P, gnr, gnl = params.pump, params.gamma_nr, params.gamma_nl
+# Distinct rates for the generator probes below, with a small detuning.
+PROBE_RATES = dict(gamma_c=0.13, gamma_deph=0.071, gamma_nr=0.037,
+                   gamma_nl=0.053, pump=0.29, detuning=0.023)
+
+
+def _assert_generator_fits(params, expected):
+    """Each moment of expected, name: (self-coefficient, {basis name:
+    coupling}), has exactly these coefficients in its equation, and no
+    other.
+
+    The adjoint generator applied to a moment's operator O gives
+    d<O>/dt = <L+(O)>. On the charge sector <O> = w_O . x with
+    w_O[k] = O[col_k, row_k], so L+(O) is G^T w_O for the sector generator
+    G, fitted here onto a basis of operators on the entries with at most 5
+    photons, away from the cutoff.
+    """
     space = HilbertSpace(8)
     ops = build_operators(space)
     a, c, b = ops.a, ops.c, ops.b
@@ -438,7 +442,22 @@ def test_generator_gives_the_hierarchy_damping_and_the_listed_extras():
     rows, cols = np.divmod(entries, space.dim)
     near = np.maximum(rows % (space.n_max + 1), cols % (space.n_max + 1)) <= 5
     G = sector_generator(params, space)
-    B = np.array([op[cols, rows] for op in basis.values()]).T
+    B = np.array([op[cols, rows] for op in basis.values()]).T[near]
+    assert np.linalg.matrix_rank(B) == len(basis)
+    for name, (own, couplings) in expected.items():
+        target = (G.T @ basis[name][cols, rows])[near]
+        fit, *_ = np.linalg.lstsq(B, target, rcond=None)
+        assert np.max(np.abs(B @ fit - target)) < 1e-9, name
+        want = dict.fromkeys(basis, 0.0) | couplings | {name: own}
+        assert np.max(np.abs(fit - list(want.values()))) < 1e-9, name
+
+
+def test_generator_gives_the_hierarchy_damping_and_the_listed_extras():
+    # At g -> 0 each moment's self-coefficient is the make_rhs Jacobian
+    # constant less the extra damping the oracle docstring lists, and its
+    # couplings are the listed ones.
+    params = ModelParams(g=1e-12, **PROBE_RATES)
+    P, gnr, gnl = params.pump, params.gamma_nr, params.gamma_nl
     J = make_rhs(params, FULL)[1](0.0, np.zeros(10))
     damping = P + gnr + 0.5 * gnl
     # Each moment's self-coefficient and its other couplings.
@@ -451,14 +470,29 @@ def test_generator_gives_the_hierarchy_damping_and_the_listed_extras():
         "n_e n_p": (J[8, 8] - P, {"n_p": P, "n_e n_h n_p": -gnl}),
         "n_h n_p": (J[9, 9] - P, {"n_p": P, "n_e n_h n_p": -gnl}),
     }
-    for name, (own, couplings) in expected.items():
-        target = G.T @ basis[name][cols, rows]
-        fit, *_ = np.linalg.lstsq(B[near], target[near], rcond=None)
-        assert np.max(np.abs(B[near] @ fit - target[near])) < 1e-9, name
-        want = dict.fromkeys(basis, 0.0) | couplings | {name: own}
-        assert np.max(np.abs(fit - list(want.values()))) < 1e-9, name
+    _assert_generator_fits(params, expected)
     assert expected["p"][0] == pytest.approx(-0.5545 - 0.023j, abs=1e-12)
     assert expected["n_e n_p"][0] == pytest.approx(-0.587, abs=1e-12)
+
+
+def test_generator_gives_the_hierarchy_coupling_terms():
+    # At g = 0.1 the same fit recovers the coupling terms of the equations
+    # for n_e, n_h, n_p and p at operator level: the carriers lose g on each
+    # of p and p+, the photons gain it, and p is driven by
+    # g n_e n_h + g (n_e + n_h - 1) n_p, its self-coefficient unchanged.
+    params = ModelParams(g=0.1, **PROBE_RATES)
+    P, gnl, g = params.pump, params.gamma_nl, params.g
+    J = make_rhs(params, FULL)[1](0.0, np.zeros(10))
+    carrier = {"1": P, "n_e n_h": -gnl, "p": -g, "p+": -g}
+    p_self = J[3, 3] + 1j * J[4, 3] - (P + params.gamma_nr + 0.5 * gnl)
+    _assert_generator_fits(params, {
+        "n_e": (J[0, 0], carrier),
+        "n_h": (J[1, 1], carrier),
+        "n_p": (J[2, 2], {"p": g, "p+": g}),
+        "p": (p_self, {"n_e n_h": g, "n_e n_p": g, "n_h n_p": g, "n_p": -g}),
+    })
+    assert J[2, 2] == -2.0 * params.gamma_c
+    assert p_self == pytest.approx(-0.5545 - 0.023j, abs=1e-12)
 
 
 def test_steady_state_density_is_physical():

@@ -690,6 +690,9 @@ def test_steady_state_not_converged_carries_last_state():
     assert err.residual > cfg.steady_state_residual
     expected = 0.5 * (1.0 - math.exp(-2.0))
     assert err.last_state.n_e == pytest.approx(expected, rel=1e-6)
+    # The root is stable; its slowest mode is p's, damped at
+    # gamma_deph + gamma_c = 1/ps.
+    assert err.reason == "stable root not certified, slowest rate -1/ps"
     # The settling trajectory refuses the same root with the same report.
     with pytest.raises(NotConverged) as info:
         settling_trajectory(params, FULL, cfg)
@@ -718,7 +721,9 @@ def test_refused_solve_at_an_unstable_root_carries_that_root(variant):
     assert info.value.residual == scaled_residual(rhs(0.0, state), state)
     assert math.isfinite(info.value.residual)
     n = STATE_DIM if toggles.include_doublets else SINGLET_DIM
-    assert max(np.linalg.eigvals(jac(0.0, state)[:n, :n]).real) > 0.04
+    growth = max(np.linalg.eigvals(jac(0.0, state)[:n, :n]).real)
+    assert growth > 0.04
+    assert info.value.reason == f"unstable root, growth rate {growth:+.3g}/ps"
 
 
 def test_refused_solve_that_reaches_no_root_carries_vacuum():
@@ -741,6 +746,7 @@ def test_refused_solve_that_reaches_no_root_carries_vacuum():
     assert info.value.residual == scaled_residual(rhs(0.0, vacuum), vacuum)
     assert info.value.residual == pytest.approx(math.sqrt(2.0) * params.pump,
                                                 rel=1e-15)
+    assert info.value.reason == "no root reached, vacuum reported"
     assert not record.converged
     assert record.observables.photon_number == 0.0
     assert record.observables.g2_zero is None

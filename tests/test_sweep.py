@@ -291,7 +291,8 @@ def test_lines_are_solved_in_ascending_gamma_cav(monkeypatch):
         calls.append(("steady_state", params.g, 2 * params.gamma_c, None,
                       None if state is None else state.to_array()))
         if state is None:
-            raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0)
+            raise NotConverged(cfg.max_time, DynamicState.vacuum(), 1.0,
+                               "refused by this test")
         return state
 
     monkeypatch.setattr(sweep, "continue_line", chain)
